@@ -95,37 +95,35 @@ N_WRITES = 900
 
 
 class UninstrumentedArray(DiskArray):
-    """The pre-exposure write path and lag bookkeeping, as the control.
+    """The pre-exposure mark loop and lag bookkeeping, as the control.
 
     Identical to the stock methods with the ``self.exposure`` branches
     deleted outright (the tracer branch stays: it belongs to the test
     above).  Timing this against a stock array whose ``exposure`` is
     ``None`` isolates what the exposure/registry hooks cost when disabled.
+    ``mark_runs_calls`` proves the write path really runs the override.
     """
 
-    def _write_afraid(self, request, runs_by_stripe):
+    mark_runs_calls = 0
+
+    def _mark_runs(self, stripe_items, mark_targets=None):
+        self.mark_runs_calls += 1
         newly_marked = False
-        for stripe, runs in runs_by_stripe.items():
-            for run in runs:
-                for sub_unit in self._sub_units_of(run):
-                    newly_marked |= self.marks.mark(stripe, sub_unit)
+        marks = self.marks
+        if mark_targets is not None:
+            for stripe, sub_unit in mark_targets:
+                newly_marked |= marks.mark(stripe, sub_unit)
+        elif marks.bits_per_stripe == 1:
+            for stripe, runs in stripe_items:
+                for _run in runs:
+                    newly_marked |= marks.mark(stripe, 0)
+        else:
+            for stripe, runs in stripe_items:
+                for run in runs:
+                    for sub_unit in self._sub_units_of(run):
+                        newly_marked |= marks.mark(stripe, sub_unit)
         if newly_marked:
             self._lag_changed()
-        events = []
-        for runs in runs_by_stripe.values():
-            for run in runs:
-                events.append(
-                    self.drivers[run.disk].submit(
-                        DiskIO(IoKind.WRITE, run.disk_lba, run.nsectors)
-                    )
-                )
-                self.stats.foreground_data_writes += 1
-        yield AllOf(self.sim, events)
-        if self.functional is not None:
-            self.functional.write(
-                request.offset_sectors, self._payload(request), update_parity=False
-            )
-        self.policy.on_stripes_marked()
 
     def _lag_changed(self):
         if not self._finished:
@@ -147,6 +145,8 @@ def write_storm(control: bool):
             array.submit(ArrayRequest(IoKind.WRITE, (i * 37) % limit, 8))
         )
     assert array.stats.writes_completed == N_WRITES
+    if control:
+        assert array.mark_runs_calls == N_WRITES, "the control skipped its mark loop"
 
 
 def best_of_storm(control: bool, rounds=ROUNDS):

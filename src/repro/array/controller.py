@@ -135,7 +135,6 @@ class DiskArray:
         # Hot-path event/process labels, formatted once (per-request
         # f-strings showed up in sweep profiles).
         self._ev_done = f"{name}.done"
-        self._ev_service = f"{name}.service"
         self._ev_r5w = f"{name}.r5w"
         self._ev_rebuild = f"{name}.rebuild"
         self._ev_commit = f"{name}.commit"
@@ -154,10 +153,6 @@ class DiskArray:
         usable_sectors = min(disk.geometry.total_sectors for disk in disks)
         self.layout = org.build_layout(len(disks), stripe_unit_sectors, usable_sectors)
         self.unit_bytes = stripe_unit_sectors * self.sector_bytes
-        #: The callback service machine serves write-through parity
-        #: organizations; mirrored organizations take the generator path
-        #: (their copy semantics never ran under the machine's golden gate).
-        self._callback_service = write_policy == "writethrough" and not org.mirrored
 
         self.drivers = [
             DiskDriver(sim, disk, FcfsScheduler(), name=f"{name}.be{index}")
@@ -357,22 +352,7 @@ class DiskArray:
         self._plan_dirty += 1
         if not self._host_pumping:
             self._host_pumping = True
-            # Callback pump: replicates the old generator pump's
-            # bootstrap event exactly (pre-triggered, one callback, at
-            # (now, seq)), so same-instant dispatch order is unchanged;
-            # each slot wait is a plain callback instead of a generator
-            # frame suspension.
-            kick = Event.__new__(Event)
-            kick.sim = sim
-            kick.name = ""
-            kick.callbacks = [self._host_step_cb]
-            kick.defused = False
-            kick._value = None
-            kick._exception = None
-            kick._scheduled = True
-            kick._handled = False
-            sim._sequence += 1
-            sim._bucket.append(kick)
+            sim.call_soon(self._host_step_cb)
         return done
 
     def finalize(self) -> None:
@@ -398,14 +378,12 @@ class DiskArray:
     def _host_step(self, event: Event) -> None:
         """One host-pump step: dispatch on a granted slot, re-arm or park.
 
-        The loop ``while queue: yield acquire(); pop; spawn _service`` of
-        the old generator pump, unrolled into callbacks: a slot grant pops
-        the C-LOOK queue and spawns the service call, then the next
-        acquisition is armed at the same cascade position the generator
-        re-armed its yield.  Write-through arrays (the paper's §4.1
-        configuration) run the callback service machine; write-back keeps
-        the generator (its early-ack/background-flush split needs the
-        exception plumbing of a real process).
+        A slot grant pops the C-LOOK queue and starts the request's
+        :class:`_ServiceCall`, then arms the next acquisition.  Where the
+        kernel is quiet (:meth:`~repro.sim.Simulator.quiet`) the events
+        that would dispatch next — the service call's kick, the next slot
+        grant — are elided and their handlers run in place, which is
+        dispatch-for-dispatch identical (see docs/PERFORMANCE.md).
         """
         if event is self._host_wait:
             self._host_wait = None
@@ -414,55 +392,40 @@ class DiskArray:
             while True:
                 (request, done), position = self._host_queue.pop(self._clook_position)
                 self._clook_position = position
-                if self._callback_service:
-                    if (
-                        request.plan is None
-                        and self._plan_dirty >= MIN_VECTOR_EXTENTS
-                        and self._host_queue
-                        and self._degraded_disk is None
-                        and not self._rebuilding
-                        and type(self.layout) is Raid5Layout
-                    ):
-                        # The driver holds a backlog: plan its geometry as
-                        # one batch (see repro.array.batchplan).
-                        plan_host_batch(self, request)
-                    if (
-                        not sim._bucket
-                        and (not sim._queue or sim._queue[0][0] > sim._now)
-                        and (
-                            not self._host_queue
-                            or slots._in_use >= slots.capacity
-                            or slots._waiters
-                        )
-                    ):
-                        # Quiet kernel and the re-arm below will not
-                        # schedule a grant (queue drained, or no slot
-                        # free): the service bootstrap kick would dispatch
-                        # immediately next, with anything the body itself
-                        # appends to the bucket keeping its relative order
-                        # — so run the body inline and elide the kick.
-                        _ServiceCall(self, request, done)._start(None)
-                    else:
-                        _ServiceCall(self, request, done).start()
+                if (
+                    request.plan is None
+                    and self._plan_dirty >= MIN_VECTOR_EXTENTS
+                    and self._host_queue
+                    and self._degraded_disk is None
+                    and not self._rebuilding
+                    and type(self.layout) is Raid5Layout
+                ):
+                    # The driver holds a backlog: plan its geometry as
+                    # one batch (see repro.array.batchplan).
+                    plan_host_batch(self, request)
+                if sim.quiet() and (
+                    not self._host_queue or slots._in_use >= slots.capacity or slots._waiters
+                ):
+                    # Quiet kernel and the re-arm below will not schedule
+                    # a grant (queue drained, or no slot free): the kick
+                    # would dispatch immediately next, with anything the
+                    # body itself schedules keeping its relative order —
+                    # so run the body inline and elide the kick.
+                    _ServiceCall(self, request, done)._start(None)
                 else:
-                    self.sim.process(self._service(request, done), name=self._ev_service)
+                    _ServiceCall(self, request, done).start()
                 if not self._host_queue:
                     self._host_pumping = False
                     return
                 # Re-arm.  When the grant would be immediate (free slot,
-                # no waiters) and the kernel is quiet, the scalar cascade
-                # from here is exactly grant-dispatch → this handler —
-                # nothing can interleave — so take the slot in place and
-                # loop, eliding the grant event.  A service kick in the
-                # bucket (the common loaded case) fails the quiet check
-                # and parks on a real grant, preserving the kick/grant
-                # interleaving that paces scalar dispatch.
-                if (
-                    slots._in_use < slots.capacity
-                    and not slots._waiters
-                    and not sim._bucket
-                    and (not sim._queue or sim._queue[0][0] > sim._now)
-                ):
+                # no waiters) and the kernel is quiet, the cascade from
+                # here is exactly grant-dispatch → this handler — nothing
+                # can interleave — so take the slot in place and loop,
+                # eliding the grant event.  A service kick in the bucket
+                # (the common loaded case) fails the quiet check and parks
+                # on a real grant, preserving the kick/grant interleaving
+                # that paces dispatch.
+                if slots._in_use < slots.capacity and not slots._waiters and sim.quiet():
                     slots._in_use += 1
                     continue
                 grant = slots.acquire()
@@ -470,26 +433,24 @@ class DiskArray:
                 self._host_wait = grant
                 return
         elif (
-            self._callback_service
-            and len(self._host_queue) == 1
+            len(self._host_queue) == 1
             and self._degraded_disk is None
             and not self._rebuilding
             and self.slots._in_use < self.slots.capacity
             and not self.slots._waiters
-            and not self.sim._bucket
-            and (not self.sim._queue or self.sim._queue[0][0] > self.sim._now)
+            and self.sim.quiet()
         ):
             # Fused dispatch at the bootstrap kick.  With exactly one
-            # request queued, a free slot, and a quiet kernel, the scalar
-            # cascade from here is fully determined: the uncontended slot
-            # grant would dispatch next (pop + service spawn), then the
-            # service bootstrap kick (request body).  Nothing can be
-            # scheduled in between — same-instant events all join the
-            # bucket behind the grant — so running pop and body inline
-            # here is dispatch-for-dispatch identical and elides both
-            # events.  With a backlog (>1 queued) the scalar pump
-            # interleaves the next pop between this request's kicks, so
-            # fusion is skipped whenever requests could interact.
+            # request queued, a free slot, and a quiet kernel, the cascade
+            # from here is fully determined: the uncontended slot grant
+            # would dispatch next (pop + service start), then the service
+            # kick (request body).  Nothing can be scheduled in between —
+            # same-instant events all join the bucket behind the grant —
+            # so running pop and body inline here is dispatch-for-dispatch
+            # identical and elides both events.  With a backlog (>1
+            # queued) the pump interleaves the next pop between this
+            # request's kicks, so fusion is skipped whenever requests
+            # could interact.
             self.slots._in_use += 1
             (request, done), position = self._host_queue.pop(self._clook_position)
             self._clook_position = position
@@ -502,38 +463,6 @@ class DiskArray:
             self._host_wait = grant
         else:
             self._host_pumping = False
-
-    def _service(self, request: ArrayRequest, done: Event):
-        request.dispatch_time = self.sim.now
-        try:
-            if request.is_write and self.write_policy == "writeback":
-                # Completes `done` early (at NVRAM ack), then keeps the
-                # slot and detector accounting until the flush lands.
-                yield from self._service_write_writeback(request, done)
-            elif request.is_write:
-                yield from self._service_write(request)
-            else:
-                yield from self._service_read(request)
-        except BaseException as exc:
-            self.slots.release()
-            self.detector.activity_ended()
-            if done.triggered:
-                raise  # client already acked: the background flush failed
-            done.fail(exc)
-            return
-        self.slots.release()
-        self.detector.activity_ended()
-        if done.triggered:
-            return  # writeback: acked at NVRAM time
-        request.complete_time = self.sim.now
-        if request.is_write:
-            self.stats.writes_completed += 1
-        else:
-            self.stats.reads_completed += 1
-        self.stats.io_times.append(request.io_time)
-        if self.hists is not None or self.tracer is not None:
-            self._observe_client(request)
-        done.succeed(request)
 
     # -- degraded-mode state (used by repro.ext.rebuild) -----------------------------------------------
 
@@ -620,38 +549,6 @@ class DiskArray:
         self._degraded_disk = self._failed_disks[0] if self._failed_disks else None
 
     # -- reads ---------------------------------------------------------------------------------------
-
-    def _service_read(self, request: ArrayRequest):
-        if self.read_cache.lookup(request.offset_sectors, request.nsectors):
-            yield self.sim.timeout(self.cache_hit_latency_s)
-        else:
-            runs = self.layout.map_extent(request.offset_sectors, request.nsectors)
-            drivers = self.drivers
-            if self._degraded_disk is None:
-                # Fault-free fast path: the degraded-disk comparison and
-                # stats increment leave the per-run loop.
-                events = [
-                    drivers[run.disk].submit(DiskIO(IoKind.READ, run.disk_lba, run.nsectors))
-                    for run in runs
-                ]
-                self.stats.foreground_data_reads += len(events)
-            else:
-                events = []
-                for run in runs:
-                    if run.disk in self._failed_disks:
-                        if self._mirrored:
-                            events.extend(self._submit_mirror_read(run))
-                        else:
-                            events.extend(self._submit_degraded_read(run))
-                    else:
-                        events.append(
-                            drivers[run.disk].submit(DiskIO(IoKind.READ, run.disk_lba, run.nsectors))
-                        )
-                        self.stats.foreground_data_reads += 1
-            yield AllOf(self.sim, events)
-            self.read_cache.insert(request.offset_sectors, request.nsectors)
-        if self.functional is not None:
-            request.result_data = self.functional.read(request.offset_sectors, request.nsectors)
 
     def _submit_degraded_read(self, run: ExtentRun) -> list[Event]:
         """Reconstruct a run on the failed disk: read the same extent of
@@ -740,64 +637,10 @@ class DiskArray:
 
     # -- writes -----------------------------------------------------------------------------------------
 
-    def _service_write(self, request: ArrayRequest):
-        """Write-through: complete once the data (and any parity work the
-        mode requires) is on disk."""
-        nbytes = request.nsectors * self.sector_bytes
-        yield self.staging.reserve(nbytes)
-        try:
-            yield from self._perform_write(request)
-        finally:
-            self.staging.release(nbytes)
-        self.read_cache.insert(request.offset_sectors, request.nsectors)
-
-    def _service_write_writeback(self, request: ArrayRequest, done: Event):
-        """Write-back: ack at NVRAM speed, flush to disk in the background.
-
-        This is the single-copy-NVRAM configuration of §3.4: until the
-        flush lands, ``nbytes`` of client data exist only in the staging
-        NVRAM — `nvram_dirty_tracker` integrates that exposure so the
-        PrestoServe-style MDLR comparison can be computed from a run.
-        """
-        nbytes = request.nsectors * self.sector_bytes
-        yield self.staging.reserve(nbytes)
-        self._nvram_dirty_changed(+nbytes)
-        yield self.sim.timeout(self.nvram_ack_latency_s)
-        request.complete_time = self.sim.now
-        self.stats.writes_completed += 1
-        self.stats.io_times.append(request.io_time)
-        if self.hists is not None or self.tracer is not None:
-            self._observe_client(request)
-        done.succeed(request)
-        try:
-            yield from self._perform_write(request)
-        finally:
-            self.staging.release(nbytes)
-            self._nvram_dirty_changed(-nbytes)
-        self.read_cache.insert(request.offset_sectors, request.nsectors)
-
     def _nvram_dirty_changed(self, delta: int) -> None:
         self._nvram_dirty_bytes += delta
         if not self._finished:
             self.nvram_dirty_tracker.record(self.sim.now, self._nvram_dirty_bytes)
-
-    def _perform_write(self, request: ArrayRequest):
-        """The disk-side work of a write, independent of ack policy."""
-        runs_by_stripe = self._group_runs(request)
-        # Block while any target stripe's parity rebuild is in flight.
-        for stripe in list(runs_by_stripe):
-            while stripe in self._rebuilding:
-                yield self._rebuilding[stripe]
-        if self._mirrored:
-            yield from self._write_mirror(request, runs_by_stripe)
-        elif self._degraded_disk is not None:
-            yield from self._write_degraded(request, runs_by_stripe)
-        else:
-            mode = self.policy.write_mode(tuple(runs_by_stripe))
-            if mode is WriteMode.AFRAID:
-                yield from self._write_afraid(request, runs_by_stripe)
-            else:
-                yield from self._write_raid5(request, runs_by_stripe)
 
     def _group_runs(self, request: ArrayRequest) -> dict[int, list[ExtentRun]]:
         grouped: dict[int, list[ExtentRun]] = {}
@@ -818,22 +661,32 @@ class DiskArray:
             payload = self._zero_payloads[nbytes] = bytes(nbytes)
         return payload
 
-    def _write_afraid(self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]):
-        """The AFRAID write: mark first, then one data write per run."""
+    def _mark_runs(self, stripe_items, mark_targets=None) -> None:
+        """Set the NVRAM marks a deferred (AFRAID-style) write requires.
+
+        ``stripe_items`` pairs each touched stripe with its runs, in
+        ``_group_runs`` order.  ``mark_targets`` — a batch plan's
+        precomputed ``(stripe, sub_unit)`` sequence, the one this walk
+        would produce — replaces the walk when no exposure monitor needs
+        its per-stripe notifications.
+        """
         newly_marked = False
         exposure = self.exposure
         marks = self.marks
         now = self.sim.now
-        if marks.bits_per_stripe == 1:
+        if mark_targets is not None and exposure is None:
+            for stripe, sub_unit in mark_targets:
+                newly_marked |= marks.mark(stripe, sub_unit)
+        elif marks.bits_per_stripe == 1:
             # The common configuration: one mark per stripe, so each run
             # hits sub-unit 0 and the per-run span arithmetic is skipped.
-            for stripe, runs in runs_by_stripe.items():
+            for stripe, runs in stripe_items:
                 if exposure is not None:
                     exposure.stripe_dirtied(stripe, now)
                 for _run in runs:
                     newly_marked |= marks.mark(stripe, 0)
         else:
-            for stripe, runs in runs_by_stripe.items():
+            for stripe, runs in stripe_items:
                 if exposure is not None:
                     exposure.stripe_dirtied(stripe, now)
                 for run in runs:
@@ -841,22 +694,6 @@ class DiskArray:
                         newly_marked |= marks.mark(stripe, sub_unit)
         if newly_marked:
             self._lag_changed()
-        events = []
-        drivers = self.drivers
-        submitted = 0
-        for runs in runs_by_stripe.values():
-            for run in runs:
-                events.append(
-                    drivers[run.disk].submit(DiskIO(IoKind.WRITE, run.disk_lba, run.nsectors))
-                )
-                submitted += 1
-        self.stats.foreground_data_writes += submitted
-        yield AllOf(self.sim, events)
-        if self.functional is not None:
-            self.functional.write(
-                request.offset_sectors, self._payload(request), update_parity=False
-            )
-        self.policy.on_stripes_marked()
 
     def _sub_units_of(self, run: ExtentRun) -> range:
         """The marking sub-units a run overlaps (always {0} with 1 bit).
@@ -877,91 +714,6 @@ class DiskArray:
         return sub_unit_extent(
             sub_unit, self.layout.stripe_unit_sectors, self.marks.bits_per_stripe
         )
-
-    def _write_raid5(self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]):
-        """RAID 5 semantics: parity leaves this write consistent."""
-        stripe_procs = [
-            self.sim.process(self._write_raid5_stripe(stripe, runs), name=self._ev_r5w)
-            for stripe, runs in runs_by_stripe.items()
-        ]
-        yield AllOf(self.sim, stripe_procs)
-        if self.functional is not None:
-            self.functional.write(
-                request.offset_sectors, self._payload(request), update_parity=False
-            )
-            for stripe in runs_by_stripe:
-                self.functional.scrub_stripe(stripe)
-
-    def _write_raid5_stripe(self, stripe: int, runs: list[ExtentRun]):
-        unit_sectors = self.layout.stripe_unit_sectors
-        covered = sum(run.nsectors for run in runs)
-        full_stripe = covered == self.layout.stripe_data_sectors
-        parity = self.layout.parity_unit(stripe)
-        was_dirty = self.marks.is_marked(stripe)
-
-        if full_stripe:
-            # Large-write optimisation: parity computes from the new data
-            # alone; no pre-reads.
-            writes = self._submit_data_writes(runs)
-            writes.append(
-                self.drivers[parity.disk].submit(DiskIO(IoKind.WRITE, parity.disk_lba, unit_sectors))
-            )
-            self.stats.foreground_parity_writes += 1
-            yield AllOf(self.sim, writes)
-        elif was_dirty:
-            # Parity is stale: a read-modify-write would seal in garbage.
-            # Reconstruct instead: read the data units not fully overwritten,
-            # then write the new data and a freshly computed parity unit.
-            covered_units = {
-                run.unit_index for run in runs if run.nsectors == unit_sectors
-            }
-            reads = []
-            for unit in self.layout.data_units(stripe):
-                if unit.unit_index in covered_units:
-                    continue
-                reads.append(
-                    self.drivers[unit.disk].submit(DiskIO(IoKind.READ, unit.disk_lba, unit_sectors))
-                )
-                self.stats.reconstruct_reads += 1
-            if reads:
-                yield AllOf(self.sim, reads)
-            writes = self._submit_data_writes(runs)
-            writes.append(
-                self.drivers[parity.disk].submit(DiskIO(IoKind.WRITE, parity.disk_lba, unit_sectors))
-            )
-            self.stats.foreground_parity_writes += 1
-            yield AllOf(self.sim, writes)
-        else:
-            # The classic small-update path (Figure 1): read old data and
-            # old parity, then write new data and new parity — all in the
-            # critical path of the client write.
-            lo = min(run.disk_lba - self._stripe_base_lba(run) for run in runs)
-            hi = max(run.disk_lba - self._stripe_base_lba(run) + run.nsectors for run in runs)
-            parity_lba = parity.disk_lba + lo
-            parity_span = hi - lo
-            reads = []
-            for run in runs:
-                reads.append(
-                    self.drivers[run.disk].submit(DiskIO(IoKind.READ, run.disk_lba, run.nsectors))
-                )
-                self.stats.preread_ios += 1
-            reads.append(
-                self.drivers[parity.disk].submit(DiskIO(IoKind.READ, parity_lba, parity_span))
-            )
-            self.stats.preread_ios += 1
-            yield AllOf(self.sim, reads)
-            writes = self._submit_data_writes(runs)
-            writes.append(
-                self.drivers[parity.disk].submit(DiskIO(IoKind.WRITE, parity_lba, parity_span))
-            )
-            self.stats.foreground_parity_writes += 1
-            yield AllOf(self.sim, writes)
-
-        if was_dirty:
-            self.marks.clear_stripe(stripe)
-            self._lag_changed()
-            if self.exposure is not None:
-                self.exposure.stripe_cleaned(stripe, self.sim.now, cause="write")
 
     def _write_degraded(self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]):
         """Writes while a member disk is missing.
@@ -1025,28 +777,6 @@ class DiskArray:
 
     # -- mirrored-organization writes ----------------------------------------------------
 
-    def _mark_runs(self, runs_by_stripe: dict[int, list[ExtentRun]]) -> None:
-        """Set the NVRAM marks a deferred (AFRAID-style) write requires."""
-        newly_marked = False
-        exposure = self.exposure
-        marks = self.marks
-        now = self.sim.now
-        if marks.bits_per_stripe == 1:
-            for stripe, runs in runs_by_stripe.items():
-                if exposure is not None:
-                    exposure.stripe_dirtied(stripe, now)
-                for _run in runs:
-                    newly_marked |= marks.mark(stripe, 0)
-        else:
-            for stripe, runs in runs_by_stripe.items():
-                if exposure is not None:
-                    exposure.stripe_dirtied(stripe, now)
-                for run in runs:
-                    for sub_unit in self._sub_units_of(run):
-                        newly_marked |= marks.mark(stripe, sub_unit)
-        if newly_marked:
-            self._lag_changed()
-
     def _write_mirror(self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]):
         """Writes on a mirrored organization (RAID 1, 1/0, or 1+5).
 
@@ -1073,7 +803,7 @@ class DiskArray:
         drivers = self.drivers
         if mode is WriteMode.AFRAID and not self._failed_disks:
             # Deferred copy: mark, write primaries only.
-            self._mark_runs(runs_by_stripe)
+            self._mark_runs(runs_by_stripe.items())
             events = []
             for runs in runs_by_stripe.values():
                 for run in runs:
@@ -1138,7 +868,7 @@ class DiskArray:
         unit_sectors = self.layout.stripe_unit_sectors
         if mode is WriteMode.AFRAID and not self._failed_disks:
             # Deferred parity: mark, write both copies of every data run.
-            self._mark_runs(runs_by_stripe)
+            self._mark_runs(runs_by_stripe.items())
             events = []
             for runs in runs_by_stripe.values():
                 for run in runs:
@@ -1637,8 +1367,8 @@ class _Barrier:
       later); callers barriering single-consumer internal events assert
       it with ``tail=True``.  A completion still queued at attach time
       does not (the pump's wake lands *after* us), and keeps the hop.
-    * the kernel is quiet — empty bucket, next heap entry in the future —
-      so the hop would be the very next dispatch anyway.
+    * the kernel is quiet (:meth:`~repro.sim.Simulator.quiet`), so the
+      hop would be the very next dispatch anyway.
 
     Under those two conditions calling the handler in place is
     dispatch-for-dispatch identical to scheduling the hop.
@@ -1688,8 +1418,7 @@ class _Barrier:
             if self.remaining:
                 return
         self.fired = True
-        sim = self.sim
-        if not sim._bucket and (not sim._queue or sim._queue[0][0] > sim._now):
+        if self.sim.quiet():
             # Last callback of the firing child, quiet kernel: the hop
             # would dispatch immediately next — run the handler in its
             # place (see the class docstring).
@@ -1698,18 +1427,7 @@ class _Barrier:
         self._hop(exc)
 
     def _hop(self, exc: BaseException | None) -> None:
-        sim = self.sim
-        hop = Event.__new__(Event)
-        hop.sim = sim
-        hop.name = ""
-        hop.callbacks = [self._fire]
-        hop.defused = False
-        hop._value = None
-        hop._exception = exc
-        hop._scheduled = True
-        hop._handled = False
-        sim._sequence += 1
-        sim._bucket.append(hop)
+        self.sim.call_soon(self._fire, exc)
 
     def _fire(self, hop: Event) -> None:
         self.handler(hop._exception)
@@ -1718,13 +1436,14 @@ class _Barrier:
 class _Tail:
     """Drive a generator to exhaustion with ``Process._resume`` hop semantics.
 
-    Lets the callback service machine delegate its cold paths (degraded
-    writes) to the existing generator implementations with an event
-    pattern identical to the old ``yield from``: the first ``send`` runs
-    inline at the delegation point, each yielded event gets one callback
-    at the position the process would have re-armed, an already-processed
-    event resumes synchronously, and exhaustion calls ``on_done`` exactly
-    where the enclosing generator would have continued.
+    Lets the service machine run its rare write protocols — degraded
+    writes and mirrored writes (``_write_degraded``, ``_write_mirror``) —
+    as plain generator bodies, with the event pattern of a ``yield from``
+    inside a process but no process: the first ``send`` runs inline at the
+    delegation point, each yielded event gets one callback at the position
+    a process would re-arm at, an already-processed event resumes
+    synchronously, and exhaustion calls ``on_done`` where the enclosing
+    body continues.
     """
 
     __slots__ = ("generator", "on_done")
@@ -1768,15 +1487,17 @@ class _Tail:
 
 
 class _StripeWrite:
-    """One RAID 5 stripe write as a callback machine.
+    """One stripe of a RAID 5 write, as a callback machine.
 
-    Replaces the per-stripe ``_write_raid5_stripe`` process: ``event``
-    stands in for the process event (created at the same position, same
-    name, triggered with the same listener-aware shortcut on finish), and
-    the body runs at the bootstrap kick's dispatch — never at
-    construction — so every driver submission keeps its sequence number.
-    The statement bodies below are those of ``_write_raid5_stripe``
-    verbatim; each ``yield AllOf`` became ``callbacks.append``.
+    Three protocols, chosen by coverage and the stripe's mark: a
+    full-stripe write computes parity from the new data alone (no
+    pre-reads); a partial write to a dirty stripe reconstructs (reads the
+    units it does not overwrite, then writes data and a fresh parity
+    unit); any other partial write is the classic read-modify-write of
+    Figure 1 (pre-read old data and parity, then write both).  ``event``
+    fires when the stripe is done; the request's :class:`_Barrier` waits
+    on the events of all its stripes.  The body runs at a kick's dispatch,
+    or in its place under a quiet kernel (see :meth:`start`).
     """
 
     __slots__ = ("array", "stripe", "runs", "event", "was_dirty", "parity", "span")
@@ -1792,25 +1513,15 @@ class _StripeWrite:
 
         Called after the caller's barrier has attached to ``event`` (so a
         body failure always has its listener).  When the kernel is quiet
-        the bootstrap kick would dispatch immediately next, so the body
-        runs in place and the kick is elided; the body only schedules
-        future-time disk completions, so nothing can reorder around it.
+        the kick would dispatch immediately next, so the body runs in
+        place and the kick is elided; the body only schedules future-time
+        disk completions, so nothing can reorder around it.
         """
         sim = self.array.sim
-        if not sim._bucket and (not sim._queue or sim._queue[0][0] > sim._now):
+        if sim.quiet():
             self._start(None)
-            return
-        kick = Event.__new__(Event)
-        kick.sim = sim
-        kick.name = ""
-        kick.callbacks = [self._start]
-        kick.defused = False
-        kick._value = None
-        kick._exception = None
-        kick._scheduled = True
-        kick._handled = False
-        sim._sequence += 1
-        sim._bucket.append(kick)
+        else:
+            sim.call_soon(self._start)
 
     def _start(self, _kick: Event) -> None:
         array = self.array
@@ -1826,6 +1537,7 @@ class _StripeWrite:
             self.was_dirty = array.marks.is_marked(stripe)
 
             if full_stripe:
+                # Large-write optimisation: no pre-reads.
                 writes = array._submit_data_writes(runs)
                 writes.append(
                     array.drivers[parity.disk].submit(
@@ -1836,6 +1548,8 @@ class _StripeWrite:
                 self.span = None
                 _Barrier(array.sim, writes, self._writes_done)
             elif self.was_dirty:
+                # Parity is stale: a read-modify-write would seal in
+                # garbage, so reconstruct from the units not overwritten.
                 covered_units = {
                     run.unit_index for run in runs if run.nsectors == unit_sectors
                 }
@@ -1855,6 +1569,8 @@ class _StripeWrite:
                 else:
                     self._submit_writes()
             else:
+                # The small-update path (Figure 1): old data and old
+                # parity are read in the client write's critical path.
                 lo = min(run.disk_lba - array._stripe_base_lba(run) for run in runs)
                 hi = max(run.disk_lba - array._stripe_base_lba(run) + run.nsectors for run in runs)
                 self.span = (parity.disk_lba + lo, hi - lo)
@@ -1923,13 +1639,12 @@ class _StripeWrite:
         except BaseException as raised:
             self.event.fail(raised)
             return
-        # StopIteration: trigger like Process._resume — schedule only when
-        # someone is listening (the enclosing AllOf always is).
+        # Trigger ``event`` — scheduled only when someone is listening
+        # (the request's barrier always is).
         done = self.event
         callbacks = done.callbacks
         if callbacks:
-            sim = array.sim
-            if not sim._bucket and (not sim._queue or sim._queue[0][0] > sim._now):
+            if array.sim.quiet():
                 # Quiet kernel: succeed() would schedule the dispatch as
                 # the very next one — settle the event and run its
                 # listeners in place, exactly as the kernel would.
@@ -1947,15 +1662,25 @@ class _StripeWrite:
 
 
 class _ServiceCall:
-    """One client request through a write-through array, as callbacks.
+    """One client request through the array, as a callback state machine.
 
-    The unrolled form of the ``_service`` process tree: same statement
-    bodies, with every ``yield`` replaced by one callback registration at
-    the identical cascade position (so all (time, seq) tie-breaks match
-    the generator, event for event).  The hot paths — reads, AFRAID and
-    RAID 5 writes — are inline; degraded-mode writes delegate to the
-    generator implementation through :class:`_Tail`.  Write-back arrays
-    do not use this class at all (see ``_host_step``).
+    Every organization and write policy runs this one life cycle (§4.1):
+
+    * ``start`` arms a kick; the body runs at its dispatch, in a granted
+      host slot.
+    * A read is served from the read cache or from disk.  A run on a
+      failed member is rebuilt from parity or read from its mirror.
+    * A write reserves staging bytes.  Under write-back it then marks the
+      bytes NVRAM-dirty and acks the client after the NVRAM latency
+      (``_acked``).  It waits out any parity rebuild on its stripes and
+      dispatches by mode: AFRAID marks and data writes, one
+      :class:`_StripeWrite` per stripe for RAID 5, or the rare mirrored
+      and degraded protocols, run as generator bodies by :class:`_Tail`.
+
+    Each state registers one callback where a process would wait, so
+    same-instant tie-breaks are those of a process.  Where the kernel is
+    quiet, an event that would dispatch next is elided and its handler
+    runs in place.
     """
 
     __slots__ = (
@@ -1969,20 +1694,8 @@ class _ServiceCall:
         self.done = done
 
     def start(self) -> None:
-        """Arm the bootstrap kick; the body runs at its dispatch, exactly
-        where the process generator's first statements used to run."""
-        sim = self.array.sim
-        kick = Event.__new__(Event)
-        kick.sim = sim
-        kick.name = ""
-        kick.callbacks = [self._start]
-        kick.defused = False
-        kick._value = None
-        kick._exception = None
-        kick._scheduled = True
-        kick._handled = False
-        sim._sequence += 1
-        sim._bucket.append(kick)
+        """Arm the kick; the body runs at its dispatch."""
+        self.array.sim.call_soon(self._start)
 
     def _start(self, _kick: Event) -> None:
         array = self.array
@@ -1996,7 +1709,7 @@ class _ServiceCall:
         except BaseException as exc:
             self._finish(exc)
 
-    # -- reads (the _service_read body) --------------------------------------
+    # -- reads --------------------------------------------------------------------
 
     def _start_read(self) -> None:
         array = self.array
@@ -2022,7 +1735,10 @@ class _ServiceCall:
             events = []
             for run in runs:
                 if run.disk in array._failed_disks:
-                    events.extend(array._submit_degraded_read(run))
+                    if array._mirrored:
+                        events.extend(array._submit_mirror_read(run))
+                    else:
+                        events.extend(array._submit_degraded_read(run))
                 else:
                     events.append(
                         drivers[run.disk].submit(
@@ -2062,7 +1778,7 @@ class _ServiceCall:
             return
         self._finish(None)
 
-    # -- writes (the _service_write / _perform_write bodies) ------------------
+    # -- writes -------------------------------------------------------------------
 
     def _start_write(self) -> None:
         array = self.array
@@ -2070,12 +1786,10 @@ class _ServiceCall:
         nbytes = self.request.nsectors * array.sector_bytes
         self.nbytes = nbytes
         amount = nbytes if nbytes <= staging.capacity_bytes else staging.capacity_bytes
-        sim = array.sim
         if (
             not staging._waiters
             and staging._in_use + amount <= staging.capacity_bytes
-            and not sim._bucket
-            and (not sim._queue or sim._queue[0][0] > sim._now)
+            and array.sim.quiet()
         ):
             # Uncontended reservation with a quiet kernel: the grant
             # event would be the very next dispatch, so take the bytes
@@ -2085,11 +1799,26 @@ class _ServiceCall:
             staging._in_use += amount
             self._staged(None)
             return
-        # reserve() failures propagate to _finish WITHOUT a release — the
-        # generator's try/finally starts after the reserve yield.
+        # reserve() failures propagate to _finish WITHOUT a release: the
+        # bytes were never held.
         staging.reserve(nbytes).callbacks.append(self._staged)
 
     def _staged(self, _grant: Event | None) -> None:
+        array = self.array
+        if array.write_policy == "writeback":
+            # Write-back (§3.4): until the flush lands, the data exists
+            # only in the single-copy NVRAM.  Ack after the NVRAM latency.
+            array._nvram_dirty_changed(+self.nbytes)
+            array.sim.timeout(array.nvram_ack_latency_s).callbacks.append(self._acked)
+            return
+        self._write_to_disk()
+
+    def _acked(self, _timeout: Event) -> None:
+        """Write-back: complete the client now, then flush to disk."""
+        self._complete()
+        self._write_to_disk()
+
+    def _write_to_disk(self) -> None:
         array = self.array
         try:
             plan = self.request.plan
@@ -2115,8 +1844,8 @@ class _ServiceCall:
         while index < len(stripes):
             barrier = rebuilding.get(stripes[index])
             if barrier is not None:
-                # Re-check the same stripe after the barrier fires — the
-                # generator's `while stripe in rebuilding` does too.
+                # Re-check the same stripe after the barrier fires: a
+                # new rebuild may have started on it meanwhile.
                 self.stripe_index = index
                 barrier.callbacks.append(self._barrier_fired)
                 return True
@@ -2133,14 +1862,13 @@ class _ServiceCall:
 
     def _dispatch_mode(self) -> None:
         array = self.array
-        if array._degraded_disk is not None:
-            _Tail(
-                array._write_degraded(self.request, dict(self.stripe_items)),
-                self._write_finish,
-            ).start()
-            return
-        mode = array.policy.write_mode(tuple(self.stripe_list))
-        if mode is WriteMode.AFRAID:
+        if array._mirrored:
+            body = array._write_mirror(self.request, dict(self.stripe_items))
+            _Tail(body, self._write_finish).start()
+        elif array._degraded_disk is not None:
+            body = array._write_degraded(self.request, dict(self.stripe_items))
+            _Tail(body, self._write_finish).start()
+        elif array.policy.write_mode(tuple(self.stripe_list)) is WriteMode.AFRAID:
             self._write_afraid()
         else:
             self._write_raid5()
@@ -2148,32 +1876,8 @@ class _ServiceCall:
     def _write_afraid(self) -> None:
         array = self.array
         stripe_items = self.stripe_items
-        newly_marked = False
-        exposure = array.exposure
-        marks = array.marks
         plan = self.request.plan
-        if plan is not None and exposure is None:
-            # Precomputed mark decisions: the same (stripe, sub_unit)
-            # sequence the loops below produce (see batchplan).
-            for stripe, sub_unit in plan.mark_targets:
-                newly_marked |= marks.mark(stripe, sub_unit)
-        elif marks.bits_per_stripe == 1:
-            now = array.sim.now
-            for stripe, runs in stripe_items:
-                if exposure is not None:
-                    exposure.stripe_dirtied(stripe, now)
-                for _run in runs:
-                    newly_marked |= marks.mark(stripe, 0)
-        else:
-            now = array.sim.now
-            for stripe, runs in stripe_items:
-                if exposure is not None:
-                    exposure.stripe_dirtied(stripe, now)
-                for run in runs:
-                    for sub_unit in array._sub_units_of(run):
-                        newly_marked |= marks.mark(stripe, sub_unit)
-        if newly_marked:
-            array._lag_changed()
+        array._mark_runs(stripe_items, plan.mark_targets if plan is not None else None)
         events = []
         append = events.append
         drivers = array.drivers
@@ -2245,6 +1949,9 @@ class _ServiceCall:
         array = self.array
         request = self.request
         array.staging.release(self.nbytes)
+        if request.complete_time is not None:
+            # Write-back, acked at NVRAM time: the data is on disk now.
+            array._nvram_dirty_changed(-self.nbytes)
         if exc is None:
             try:
                 array.read_cache.insert(request.offset_sectors, request.nsectors)
@@ -2252,7 +1959,7 @@ class _ServiceCall:
                 exc = raised
         self._finish(exc)
 
-    # -- the _service epilogue ------------------------------------------------
+    # -- completion ---------------------------------------------------------------
 
     def _finish(self, exc: BaseException | None) -> None:
         array = self.array
@@ -2260,10 +1967,23 @@ class _ServiceCall:
         array.detector.activity_ended()
         request = self.request
         request.plan = None
-        done = self.done
-        if exc is not None:
-            done.fail(exc)
+        if request.complete_time is not None:
+            # Write-back: the client was acked at NVRAM time, so only the
+            # background flush ends here.  A failed flush has no request
+            # left to fail; it escapes the run loop as an unhandled failed
+            # event instead.
+            if exc is not None:
+                Event(array.sim, name=f"{array.name}.flush").fail(exc)
             return
+        if exc is not None:
+            self.done.fail(exc)
+            return
+        self._complete()
+
+    def _complete(self) -> None:
+        """Stamp, count and observe the finished request; fire ``done``."""
+        array = self.array
+        request = self.request
         now = array.sim._now
         request.complete_time = now
         stats = array.stats
@@ -2275,6 +1995,7 @@ class _ServiceCall:
         stats.io_times.append(now - request.submit_time)
         if array.hists is not None or array.tracer is not None:
             array._observe_client(request)
+        done = self.done
         if done.callbacks:
             done.succeed(request)
         else:

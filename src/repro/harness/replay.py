@@ -91,18 +91,7 @@ class _Feeder:
         self.done = Event(sim, name="trace_feeder")
 
     def start(self) -> Event:
-        sim = self.sim
-        kick = Event.__new__(Event)
-        kick.sim = sim
-        kick.name = ""
-        kick.callbacks = [self._fire_cb]
-        kick.defused = False
-        kick._value = None
-        kick._exception = None
-        kick._scheduled = True
-        kick._handled = False
-        sim._sequence += 1
-        sim._bucket.append(kick)
+        self.sim.call_soon(self._fire_cb)
         return self.done
 
     def _fire(self, _event: Event) -> None:

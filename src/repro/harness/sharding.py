@@ -110,18 +110,23 @@ class ShardReplayResult:
 
 @dataclasses.dataclass
 class ShardHandoff:
-    """Boundary state between consecutive shards."""
+    """Boundary state between consecutive shards.
 
-    #: Pickle of ``(sim, array, requests, completions)`` at quiescence.
-    payload: bytes
+    A handoff without a ``payload`` reports a cut search that found no
+    valid cut: only its ``events`` are meaningful.
+    """
+
+    #: Pickle of ``(sim, array, requests, completions)`` at quiescence,
+    #: or ``None`` when no valid cut exists (see :func:`advance_shard`).
+    payload: bytes | None
     #: Records consumed from the slice this shard was given (≥ the
     #: tentative count when an invalid cut forced an extension).
-    consumed: int
+    consumed: int = 0
     #: Effective arrival instant of the last submitted record (the
     #: feeder's float chain value, not the nominal record timestamp).
-    last_arrival_s: float
+    last_arrival_s: float = 0.0
     #: Simulated time at the quiescent cut.
-    cut_time_s: float
+    cut_time_s: float = 0.0
     #: Events this shard step dispatched, extension retries included.
     events: int = 0
 
@@ -182,7 +187,7 @@ def advance_shard(
     tentative: int,
     first_shard: bool,
     last_arrival_s: float,
-) -> ShardHandoff | None:
+) -> ShardHandoff:
     """Replay a prefix of ``remaining`` records and cut at quiescence.
 
     ``tentative`` is the requested slice length; the actual cut extends
@@ -191,22 +196,21 @@ def advance_shard(
     invalid cut, retries from — the ``payload`` snapshot, so the final
     attempt is the only one that leaves a trace in the returned state.
 
-    Returns ``None`` when the extension consumes every remaining record
-    without finding a valid cut — i.e. from this start there is no
-    quiescent gap at all.  The caller must then fold the whole tail into
-    the final shard: a cut may only land *between* arrivals, never past
-    the trace's end, because the closing flow (:func:`finish_shard`)
-    clamps at the measurement horizon whereas a quiescence drain would
-    run trailing background work (the AFRAID scrub) to exhaustion —
-    beyond what the horizon admits.
+    Returns a handoff without a payload when the extension consumes
+    every remaining record without finding a valid cut — i.e. from this
+    start there is no quiescent gap at all; its ``events`` still count
+    the simulation the search spent.  The caller must then fold the whole
+    tail into the final shard: a cut may only land *between* arrivals,
+    never past the trace's end, because the closing flow
+    (:func:`finish_shard`) clamps at the measurement horizon whereas a
+    quiescence drain would run trailing background work (the AFRAID
+    scrub) to exhaustion — beyond what the horizon admits.
     """
     total = len(remaining)
     stop = tentative
-    if stop >= total:
-        return None
     events = 0
     with _gc_paused():
-        while True:
+        while stop < total:
             sim, array, requests, completions = pickle.loads(payload)
             base = sim.events_dispatched
             done = _arm_feeder(
@@ -228,9 +232,8 @@ def advance_shard(
             extended = stop + 1
             while extended < total and remaining[extended].time_s <= sim._now:
                 extended += 1
-            if extended >= total:
-                return None
             stop = extended
+    return ShardHandoff(payload=None, events=events)
 
 
 def finish_shard(
@@ -353,7 +356,8 @@ def replay_trace_sharded(
         handoff = submit(
             advance_shard, payload, records[start:], cut - start, first_shard, last_arrival
         )
-        if handoff is None:
+        events += handoff.events
+        if handoff.payload is None:
             # No quiescent gap anywhere past this point; the rest of the
             # trace runs as one final shard.
             break
@@ -361,7 +365,6 @@ def replay_trace_sharded(
         start += handoff.consumed
         last_arrival = handoff.last_arrival_s
         first_shard = False
-        events += handoff.events
         if checkpoint is not None:
             checkpoint.store_cut(records, start, handoff)
     final_payload = submit(

@@ -157,6 +157,41 @@ class Simulator:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
 
+    def call_soon(
+        self,
+        callback: typing.Callable[[Event], None],
+        exception: BaseException | None = None,
+    ) -> Event:
+        """Run ``callback(event)`` at the current instant, after what is due.
+
+        The returned event is pre-triggered — value ``None``, or failed
+        with ``exception`` — and takes the next sequence number, the
+        position :meth:`Event.succeed` / :meth:`Event.fail` would give it.
+        Construction and triggering are fused: callback machines schedule
+        one such step per hop.
+        """
+        event = Event.__new__(Event)
+        event.sim = self
+        event.name = ""
+        event.callbacks = [callback]
+        event.defused = False
+        event._value = None
+        event._exception = exception
+        event._scheduled = True
+        event._handled = False
+        self._sequence += 1
+        self._bucket.append(event)
+        return event
+
+    def quiet(self) -> bool:
+        """True when nothing else is due at the current instant.
+
+        An event scheduled now would then be the very next dispatch, so a
+        caller may run its handler in place instead (with nothing able to
+        interleave, the two are dispatch-for-dispatch identical).
+        """
+        return not self._bucket and (not self._queue or self._queue[0][0] > self._now)
+
     # -- scheduling (kernel internal, used by Event) ---------------------------
 
     def _schedule_event(self, event: Event, delay: float = 0.0) -> None:

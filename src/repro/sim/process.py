@@ -57,23 +57,7 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
         # Kick off the generator via an immediately-firing bootstrap event.
-        # Constructed + triggered inline (Event.__init__ and succeed()
-        # fused): one bootstrap per process spawn, and replay-heavy
-        # workloads spawn a process per queue pump / client request.  The
-        # heap operation matches Event.succeed() exactly, so dispatch
-        # order is unchanged.
-        bootstrap = Event.__new__(Event)
-        bootstrap.sim = sim
-        bootstrap.name = ""
-        bootstrap.callbacks = [self._resume]
-        bootstrap.defused = False
-        bootstrap._value = None
-        bootstrap._exception = None
-        bootstrap._scheduled = True
-        bootstrap._handled = False
-        self._waiting_on: Event | None = bootstrap
-        sim._sequence += 1
-        sim._bucket.append(bootstrap)
+        self._waiting_on: Event | None = sim.call_soon(self._resume)
 
     @property
     def is_alive(self) -> bool:

@@ -131,11 +131,38 @@ class TestSpecEntryPoint:
 
 class TestCutSearch:
     def test_no_cut_signals_none(self):
-        # A tentative count at/past the slice end cannot produce a cut.
+        # A tentative count at/past the slice end cannot produce a cut:
+        # the handoff carries no payload, and nothing was simulated.
         import pickle
 
         sim, array = _fresh("afraid")
         payload = pickle.dumps((sim, array, [], []), protocol=pickle.HIGHEST_PROTOCOL)
         trace = _trace_for(array, "cello-usr", 5.0, 42)
         records = list(trace)
-        assert advance_shard(payload, records, len(records), True, 0.0) is None
+        handoff = advance_shard(payload, records, len(records), True, 0.0)
+        assert handoff.payload is None
+        assert handoff.events == 0
+
+
+class TestEventAccounting:
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_events_simulated_counts_every_dispatch(self, monkeypatch, shards):
+        # ATT under AFRAID starves the cut search, so with 4 shards whole
+        # searches fail and are retried; their events were paid too.
+        dispatched = []
+
+        def counting(method):
+            def wrapper(sim, *args, **kwargs):
+                base = sim.events_dispatched
+                try:
+                    return method(sim, *args, **kwargs)
+                finally:
+                    dispatched.append(sim.events_dispatched - base)
+            return wrapper
+
+        monkeypatch.setattr(Simulator, "run", counting(Simulator.run))
+        monkeypatch.setattr(
+            Simulator, "run_until_triggered", counting(Simulator.run_until_triggered)
+        )
+        result = _sharded("ATT", "afraid", 20.0, 11, shards)
+        assert result.events_simulated == sum(dispatched) > 0
