@@ -151,22 +151,8 @@ class ByteBudget:
             raise ValueError(f"nbytes must be >= 0, got {nbytes}")
         amount = self.clamp(nbytes)
         if not self._waiters and self._in_use + amount <= self.capacity_bytes:
-            # Uncontended fast path (construction + succeed fused): one
-            # reservation per client write makes this hot during replay.
             self._in_use += amount
-            sim = self.sim
-            grant = Event.__new__(Event)
-            grant.sim = sim
-            grant.name = self._grant_name
-            grant.callbacks = []
-            grant.defused = False
-            grant._value = amount
-            grant._exception = None
-            grant._scheduled = True
-            grant._handled = False
-            sim._sequence += 1
-            sim._bucket.append(grant)
-            return grant
+            return Event(self.sim, self._grant_name).succeed(amount)
         grant = Event(self.sim, name=self._grant_name)
         self._waiters.append((amount, grant))
         return grant

@@ -35,7 +35,6 @@ from repro.nvram import MarkMemory, sub_unit_extent, sub_units_overlapping
 from repro.policy import ParityPolicy, WriteMode
 from repro.sched import ClookScheduler, DiskDriver, FcfsScheduler
 from repro.sim import AllOf, Event, Resource, Simulator
-from repro.sim.events import _PENDING
 
 if typing.TYPE_CHECKING:  # pragma: no cover - optional functional twin
     from repro.blocks import FunctionalArray
@@ -337,17 +336,7 @@ class DiskArray:
         sim = self.sim
         request.submit_time = sim._now
         self.detector.activity_started()
-        # Event() inlined: one completion per client request, hot at
-        # whole-trace replay scale.
-        done = Event.__new__(Event)
-        done.sim = sim
-        done.name = self._ev_done
-        done.callbacks = []
-        done.defused = False
-        done._value = _PENDING
-        done._exception = None
-        done._scheduled = False
-        done._handled = False
+        done = Event(sim, self._ev_done)
         self._host_queue.push((request, done), request.offset_sectors)
         self._plan_dirty += 1
         if not self._host_pumping:

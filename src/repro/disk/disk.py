@@ -14,7 +14,6 @@ import dataclasses
 import enum
 import typing
 from bisect import bisect_right as _bisect_right
-from heapq import heappush as _heappush
 
 from repro.disk.geometry import DiskGeometry
 from repro.disk.seek import SeekModel
@@ -26,6 +25,11 @@ class IoKind(enum.Enum):
 
     READ = "read"
     WRITE = "write"
+
+
+# Enum member lookups are LOAD_ATTR chains; one module-level binding keeps
+# the per-command paths to a single fast global load.
+_READ = IoKind.READ
 
 
 #: Seek tables keyed by (curve coefficients, cylinder count), shared by
@@ -412,9 +416,7 @@ class MechanicalDisk:
 
         ``into`` lets the caller supply the completion event (the driver
         passes its own per-command event, eliminating a relay event and a
-        dispatch per disk I/O).  The supplied event is triggered from the
-        same timeout callback the relay used to be, so same-instant
-        dispatch order is unchanged.
+        dispatch per disk I/O).
         """
         if self._failed:
             failure = into if into is not None else self.sim.event(name=f"{self.name}.failed_io")
@@ -436,83 +438,79 @@ class MechanicalDisk:
         # `self._segments and` elides the _readahead_hit call when no
         # segments are buffered (always, with read-ahead disabled): a hit
         # needs a live segment regardless of the configured segment count.
-        if io.kind is IoKind.READ and bad_lbas is None and self._segments and self._readahead_hit(io):
-            # Served from the drive's segment buffer: overhead only.
-            self.stats.reads += 1
-            self.stats.sectors_read += io.nsectors
-            self.stats.readahead_hits += 1
-            breakdown = ServiceBreakdown(
-                overhead=self.controller_overhead_s, seek=0.0,
-                rotational_latency=0.0, transfer=0.0,
-            )
+        if io.kind is _READ and bad_lbas is None and self._segments and self._readahead_hit(io):
             done = into if into is not None else self.sim.event(name="cached_read")
-            return self._schedule_completion(done, breakdown, breakdown.total)
+            return self.issue(io, done, None)
 
-        seek, rotational_latency, transfer, last_cylinder, last_head = self._service_parts(
-            io.lba, io.nsectors, now
-        )
-        overhead = self.controller_overhead_s
-        # Same addition order as ServiceBreakdown.total.
-        total = overhead + seek + rotational_latency + transfer
-        breakdown = ServiceBreakdown(
-            overhead=overhead,
-            seek=seek,
-            rotational_latency=rotational_latency,
-            transfer=transfer,
-        )
-        # Update mechanical state to the end of the access.
-        self._current_cylinder = last_cylinder
-        self._current_head = last_head
-        self._busy_until = now + total
-
-        stats = self.stats
-        stats.busy_time += total
-        stats.seek_time += seek
-        stats.rotational_latency += rotational_latency
-        stats.transfer_time += transfer
-        if io.kind is IoKind.READ:
-            stats.reads += 1
-            stats.sectors_read += io.nsectors
+        done = into if into is not None else self.sim.event(name=io.kind.value)
+        # A latent sector error: the mechanism makes the full attempt
+        # (timing and stats are real); the completion reports the error.
+        error = LatentSectorError(self.name, bad_lbas) if bad_lbas is not None else None
+        self.issue(io, done, self._service_parts(io.lba, io.nsectors, now), error)
+        if io.kind is _READ:
             if bad_lbas is None and self.readahead_segments:
                 self._record_readahead(io)
-            report_after = total
+        elif self._segments:
+            self._invalidate_segments(io)
+        return done
+
+    def issue(
+        self,
+        io: DiskIO,
+        done: Event,
+        timing: tuple | None,
+        exception: BaseException | None = None,
+    ) -> Event:
+        """Start ``io`` now with precomputed ``timing``; ``done`` fires at completion.
+
+        The one place a command becomes disk state: head position,
+        ``busy_until``, :class:`DiskStats`, the in-flight completion
+        (which :meth:`fail` converts), and ``done`` triggered through
+        :meth:`~repro.sim.Simulator.trigger_at` with the
+        :class:`ServiceBreakdown` — or failed with ``exception``.
+
+        ``timing`` starts ``(seek, rotational_latency, transfer, cylinder,
+        head)`` as :meth:`_service_parts` (or, chained, by
+        :func:`~repro.disk.vector.batch_service_parts`) computes it from
+        the current state; ``None`` is a read served from the read-ahead
+        buffer, which costs the overhead only and neither moves nor
+        occupies the mechanism.  The caller has made :meth:`execute`'s
+        checks: the disk is healthy and idle, and ``timing`` accounts for
+        the drive caches.
+        """
+        sim = self.sim
+        now = sim._now
+        overhead = self.controller_overhead_s
+        stats = self.stats
+        if io.kind is _READ:
+            stats.reads += 1
+            stats.sectors_read += io.nsectors
         else:
             stats.writes += 1
             stats.sectors_written += io.nsectors
-            if self._segments:
-                self._invalidate_segments(io)
-            # Immediate reporting: the host sees completion as soon as
-            # the data is in the drive buffer; the mechanism stays busy
-            # until the media write really finishes.
-            report_after = overhead if self.immediate_report else total
-
-        done = into if into is not None else self.sim.event(name=io.kind.value)
-        done = self._schedule_completion(done, breakdown, report_after)
-        if bad_lbas is not None:
-            # The mechanism made the full attempt (timing and stats above
-            # are real); the completion reports the media error instead.
-            done._exception = LatentSectorError(self.name, bad_lbas)
-        return done
-
-    def _schedule_completion(self, done: Event, breakdown: ServiceBreakdown, after: float) -> Event:
-        """Queue ``done`` to fire with ``breakdown`` in ``after`` seconds.
-
-        The event is triggered and pushed directly — the relay timeout
-        whose callback used to trigger it added an extra event + dispatch
-        per disk I/O.  Waiters still observe completion (or a mid-flight
-        failure, see :meth:`fail`) at the same simulated instant.
-        """
-        done._value = breakdown
-        done._scheduled = True
-        sim = self.sim
-        sim._sequence += 1
-        when = sim._now + after
-        if when > sim._now:
-            _heappush(sim._queue, (when, sim._sequence, done))
+        if timing is None:
+            stats.readahead_hits += 1
+            breakdown = ServiceBreakdown(overhead, 0.0, 0.0, 0.0)
+            when = now + breakdown.total
         else:
-            sim._bucket.append(done)
+            seek, rotational_latency, transfer, cylinder, head = timing[:5]
+            # Same addition order as ServiceBreakdown.total.
+            total = overhead + seek + rotational_latency + transfer
+            self._current_cylinder = cylinder
+            self._current_head = head
+            self._busy_until = when = now + total
+            stats.busy_time += total
+            stats.seek_time += seek
+            stats.rotational_latency += rotational_latency
+            stats.transfer_time += transfer
+            breakdown = ServiceBreakdown(overhead, seek, rotational_latency, transfer)
+            if self.immediate_report and io.kind is not _READ:
+                # Immediate reporting: the host sees completion as soon as
+                # the data is in the drive buffer; the mechanism stays
+                # busy until the media write really finishes.
+                when = now + overhead
         self._inflight = done
-        return done
+        return sim.trigger_at(done, when, breakdown, exception)
 
     # -- drive-level caches ----------------------------------------------------------
 

@@ -49,7 +49,6 @@ import os
 import pickle
 import struct
 import typing
-from heapq import heappush as _heappush
 
 from repro.array.controller import DiskArray
 from repro.array.batchplan import warm_extent_cache
@@ -164,20 +163,9 @@ def _arm_feeder(sim, array, records, requests, completions, first_shard, last_ar
     if first_shard:
         return feeder.start()
     target = last_arrival_s + (records[0].time_s - last_arrival_s)
-    timer = Event.__new__(Event)
-    timer.sim = sim
-    timer.name = ""
-    timer.callbacks = [feeder._fire]
-    timer.defused = False
-    timer._value = None
-    timer._exception = None
-    timer._scheduled = True
-    timer._handled = False
-    sim._sequence += 1
-    if target > sim._now:
-        _heappush(sim._queue, (target, sim._sequence, timer))
-    else:
-        sim._bucket.append(timer)
+    timer = Event(sim)
+    timer.add_callback(feeder._fire)
+    sim.trigger_at(timer, target)
     return feeder.done
 
 

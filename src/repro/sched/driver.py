@@ -12,21 +12,14 @@ from __future__ import annotations
 import dataclasses
 import typing
 from collections import deque
-from heapq import heappush as _heappush
 
-from repro.disk import DiskFailedError, DiskIO, LatentSectorError, MechanicalDisk
-from repro.disk.disk import IoKind, ServiceBreakdown
+from repro.disk import DiskIO, MechanicalDisk
 from repro.disk.vector import VECTOR_MIN, batch_service_parts
 from repro.sched.queues import FcfsScheduler, IoScheduler
 from repro.sim import Event, Simulator
-from repro.sim.events import _PENDING
 
 if typing.TYPE_CHECKING:  # pragma: no cover - optional observability
     from repro.obs import Tracer
-
-# Enum member lookups are LOAD_ATTR chains; one module-level binding keeps
-# the per-command issue path to a single fast local/global load.
-_READ = IoKind.READ
 
 
 @dataclasses.dataclass
@@ -45,7 +38,13 @@ class DriverStats:
 
 
 class DiskDriver:
-    """Serialises :class:`DiskIO` commands onto one mechanical disk."""
+    """Serialises :class:`DiskIO` commands onto one mechanical disk.
+
+    The drain is a chain of callbacks, not a process: it parks on one
+    event at a time — the command in service's completion, or a busy-wait
+    timeout while an immediately reported write finishes on the media —
+    and :meth:`_step` runs as that event's callback.
+    """
 
     def __init__(
         self,
@@ -59,21 +58,23 @@ class DiskDriver:
         self.scheduler: IoScheduler = scheduler if scheduler is not None else FcfsScheduler()
         self.name = name or f"driver({disk.name})"
         self._ev_done = f"{self.name}.done"
-        self._ev_pump = f"{self.name}.pump"
         self.stats = DriverStats()
         self._pumping = False
-        #: The pump callback, bound once: it is appended to every disk
+        #: The drain callback, bound once: it is appended to every disk
         #: completion, and each ``self._step`` reference would allocate a
         #: fresh bound-method object.
         self._step_cb = self._step
         #: Optional span-per-command tracer; ``None`` (the default) keeps
-        #: the pump's disabled path to one attribute load per command.
+        #: the drain's disabled path to one attribute load per command.
         self.tracer: "Tracer | None" = None
-        #: Callback-pump state: the event the pump is parked on (an
-        #: in-service completion or a media busy-wait timeout).
+        #: ``(completion, io, issue time)`` of the last command issued
+        #: while a tracer was attached: its span opens at the issue.
+        self._issued: tuple[Event, DiskIO, float] | None = None
+        #: The event the drain is parked on, and whether it is a command
+        #: completion (rather than a busy-wait timeout).
         self._wait: Event | None = None
         self._wait_is_completion = False
-        #: Precomputed drain run: ``(io, completion, submit_time, parts)``
+        #: Precomputed drain run: ``(io, completion, submit_time, timing)``
         #: entries popped from the scheduler whose service timings were
         #: computed in one vectorised pass (see repro.disk.vector).  Still
         #: logically queued — issued one per completion wake.
@@ -90,108 +91,52 @@ class DiskDriver:
 
     @property
     def busy(self) -> bool:
-        """True while the pump is draining the queue or a command is in service."""
+        """True while the drain is running or a command is in service."""
         return self._pumping
 
     def submit(self, io: DiskIO) -> Event:
         """Queue ``io``; the returned event fires at completion.
 
         The event's value is the :class:`~repro.disk.ServiceBreakdown`; it
-        fails with :class:`DiskFailedError` if the disk dies first.
+        fails with :class:`~repro.disk.DiskFailedError` if the disk dies
+        first.
         """
-        # Event() inlined: one completion per disk command, and the
-        # constructor call was measurable at replay scale.
         sim = self.sim
-        completion = Event.__new__(Event)
-        completion.sim = sim
-        completion.name = self._ev_done
-        completion.callbacks = []
-        completion.defused = False
-        completion._value = _PENDING
-        completion._exception = None
-        completion._scheduled = False
-        completion._handled = False
+        completion = Event(sim, self._ev_done)
         self.stats.submitted += 1
+        now = sim._now
         disk = self.disk
-        if (
-            not self._pumping
-            and self.tracer is None
-            and not self._batch
-            and type(self.scheduler) is FcfsScheduler
-            and not self.scheduler._queue
+        if self._pumping:
+            self.scheduler.push((io, completion, now), io.lba)
+        elif (
+            type(self.scheduler) is FcfsScheduler
             and not disk.immediate_report
             and disk.readahead_segments == 0
             and not disk._failed
             and not disk._latent_errors
-            and disk._busy_until <= sim._now
+            and disk._busy_until <= now
         ):
-            # Idle fused lane: the drain this submit would start takes the
-            # scalar fast lane in _step and issues this very command — the
-            # guards here pin down that exact path — so skip the scheduler
-            # round-trip and the drain preamble and issue directly
-            # (_issue_precomputed inlined; queue_time += 0.0 elided: the
-            # accumulator is never -0.0, so the sum is bit-identical).
-            # Same floats, same events, same bookkeeping order.
+            # Idle lane: the drain this submit would start takes _step's
+            # scalar lane and issues this very command (an idle driver
+            # has nothing queued), so skip the scheduler round trip and
+            # the drain preamble.  The command's queue time is 0.0 and
+            # the accumulator is never -0.0, so skipping that addition
+            # is bit-identical.
             self._pumping = True
-            now = sim._now
-            seek, rotational_latency, transfer, cylinder, head = disk._service_parts(
-                io.lba, io.nsectors, now
-            )
-            overhead = disk.controller_overhead_s
-            total = overhead + seek + rotational_latency + transfer
-            disk._current_cylinder = cylinder
-            disk._current_head = head
-            when = now + total
-            disk._busy_until = when
-            dstats = disk.stats
-            dstats.busy_time += total
-            dstats.seek_time += seek
-            dstats.rotational_latency += rotational_latency
-            dstats.transfer_time += transfer
-            if io.kind is _READ:
-                dstats.reads += 1
-                dstats.sectors_read += io.nsectors
-            else:
-                dstats.writes += 1
-                dstats.sectors_written += io.nsectors
-            completion._value = ServiceBreakdown(
-                overhead, seek, rotational_latency, transfer
-            )
-            completion._scheduled = True
-            sim._sequence += 1
-            if when > now:
-                _heappush(sim._queue, (when, sim._sequence, completion))
-            else:
-                sim._bucket.append(completion)
-            disk._inflight = completion
-            completion.callbacks.append(self._step_cb)
-            self._wait = completion
-            self._wait_is_completion = True
-            return completion
-        self.scheduler.push((io, completion, sim._now), io.lba)
-        if not self._pumping:
+            timing = disk._service_parts(io.lba, io.nsectors, now)
+            self._park(io, disk.issue(io, completion, timing))
+        else:
+            self.scheduler.push((io, completion, now), io.lba)
             self._pumping = True
-            if self.tracer is not None:
-                sim.process(self._pump(), name=self._ev_pump)
-            else:
-                # Callback pump (the default): the drain runs as plain
-                # callbacks instead of a generator process — no frame
-                # suspension per command, and the first drain step runs
-                # synchronously (no bootstrap kick event: the drain's
-                # first action either issues this very command or parks
-                # on a busy-wait timeout, neither of which interleaves
-                # with other same-instant events).
-                self._step(None)
+            # The first drain step runs synchronously (no kick event): it
+            # either issues this very command or parks on a busy-wait
+            # timeout, neither of which interleaves with other
+            # same-instant events.
+            self._step(None)
         return completion
 
-    def _step(self, event: Event) -> None:
-        """One callback-pump step: settle what we were parked on, then drain.
-
-        Mirrors :meth:`_pump` hop for hop — each ``yield`` there is a
-        ``callbacks.append(self._step); return`` here, at the same cascade
-        position, so the event pattern (and therefore every (time, seq)
-        tie-break) is identical.
-        """
+    def _step(self, event: Event | None) -> None:
+        """One drain step: settle what the drain was parked on, then issue."""
         sim = self.sim
         disk = self.disk
         stats = self.stats
@@ -208,32 +153,33 @@ class DiskDriver:
                     # or latent-sector error); the command is accounted
                     # and the drive keeps serving the queue.
                     stats.failed += 1
+                if self.tracer is not None:
+                    self._trace_settled(event)
+        now = sim._now
         # With immediate reporting the completion fires at the buffer
         # ack; wait out the mechanism before issuing the next command.
-        if disk._busy_until > sim._now:
-            timeout = sim.timeout(disk._busy_until - sim._now)
+        if disk._busy_until > now:
+            timeout = sim.timeout(disk._busy_until - now)
             timeout.callbacks.append(self._step_cb)
             self._wait = timeout
             self._wait_is_completion = False
             return
         scheduler = self.scheduler
         batch = self._batch
-        if not scheduler and not batch:
+        if batch and (disk._failed or disk._latent_errors):
+            # A mid-run fault invalidates the precomputed chain (the
+            # timings assumed a healthy disk).  Hand the tail back to the
+            # queue front — reverse pop order restores FCFS — and drain
+            # through execute() below.
+            while batch:
+                io, completion, submit_time, _timing = batch.pop()
+                scheduler.push_front((io, completion, submit_time), io.lba)
+        if batch:
+            io, completion, submit_time, timing = batch.popleft()
+        elif not scheduler:
             # Nothing queued (the common completion wake): stop pumping.
             self._pumping = False
             return
-        if batch:
-            if disk._failed or disk._latent_errors:
-                # A mid-run fault invalidates the precomputed chain (the
-                # timings assumed a healthy disk).  Hand the tail back to
-                # the queue front — reverse pop order restores FCFS — and
-                # drain through the exact scalar path below.
-                while batch:
-                    io, completion, submit_time, _part = batch.pop()
-                    scheduler.push_front((io, completion, submit_time), io.lba)
-            else:
-                self._issue_precomputed(*batch.popleft())
-                return
         elif (
             type(scheduler) is FcfsScheduler
             and not disk.immediate_report
@@ -245,7 +191,7 @@ class DiskDriver:
             # path exactly — no drive cache (readahead off), report at
             # media completion (immediate_report off), healthy disk — so
             # service timings are a pure function of the state right now
-            # and the generic drain's per-command branches are dead.
+            # and the command goes straight to MechanicalDisk.issue.
             queue = scheduler._queue
             depth = len(queue)
             if depth >= VECTOR_MIN:
@@ -254,174 +200,53 @@ class DiskDriver:
                 # one pass (repro.disk.vector) and issue from the batch
                 # one completion wake at a time.
                 entries = [queue.popleft()[0] for _ in range(depth)]
-                parts = batch_service_parts(disk, [entry[0] for entry in entries], sim._now)
+                timings = batch_service_parts(disk, [entry[0] for entry in entries], now)
                 batch.extend(
-                    (entry[0], entry[1], entry[2], part)
-                    for entry, part in zip(entries, parts)
+                    (entry[0], entry[1], entry[2], timing)
+                    for entry, timing in zip(entries, timings)
                 )
-                self._issue_precomputed(*batch.popleft())
-                return
-            # Scalar fused: shallow queues (light traces rarely go deeper
-            # than 4) skip the array-op and batch bookkeeping — one exact
-            # _service_parts call, issued directly (_issue_precomputed
-            # inlined; same addition order as execute()).
-            io, completion, submit_time = queue.popleft()[0]
-            now = sim._now
-            seek, rotational_latency, transfer, cylinder, head = disk._service_parts(
-                io.lba, io.nsectors, now
-            )
-            overhead = disk.controller_overhead_s
-            total = overhead + seek + rotational_latency + transfer
-            stats.queue_time += now - submit_time
-            disk._current_cylinder = cylinder
-            disk._current_head = head
-            when = now + total
-            disk._busy_until = when
-            dstats = disk.stats
-            dstats.busy_time += total
-            dstats.seek_time += seek
-            dstats.rotational_latency += rotational_latency
-            dstats.transfer_time += transfer
-            if io.kind is _READ:
-                dstats.reads += 1
-                dstats.sectors_read += io.nsectors
+                io, completion, submit_time, timing = batch.popleft()
             else:
-                dstats.writes += 1
-                dstats.sectors_written += io.nsectors
-            completion._value = ServiceBreakdown(
-                overhead, seek, rotational_latency, transfer
-            )
-            completion._scheduled = True
-            sim._sequence += 1
-            if when > now:
-                _heappush(sim._queue, (when, sim._sequence, completion))
-            else:
-                sim._bucket.append(completion)
-            disk._inflight = completion
-            completion.callbacks.append(self._step_cb)
-            self._wait = completion
-            self._wait_is_completion = True
-            return
-        geometry = disk.geometry
-        uses_position = scheduler.uses_position
-        while scheduler:
+                # Scalar: shallow queues (light traces rarely go deeper
+                # than 4) skip the array-op and batch bookkeeping.
+                io, completion, submit_time = queue.popleft()[0]
+                timing = disk._service_parts(io.lba, io.nsectors, now)
+        else:
             head = (
-                geometry.physical_to_lba(disk.current_cylinder, 0, 0)
-                if uses_position
+                disk.geometry.physical_to_lba(disk.current_cylinder, 0, 0)
+                if scheduler.uses_position
                 else 0
             )
             (io, completion, submit_time), _position = scheduler.pop(head)
-            stats.queue_time += sim._now - submit_time
-            try:
-                disk.execute(io, completion)
-            except (DiskFailedError, LatentSectorError):
-                stats.failed += 1
-                continue
-            except BaseException:
-                self._pumping = False
-                raise
-            completion.callbacks.append(self._step_cb)
-            self._wait = completion
-            self._wait_is_completion = True
+            stats.queue_time += now - submit_time
+            # execute() takes every drive-level branch: a failed disk,
+            # latent errors, the drive caches.
+            self._park(io, disk.execute(io, completion))
             return
-        self._pumping = False
+        stats.queue_time += now - submit_time
+        self._park(io, disk.issue(io, completion, timing))
 
-    def _issue_precomputed(self, io, completion, submit_time, part) -> None:
-        """Issue one batch command, replaying ``MechanicalDisk.execute``.
-
-        ``part`` is the precomputed ``(seek, rotational_latency, transfer,
-        cylinder, head, total)`` from :func:`batch_service_parts`.  Every
-        state/stats mutation below mirrors the execute() success path in
-        the same order; the batch eligibility guard (healthy disk, no
-        read-ahead, no immediate reporting) guarantees execute() would
-        have taken exactly this path with exactly these floats.
-        """
-        sim = self.sim
-        disk = self.disk
-        now = sim._now
-        self.stats.queue_time += now - submit_time
-        seek, rotational_latency, transfer, cylinder, head, total = part
-        disk._current_cylinder = cylinder
-        disk._current_head = head
-        when = now + total
-        disk._busy_until = when
-        stats = disk.stats
-        stats.busy_time += total
-        stats.seek_time += seek
-        stats.rotational_latency += rotational_latency
-        stats.transfer_time += transfer
-        if io.kind is _READ:
-            stats.reads += 1
-            stats.sectors_read += io.nsectors
-        else:
-            stats.writes += 1
-            stats.sectors_written += io.nsectors
-        # _schedule_completion inlined; report_after == total for reads
-        # and for writes without immediate reporting (the guard).
-        completion._value = ServiceBreakdown(
-            disk.controller_overhead_s, seek, rotational_latency, transfer
-        )
-        completion._scheduled = True
-        sim._sequence += 1
-        if when > now:
-            _heappush(sim._queue, (when, sim._sequence, completion))
-        else:
-            sim._bucket.append(completion)
-        disk._inflight = completion
+    def _park(self, io: DiskIO, completion: Event) -> None:
+        """Park the drain on the completion of the command just issued."""
+        if self.tracer is not None:
+            self._issued = (completion, io, self.sim._now)
         completion.callbacks.append(self._step_cb)
         self._wait = completion
         self._wait_is_completion = True
 
-    def _pump(self):
-        sim = self.sim
-        disk = self.disk
-        scheduler = self.scheduler
-        stats = self.stats
-        geometry = disk.geometry
-        # FCFS (the paper's back end) ignores the head position; skip the
-        # cylinder → LBA conversion per command unless the discipline
-        # actually seeks by position.
-        uses_position = scheduler.uses_position
-        try:
-            while scheduler:
-                head = (
-                    geometry.physical_to_lba(disk.current_cylinder, 0, 0)
-                    if uses_position
-                    else 0
-                )
-                (io, completion, submit_time), _position = scheduler.pop(head)
-                stats.queue_time += sim._now - submit_time
-                tracer = self.tracer
-                issued = sim.now if tracer is not None else 0.0
-                try:
-                    # The disk triggers ``completion`` directly (no relay
-                    # event): the pump waits on the same event it hands to
-                    # the submitter.
-                    yield disk.execute(io, completion)
-                except (DiskFailedError, LatentSectorError):
-                    # ``completion`` was already failed by the disk.  A
-                    # latent sector error fails only this command — the
-                    # mechanism made the full (timed) attempt and the
-                    # drive keeps serving the queue.
-                    stats.failed += 1
-                    if tracer is not None:
-                        tracer.instant(
-                            "io_failed", track=self.name, category="disk",
-                            lba=io.lba, nsectors=io.nsectors,
-                        )
-                else:
-                    stats.completed += 1
-                    if tracer is not None:
-                        tracer.complete(
-                            io.kind.value, start_s=issued,
-                            duration_s=sim.now - issued,
-                            track=self.name, category="disk",
-                            lba=io.lba, nsectors=io.nsectors,
-                        )
-                    # With immediate reporting, completion fires before the
-                    # media write finishes; wait out the mechanism before
-                    # issuing the next command.
-                    while disk._busy_until > sim._now:
-                        yield sim.timeout(disk._busy_until - sim._now)
-        finally:
-            self._pumping = False
+    def _trace_settled(self, completion: Event) -> None:
+        """Record a settled command: a disk span, or an ``io_failed`` instant."""
+        issued = self._issued
+        if issued is None or issued[0] is not completion:
+            return  # issued before the tracer was attached
+        _completion, io, start = issued
+        if completion._exception is None:
+            self.tracer.complete(
+                io.kind.value, start_s=start, duration_s=self.sim._now - start,
+                track=self.name, category="disk", lba=io.lba, nsectors=io.nsectors,
+            )
+        else:
+            self.tracer.instant(
+                "io_failed", track=self.name, category="disk",
+                lba=io.lba, nsectors=io.nsectors,
+            )

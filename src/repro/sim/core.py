@@ -28,14 +28,10 @@ Ordering invariant (everything below depends on it):
    advance time via the heap — is therefore exactly ``(time, seq)``
    order without storing sequence numbers for bucket entries at all.
 
-Corollary for **bulk scheduling** (:meth:`Simulator.timeouts`): a batch
-entry with zero delay must go to the bucket, not the heap.  Appending it
-to the heap would give it a sequence number larger than existing bucket
-entries while the pop rule drains due heap entries first — inverting
-FIFO order for simultaneous timestamps.  The bulk path also must not
-publish any entry until the whole batch has validated: a half-applied
-batch that bumped ``_sequence`` for some entries and then raised would
-let later schedules reuse sequence numbers, breaking invariant 1.
+Code outside the kernel schedules only through the public calls —
+:meth:`Event.succeed` / :meth:`Event.fail`, :meth:`Simulator.timeout`,
+:meth:`Simulator.call_soon` and :meth:`Simulator.trigger_at` — each of
+which takes the next sequence number and places the event by rule 2.
 """
 
 from __future__ import annotations
@@ -45,7 +41,7 @@ import typing
 from collections import deque
 from sys import getrefcount as _getrefcount
 
-from repro.sim.events import Event, Timeout
+from repro.sim.events import _PENDING, Event, Timeout
 from repro.sim.process import Process, ProcessGenerator
 
 #: Upper bound on the per-simulator timeout freelist.  Replay workloads
@@ -120,39 +116,6 @@ class Simulator:
             return timeout
         return Timeout(self, delay, value=value, name=name)
 
-    def timeouts(self, delays: typing.Iterable[float], value: typing.Any = None) -> list[Timeout]:
-        """Create many timeouts at once, restoring the heap in one pass.
-
-        Per-timeout ``heappush`` costs O(log n) each; a batch appends every
-        entry and re-heapifies once (O(n + k)), which wins for large k —
-        e.g. pre-scheduling a whole scrub or arrival schedule.
-
-        The batch is validated *before* anything is published: sequence
-        numbers are only consumed once every delay has been checked, so a
-        bad delay leaves the simulator untouched (see the module
-        docstring's bulk-scheduling corollary).  Zero-delay entries go to
-        the current-instant bucket, preserving FIFO order against events
-        already scheduled for now.
-        """
-        batch = [Timeout._unscheduled(self, delay, value) for delay in delays]
-        queue = self._queue
-        bucket = self._bucket
-        now = self._now
-        sequence = self._sequence
-        grew_heap = False
-        for timeout in batch:
-            sequence += 1
-            when = now + timeout.delay
-            if when > now:
-                queue.append((when, sequence, timeout))
-                grew_heap = True
-            else:
-                bucket.append(timeout)
-        self._sequence = sequence
-        if grew_heap:
-            heapq.heapify(queue)
-        return batch
-
     def process(self, generator: ProcessGenerator, name: str = "") -> Process:
         """Start a new process running ``generator``."""
         return Process(self, generator, name=name)
@@ -183,6 +146,37 @@ class Simulator:
         self._bucket.append(event)
         return event
 
+    def trigger_at(
+        self,
+        event: Event,
+        when: float,
+        value: typing.Any = None,
+        exception: BaseException | None = None,
+    ) -> Event:
+        """Trigger the pending ``event`` to dispatch at absolute time ``when``.
+
+        The event carries ``value``, or fails with ``exception``, from the
+        moment of the call, and takes the next sequence number: it
+        dispatches after everything already scheduled for ``when``.  At
+        the current instant that is the position :meth:`Event.succeed`
+        gives; a later ``when`` is the position a timeout armed now for
+        that time would take.  ``when`` before now raises ``ValueError``.
+        """
+        now = self._now
+        if not when >= now:
+            raise ValueError(f"cannot trigger at t={when}: now is t={now}")
+        if event._value is not _PENDING or event._exception is not None or event._scheduled:
+            raise RuntimeError(f"{event!r} already triggered")
+        event._value = value
+        event._exception = exception
+        event._scheduled = True
+        self._sequence += 1
+        if when > now:
+            heapq.heappush(self._queue, (when, self._sequence, event))
+        else:
+            self._bucket.append(event)
+        return event
+
     def quiet(self) -> bool:
         """True when nothing else is due at the current instant.
 
@@ -191,19 +185,6 @@ class Simulator:
         interleave, the two are dispatch-for-dispatch identical).
         """
         return not self._bucket and (not self._queue or self._queue[0][0] > self._now)
-
-    # -- scheduling (kernel internal, used by Event) ---------------------------
-
-    def _schedule_event(self, event: Event, delay: float = 0.0) -> None:
-        if event._scheduled:
-            raise RuntimeError(f"{event!r} scheduled twice")
-        event._scheduled = True
-        self._sequence += 1
-        when = self._now + delay
-        if when > self._now:
-            heapq.heappush(self._queue, (when, self._sequence, event))
-        else:
-            self._bucket.append(event)
 
     # -- run loop ---------------------------------------------------------------
 

@@ -183,10 +183,9 @@ class Timeout(Event):
 
     Construction is the single hottest allocation in the kernel (every
     simulated wait is one), so ``__init__`` writes the slots directly and
-    pushes onto the heap itself instead of chaining through
-    ``Event.__init__`` and ``Simulator._schedule_event``.  The display
-    name is computed lazily in ``__repr__`` — formatting it eagerly used
-    to dominate timeout-heavy workloads.
+    schedules itself instead of chaining through ``Event.__init__``.  The
+    display name is computed lazily in ``__repr__`` — formatting it
+    eagerly used to dominate timeout-heavy workloads.
     """
 
     __slots__ = ("delay",)
@@ -216,24 +215,6 @@ class Timeout(Event):
         state = "processed" if self.callbacks is None else "pending"
         label = f" {self.name!r}" if self.name else f" ({self.delay:g}s)"
         return f"<{type(self).__name__}{label} {state}>"
-
-    @classmethod
-    def _unscheduled(cls, sim: "Simulator", delay: float, value: typing.Any = None) -> "Timeout":
-        """Build a timeout without pushing it onto the heap.
-
-        For :meth:`Simulator.timeouts`, which appends a whole batch and
-        re-heapifies once.  The caller owns getting the entry queued.
-        """
-        if delay < 0:
-            raise ValueError(f"timeout delay must be >= 0, got {delay}")
-        timeout = cls.__new__(cls)
-        timeout.sim = sim
-        timeout.name = ""
-        timeout.callbacks = []
-        timeout._value = value
-        timeout._exception = None
-        timeout.delay = delay
-        return timeout
 
 
 class _Condition(Event):

@@ -1,12 +1,12 @@
-"""Ratchet: code outside ``repro.sim`` must not grow new kernel-private peeks.
+"""Ban: code outside ``repro.sim`` must not touch kernel privates.
 
 The kernel's schedule lives in ``Simulator._bucket`` (the current
 instant), ``Simulator._queue`` (the future heap) and ``_sequence`` (the
-tie-break counter).  Code outside the kernel schedules through the public
-surface — ``Event.succeed``/``fail``, ``Simulator.timeout``,
-``Simulator.call_soon`` — and asks ``Simulator.quiet()`` before eliding
-an event.  The modules below still reach in on their hot paths; the list
-may only shrink: a module that stops matching must leave it.
+tie-break counter); a pending event holds the ``_PENDING`` sentinel.
+Code outside the kernel builds events with ``Event(...)``, schedules them
+through the public surface — ``Event.succeed``/``fail``,
+``Simulator.timeout``, ``Simulator.call_soon``, ``Simulator.trigger_at``
+— and asks ``Simulator.quiet()`` before eliding an event.
 """
 
 from __future__ import annotations
@@ -14,18 +14,15 @@ from __future__ import annotations
 import pathlib
 import re
 
+import pytest
+
 import repro
 
 SRC = pathlib.Path(repro.__file__).parent
-PRIVATE_PEEK = re.compile(r"\bsim\._(bucket|queue|sequence)\b")
+PRIVATE_PEEK = re.compile(r"\bsim\._(bucket|queue|sequence)\b|\bEvent\.__new__\b|\b_PENDING\b")
 
-#: Modules (relative to ``src/repro``) allowed to read kernel privates.
-ALLOWED = {
-    "array/cache.py",
-    "disk/disk.py",
-    "harness/sharding.py",
-    "sched/driver.py",
-}
+#: Modules (relative to ``src/repro``) allowed to touch kernel privates.
+ALLOWED: set[str] = set()
 
 
 def _peeking_modules() -> set[str]:
@@ -42,16 +39,30 @@ def _peeking_modules() -> set[str]:
 def test_no_new_module_reads_kernel_privates():
     new = _peeking_modules() - ALLOWED
     assert not new, (
-        f"{sorted(new)} read sim._bucket/_queue/_sequence; use Simulator.call_soon, "
+        f"{sorted(new)} touch sim._bucket/_queue/_sequence, Event.__new__ or _PENDING; "
+        "use Event(...), Simulator.call_soon, Simulator.trigger_at, "
         "Simulator.quiet or the Event API instead"
     )
 
 
 def test_allow_list_only_shrinks():
-    stale = ALLOWED - _peeking_modules()
-    assert not stale, f"{sorted(stale)} no longer read kernel privates: drop them from ALLOWED"
+    assert not ALLOWED, "the allow-list is empty and stays empty: fix the module instead"
 
 
 def test_controller_is_off_the_list():
     assert "array/controller.py" not in ALLOWED
     assert "array/controller.py" not in _peeking_modules()
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "sim._bucket.append(event)",
+        "_heappush(sim._queue, (when, sim._sequence, event))",
+        "done = Event.__new__(Event)",
+        "from repro.sim.events import _PENDING",
+        "done._value = _PENDING",
+    ],
+)
+def test_pattern_catches_each_private(line):
+    assert PRIVATE_PEEK.search(line)

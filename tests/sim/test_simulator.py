@@ -108,38 +108,6 @@ class TestDeterminism:
         assert fired == list(range(ties))
 
 
-class TestBatchTimeouts:
-    def test_batch_matches_individual_scheduling(self):
-        sim = Simulator()
-        fired = []
-        for timeout in sim.timeouts([3.0, 1.0, 2.0]):
-            timeout.add_callback(lambda e: fired.append(sim.now))
-        sim.run()
-        assert fired == [1.0, 2.0, 3.0]
-
-    def test_batch_interleaves_with_singles(self):
-        sim = Simulator()
-        fired = []
-        sim.timeout(1.5).add_callback(lambda e: fired.append("single"))
-        for timeout in sim.timeouts([1.0, 2.0]):
-            timeout.add_callback(lambda e: fired.append("batch"))
-        sim.run()
-        assert fired == ["batch", "single", "batch"]
-
-    def test_negative_delay_rejected(self):
-        import pytest
-
-        sim = Simulator()
-        with pytest.raises(ValueError):
-            sim.timeouts([1.0, -0.5])
-
-    def test_batch_value(self):
-        sim = Simulator()
-        (timeout,) = sim.timeouts([1.0], value="v")
-        sim.run()
-        assert timeout.value == "v"
-
-
 class TestEventsDispatched:
     def test_counts_dispatches_not_pending(self):
         sim = Simulator()
