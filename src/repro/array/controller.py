@@ -55,6 +55,9 @@ class ArrayStats:
     foreground_parity_writes: int = 0
     reconstruct_reads: int = 0  # reads serving a RAID 5 write to a dirty stripe
     scrub_data_reads: int = 0
+    # Redundancy writes by the scrub, counted at two points: a RAID 5 or
+    # declustered RAID 5 parity write once it lands, each mirrored copy
+    # (RAID 1, RAID 1/0, and RAID 1+5's parity pair) when it is issued.
     scrub_parity_writes: int = 0
     stripes_scrubbed: int = 0
 
@@ -698,12 +701,6 @@ class DiskArray:
         start_in_unit = run.disk_lba - self._stripe_base_lba(run)
         return sub_units_overlapping(start_in_unit, run.nsectors, unit_sectors, bits)
 
-    def _sub_unit_extent(self, sub_unit: int) -> tuple[int, int]:
-        """(start sector within the unit, sector count) of one sub-unit."""
-        return sub_unit_extent(
-            sub_unit, self.layout.stripe_unit_sectors, self.marks.bits_per_stripe
-        )
-
     def _write_degraded(self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]):
         """Writes while a member disk is missing.
 
@@ -947,12 +944,9 @@ class DiskArray:
                     break  # only policy-excluded (e.g. RAID 0 region) debt left
                 stripe, sub_unit = target
                 try:
-                    if self._mirrored:
-                        yield from self._scrub_stripe_mirror(stripe, sub_unit)
-                    elif self.marks.bits_per_stripe == 1:
-                        yield from self._scrub_stripe(stripe)
-                    else:
-                        yield from self._scrub_sub_unit(stripe, sub_unit)
+                    yield from self._scrub(
+                        stripe, sub_unit if self.marks.bits_per_stripe > 1 else None
+                    )
                 except DiskFailedError:
                     # A member died with scrub I/O in flight; the array is
                     # degraded now, so stop — the rebuild manager (not the
@@ -963,30 +957,40 @@ class DiskArray:
             if self._next_scrub_target() is None:
                 self._force_scrub = False
 
-    def _scrub_stripe(self, stripe: int):
-        """Rebuild one stripe's parity: read all data units, write parity.
+    def _scrub(self, stripe: int, sub_unit: int | None = None):
+        """Make one marked slice of a stripe redundant again (§4.1, §5).
 
-        Not preemptible once started (§4.1: requests run to completion);
-        client writes to this stripe wait on the barrier event.
+        Reads the slice of every data unit — ``sub_unit``'s rows, or the
+        whole unit when ``sub_unit`` is None — then writes the same slice
+        of the organization's redundancy: the parity unit (RAID 5 and
+        declustered RAID 5), both copies of the RAID 1+5 parity pair, or
+        every RAID 1 / RAID 1/0 mirror copy.  Not preemptible once started
+        (§4.1: requests run to completion); client writes to this stripe
+        wait on the barrier event.
         """
         if stripe in self._rebuilding:
             # Someone else (scrubber vs. commit) is already rebuilding it.
             yield self._rebuilding[stripe]
             return
-        if not self.marks.is_marked(stripe):
+        if not self.marks.is_marked(stripe, sub_unit):
             return  # already clean
         barrier = self.sim.event(name=self._ev_rebuild)
         self._rebuilding[stripe] = barrier
         started = self.sim.now
+        layout = self.layout
+        unit_sectors = layout.stripe_unit_sectors
+        if sub_unit is None:
+            start, nsectors = 0, unit_sectors
+        else:
+            start, nsectors = sub_unit_extent(sub_unit, unit_sectors, self.marks.bits_per_stripe)
         try:
-            unit_sectors = self.layout.stripe_unit_sectors
             attempts = 0
             while True:
                 reads = []
-                for unit in self.layout.data_units(stripe):
+                for unit in layout.data_units(stripe):
                     reads.append(
                         self.drivers[unit.disk].submit(
-                            DiskIO(IoKind.READ, unit.disk_lba, unit_sectors)
+                            DiskIO(IoKind.READ, unit.disk_lba + start, nsectors)
                         )
                     )
                     self.stats.scrub_data_reads += 1
@@ -1000,34 +1004,60 @@ class DiskArray:
                     if self.organization.declustered:
                         # Member units live at per-disk offsets, not at the
                         # common ``stripe * unit`` lba of the rotated layouts.
-                        units = list(self.layout.data_units(stripe))
-                        units.append(self.layout.parity_unit(stripe))
+                        units = [*layout.data_units(stripe), layout.parity_unit(stripe)]
                     yield from self._repair_latent_extent(
-                        stripe * unit_sectors, unit_sectors, units=units
+                        stripe * unit_sectors + start, nsectors, units=units
                     )
                     continue
                 break
-            if self._degraded_disk is not None:
+            if self._failed_disks:
                 # A member died while we were reading: the stripe cannot
                 # be made redundant any more.  Leave the mark set (it is
                 # what the loss accounting is based on) and give up.
                 return
-            parity = self.layout.parity_unit(stripe)
-            yield self.drivers[parity.disk].submit(
-                DiskIO(IoKind.WRITE, parity.disk_lba, unit_sectors)
-            )
-            self.stats.scrub_parity_writes += 1
-            if self._degraded_disk is not None:
-                return  # died during the parity write: same story
-            self.marks.clear_stripe(stripe)
+            if self.organization.has_parity:
+                parity = layout.parity_unit(stripe)
+                copies = [(parity.disk, parity.disk_lba)]
+                if self._mirrored:  # RAID 1+5 mirrors its parity unit too
+                    copies.append((layout.mirror_disk(parity.disk), parity.disk_lba))
+            else:  # RAID 1 / RAID 1/0: every mirror copy
+                copies = []
+                for index in range(layout.data_units_per_stripe):
+                    mirror = layout.mirror_unit(stripe, index)
+                    copies.append((mirror.disk, mirror.disk_lba))
+            writes = [
+                self.drivers[disk].submit(DiskIO(IoKind.WRITE, lba + start, nsectors))
+                for disk, lba in copies
+            ]
+            # Committed results pin both counting points (see ArrayStats).
+            if self._mirrored:
+                self.stats.scrub_parity_writes += len(writes)
+                yield AllOf(self.sim, writes)
+            else:
+                yield writes[0]
+                self.stats.scrub_parity_writes += 1
+            if self._failed_disks:
+                return  # died during the redundancy write: same story
+            if sub_unit is None:
+                self.marks.clear_stripe(stripe)
+            else:
+                self.marks.clear(stripe, sub_unit)
             self._lag_changed()
-            if self.exposure is not None:
-                self.exposure.stripe_cleaned(stripe, self.sim.now, cause="scrub")
-            self.stats.stripes_scrubbed += 1
+            if not self.marks.is_marked(stripe):
+                if self.exposure is not None:
+                    self.exposure.stripe_cleaned(stripe, self.sim.now, cause="scrub")
+                self.stats.stripes_scrubbed += 1
             if self.hists is not None or self.tracer is not None:
-                self._observe_scrub("scrub_stripe", started, stripe)
-            if self.functional is not None:
-                self.functional.scrub_stripe(stripe)
+                if self._mirrored:
+                    name = "scrub_stripe_mirror"
+                else:
+                    name = "scrub_stripe" if sub_unit is None else "scrub_sub_unit"
+                self._observe_scrub(name, started, stripe)
+            if self.functional is not None and not self._mirrored:
+                if sub_unit is None:
+                    self.functional.scrub_stripe(stripe)
+                else:
+                    self.functional.scrub_sub_unit(stripe, sub_unit)
         finally:
             del self._rebuilding[stripe]
             barrier.succeed()
@@ -1106,13 +1136,15 @@ class DiskArray:
             for stripe in stripes:
                 if stripe in self._rebuilding:
                     yield self._rebuilding[stripe]  # scrubber already on it
-                if self.marks.is_marked(stripe):
-                    if self._mirrored:
-                        for sub_unit in range(self.marks.bits_per_stripe):
-                            if self.marks.is_marked(stripe, sub_unit):
-                                yield from self._scrub_stripe_mirror(stripe, sub_unit)
-                    else:
-                        yield from self._scrub_stripe(stripe)
+                if not self.marks.is_marked(stripe):
+                    continue
+                if self._mirrored and self.marks.bits_per_stripe > 1:
+                    # Mirrored arrays restore the marked slices one by one.
+                    for sub_unit in range(self.marks.bits_per_stripe):
+                        if self.marks.is_marked(stripe, sub_unit):
+                            yield from self._scrub(stripe, sub_unit)
+                else:
+                    yield from self._scrub(stripe)
             if self.tracer is not None:
                 self.tracer.complete(
                     "commit", start_s=started, duration_s=self.sim.now - started,
@@ -1170,145 +1202,6 @@ class DiskArray:
             ).inc()
         if self.marks.count:
             self.request_scrub(force=True)
-
-    def _scrub_sub_unit(self, stripe: int, sub_unit: int):
-        """Rebuild one horizontal slice of a stripe's parity (§5: M bits
-        per stripe ⇒ rebuilds read only 1/M of each unit)."""
-        if stripe in self._rebuilding:
-            yield self._rebuilding[stripe]
-            return
-        if not self.marks.is_marked(stripe, sub_unit):
-            return
-        barrier = self.sim.event(name=self._ev_rebuild)
-        self._rebuilding[stripe] = barrier
-        started = self.sim.now
-        try:
-            start, nsectors = self._sub_unit_extent(sub_unit)
-            unit_base = stripe * self.layout.stripe_unit_sectors
-            attempts = 0
-            while True:
-                reads = []
-                for unit in self.layout.data_units(stripe):
-                    reads.append(
-                        self.drivers[unit.disk].submit(
-                            DiskIO(IoKind.READ, unit.disk_lba + start, nsectors)
-                        )
-                    )
-                    self.stats.scrub_data_reads += 1
-                try:
-                    yield AllOf(self.sim, reads)
-                except LatentSectorError:
-                    attempts += 1
-                    if attempts > 3:
-                        raise
-                    units = None
-                    if self.organization.declustered:
-                        units = list(self.layout.data_units(stripe))
-                        units.append(self.layout.parity_unit(stripe))
-                    yield from self._repair_latent_extent(
-                        unit_base + start, nsectors, units=units
-                    )
-                    continue
-                break
-            if self._degraded_disk is not None:
-                return  # a member died mid-read: mark stays, scrub aborts
-            parity = self.layout.parity_unit(stripe)
-            yield self.drivers[parity.disk].submit(
-                DiskIO(IoKind.WRITE, parity.disk_lba + start, nsectors)
-            )
-            self.stats.scrub_parity_writes += 1
-            if self._degraded_disk is not None:
-                return  # died during the parity write: same story
-            self.marks.clear(stripe, sub_unit)
-            self._lag_changed()
-            if self.hists is not None or self.tracer is not None:
-                self._observe_scrub("scrub_sub_unit", started, stripe)
-            if self.functional is not None:
-                self.functional.scrub_sub_unit(stripe, sub_unit)
-            if not self.marks.is_marked(stripe):
-                if self.exposure is not None:
-                    self.exposure.stripe_cleaned(stripe, self.sim.now, cause="scrub")
-                self.stats.stripes_scrubbed += 1
-        finally:
-            del self._rebuilding[stripe]
-            barrier.succeed()
-
-    def _scrub_stripe_mirror(self, stripe: int, sub_unit: int):
-        """Catch up one dirty stripe of a mirrored organization.
-
-        RAID 1 / RAID 1/0: copy the marked slice of each primary unit to
-        its mirror.  RAID 1+5: rebuild parity from the data primaries and
-        write it to both copies of the parity pair.  Covers both the
-        1-bit (whole stripe) and sub-unit marking configurations.
-        """
-        if stripe in self._rebuilding:
-            yield self._rebuilding[stripe]
-            return
-        if not self.marks.is_marked(stripe, sub_unit):
-            return
-        barrier = self.sim.event(name=self._ev_rebuild)
-        self._rebuilding[stripe] = barrier
-        started = self.sim.now
-        try:
-            start, nsectors = self._sub_unit_extent(sub_unit)
-            unit_base = stripe * self.layout.stripe_unit_sectors
-            attempts = 0
-            while True:
-                reads = []
-                for unit in self.layout.data_units(stripe):
-                    reads.append(
-                        self.drivers[unit.disk].submit(
-                            DiskIO(IoKind.READ, unit.disk_lba + start, nsectors)
-                        )
-                    )
-                    self.stats.scrub_data_reads += 1
-                try:
-                    yield AllOf(self.sim, reads)
-                except LatentSectorError:
-                    attempts += 1
-                    if attempts > 3:
-                        raise
-                    yield from self._repair_latent_extent(unit_base + start, nsectors)
-                    continue
-                break
-            if self._failed_disks:
-                return  # a member died mid-read: mark stays, scrub aborts
-            writes = []
-            if self.layout.has_parity:
-                parity = self.layout.parity_unit(stripe)
-                for disk in (parity.disk, self.layout.mirror_disk(parity.disk)):
-                    writes.append(
-                        self.drivers[disk].submit(
-                            DiskIO(IoKind.WRITE, parity.disk_lba + start, nsectors)
-                        )
-                    )
-                    self.stats.scrub_parity_writes += 1
-            else:
-                for index in range(self.layout.data_units_per_stripe):
-                    mirror = self.layout.mirror_unit(stripe, index)
-                    writes.append(
-                        self.drivers[mirror.disk].submit(
-                            DiskIO(IoKind.WRITE, mirror.disk_lba + start, nsectors)
-                        )
-                    )
-                    self.stats.scrub_parity_writes += 1
-            yield AllOf(self.sim, writes)
-            if self._failed_disks:
-                return  # died during the copy/parity write: same story
-            if self.marks.bits_per_stripe == 1:
-                self.marks.clear_stripe(stripe)
-            else:
-                self.marks.clear(stripe, sub_unit)
-            self._lag_changed()
-            if self.hists is not None or self.tracer is not None:
-                self._observe_scrub("scrub_stripe_mirror", started, stripe)
-            if not self.marks.is_marked(stripe):
-                if self.exposure is not None:
-                    self.exposure.stripe_cleaned(stripe, self.sim.now, cause="scrub")
-                self.stats.stripes_scrubbed += 1
-        finally:
-            del self._rebuilding[stripe]
-            barrier.succeed()
 
     # -- parity-lag bookkeeping ------------------------------------------------------------------------------
 

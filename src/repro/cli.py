@@ -20,6 +20,7 @@ Installed as ``afraid-sim``::
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from repro.availability import (
@@ -62,6 +63,36 @@ def _make_policy(name: str, mttdl_target: float | None) -> ParityPolicy:
             raise SystemExit("--policy mttdl requires --mttdl-target HOURS")
         return MttdlTargetPolicy(mttdl_target)
     raise SystemExit(f"unknown policy {name!r}")
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite number > 0 (durations, periods, targets)."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text!r}")
+    return value
+
+
+def _int_at_least(minimum: int):
+    """An argparse type accepting integers >= ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
+_nonnegative_int = _int_at_least(0)
 
 
 #: Redundancy schemes the CLI can build (see repro.layout.organization).
@@ -1127,7 +1158,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser = commands.add_parser("run", help="run one workload under one policy")
     run_parser.add_argument("workload", choices=workload_names())
     run_parser.add_argument("--policy", default="afraid", choices=["afraid", "raid5", "raid0", "mttdl"])
-    run_parser.add_argument("--mttdl-target", type=float, default=None, help="hours, for --policy mttdl")
+    run_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
     run_parser.add_argument(
         "--organization", default="raid5", choices=ORGANIZATION_CHOICES,
         help="redundancy scheme (default: the paper's RAID 5)",
@@ -1136,7 +1167,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ndisks", type=int, default=None,
         help="member disks (default: organization-appropriate count)",
     )
-    run_parser.add_argument("--duration", type=float, default=30.0, help="trace duration (simulated s)")
+    run_parser.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration (simulated s)")
     run_parser.add_argument("--seed", type=int, default=42)
     run_parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     run_parser.add_argument(
@@ -1158,7 +1189,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ndisks", type=int, default=None,
         help="member disks (default: organization-appropriate count)",
     )
-    compare_parser.add_argument("--duration", type=float, default=20.0)
+    compare_parser.add_argument("--duration", type=_positive_float, default=20.0)
     compare_parser.add_argument("--seed", type=int, default=42)
     compare_parser.add_argument(
         "--slo", action="append", default=None, metavar="RULE",
@@ -1168,7 +1199,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_parser = commands.add_parser("analyze", help="characterise a workload (catalog name or trace CSV)")
     analyze_parser.add_argument("workload", help="catalog name, or a path ending in .csv")
-    analyze_parser.add_argument("--duration", type=float, default=60.0)
+    analyze_parser.add_argument("--duration", type=_positive_float, default=60.0)
     analyze_parser.add_argument("--seed", type=int, default=42)
     analyze_parser.add_argument("--gap", type=float, default=0.1, help="burst-splitting gap (s)")
     analyze_parser.set_defaults(handler=cmd_analyze)
@@ -1181,9 +1212,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--policy", default="afraid", choices=["afraid", "raid5", "raid0", "mttdl"]
     )
     profile_parser.add_argument(
-        "--mttdl-target", type=float, default=None, help="hours, for --policy mttdl"
+        "--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl"
     )
-    profile_parser.add_argument("--duration", type=float, default=10.0)
+    profile_parser.add_argument("--duration", type=_positive_float, default=10.0)
     profile_parser.add_argument("--seed", type=int, default=42)
     profile_parser.add_argument("--top", type=int, default=20, help="rows in the hot-path table")
     profile_parser.add_argument(
@@ -1201,7 +1232,7 @@ def build_parser() -> argparse.ArgumentParser:
         "workloads", nargs="*", help="workload names (default: the full catalog)"
     )
     sweep_parser.add_argument(
-        "--targets", type=float, nargs="+", default=None, help="MTTDL_x targets in hours"
+        "--targets", type=_positive_float, nargs="+", default=None, help="MTTDL_x targets in hours"
     )
     sweep_parser.add_argument("--jobs", type=int, default=1, help="worker processes")
     sweep_parser.add_argument(
@@ -1213,7 +1244,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="always re-simulate, never touch the cache"
     )
     sweep_parser.add_argument(
-        "--cache-max-bytes", type=int, default=None, metavar="N",
+        "--cache-max-bytes", type=_nonnegative_int, default=None, metavar="N",
         help="after the sweep, evict oldest cache entries until the cache fits N bytes",
     )
     sweep_parser.add_argument(
@@ -1229,7 +1260,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--ndisks", type=int, default=None,
         help="member disks (default: organization-appropriate count)",
     )
-    sweep_parser.add_argument("--duration", type=float, default=30.0)
+    sweep_parser.add_argument("--duration", type=_positive_float, default=30.0)
     sweep_parser.add_argument("--seed", type=int, default=42)
     sweep_parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
     sweep_parser.add_argument(
@@ -1244,17 +1275,17 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", help="catalog name (unknown names synthesise a generic workload)"
     )
     trace_parser.add_argument("--policy", default="afraid", choices=["afraid", "raid5", "raid0", "mttdl"])
-    trace_parser.add_argument("--mttdl-target", type=float, default=None, help="hours, for --policy mttdl")
-    trace_parser.add_argument("--duration", type=float, default=30.0, help="trace duration (simulated s)")
+    trace_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
+    trace_parser.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration (simulated s)")
     trace_parser.add_argument("--seed", type=int, default=42)
     trace_parser.add_argument("--out", default="trace.json", help="Chrome trace-event JSON output path")
     trace_parser.add_argument("--jsonl", default=None, help="also write raw records as JSON lines")
     trace_parser.add_argument("--hist-out", default=None, help="write latency histograms as JSON")
     trace_parser.add_argument(
-        "--sample-period", type=float, default=0.010, help="sampler period (simulated s)"
+        "--sample-period", type=_positive_float, default=0.010, help="sampler period (simulated s)"
     )
     trace_parser.add_argument(
-        "--max-records", type=int, default=1_000_000, help="tracer memory bound (records)"
+        "--max-records", type=_positive_int, default=1_000_000, help="tracer memory bound (records)"
     )
     trace_parser.add_argument(
         "--kernel", action="store_true", help="also record per-event kernel dispatch instants (verbose)"
@@ -1268,8 +1299,8 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", nargs="?", default=None, help="catalog name (or use --from)"
     )
     report_parser.add_argument("--policy", default="afraid", choices=["afraid", "raid5", "raid0", "mttdl"])
-    report_parser.add_argument("--mttdl-target", type=float, default=None, help="hours, for --policy mttdl")
-    report_parser.add_argument("--duration", type=float, default=30.0)
+    report_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
+    report_parser.add_argument("--duration", type=_positive_float, default=30.0)
     report_parser.add_argument("--seed", type=int, default=42)
     report_parser.add_argument(
         "--from", dest="from_file", default=None, metavar="FILE",
@@ -1297,14 +1328,14 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", help="catalog name (unknown names synthesise a generic workload)"
     )
     exposure_parser.add_argument("--policy", default="afraid", choices=["afraid", "raid5", "raid0", "mttdl"])
-    exposure_parser.add_argument("--mttdl-target", type=float, default=None, help="hours, for --policy mttdl")
-    exposure_parser.add_argument("--duration", type=float, default=30.0, help="trace duration (simulated s)")
+    exposure_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
+    exposure_parser.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration (simulated s)")
     exposure_parser.add_argument("--seed", type=int, default=42)
     exposure_parser.add_argument(
-        "--window", type=float, default=5.0, help="estimator sliding window (simulated s)"
+        "--window", type=_positive_float, default=5.0, help="estimator sliding window (simulated s)"
     )
     exposure_parser.add_argument(
-        "--period", type=float, default=0.050, help="poller/snapshot period (simulated s)"
+        "--period", type=_positive_float, default=0.050, help="poller/snapshot period (simulated s)"
     )
     exposure_parser.add_argument(
         "--slo", action="append", default=None, metavar="RULE",
@@ -1333,14 +1364,14 @@ def build_parser() -> argparse.ArgumentParser:
     replay_parser.add_argument(
         "--policy", default="afraid", choices=["afraid", "raid5", "raid0"]
     )
-    replay_parser.add_argument("--duration", type=float, default=30.0, help="trace duration (simulated s)")
+    replay_parser.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration (simulated s)")
     replay_parser.add_argument("--seed", type=int, default=42)
     replay_parser.add_argument(
-        "--shards", type=int, default=1,
+        "--shards", type=_positive_int, default=1,
         help="number of consecutive time slices (results are byte-identical for any value)",
     )
     replay_parser.add_argument(
-        "--workers", type=int, default=None,
+        "--workers", type=_nonnegative_int, default=None,
         help="run shard steps in a process pool of this size "
         "(0 = in-process; default: min(shards, CPU count) when --shards > 1, "
         "else in-process)",
@@ -1355,7 +1386,7 @@ def build_parser() -> argparse.ArgumentParser:
         "re-runs resume from the deepest matching trace prefix",
     )
     replay_parser.add_argument(
-        "--checkpoint-max-bytes", type=int, default=None, metavar="N",
+        "--checkpoint-max-bytes", type=_nonnegative_int, default=None, metavar="N",
         help="bound checkpoint-store growth: prune oldest entries past N bytes",
     )
     replay_parser.add_argument(
@@ -1370,7 +1401,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults_parser.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
     faults_parser.add_argument(
-        "--seeds", type=int, default=0, metavar="K",
+        "--seeds", type=_nonnegative_int, default=0, metavar="K",
         help="run seeds 0..K-1 as a suite instead of a single --seed",
     )
     faults_parser.add_argument(
@@ -1406,7 +1437,7 @@ def build_parser() -> argparse.ArgumentParser:
         "workload", nargs="?", default="snake", help="catalog workload (default snake)"
     )
     nemesis_parser.add_argument(
-        "--duration", type=float, default=30.0, help="injection window, seconds (default 30)"
+        "--duration", type=_positive_float, default=30.0, help="injection window, seconds (default 30)"
     )
     nemesis_parser.add_argument("--seed", type=int, default=0, help="schedule seed (default 0)")
     nemesis_parser.add_argument(
@@ -1434,22 +1465,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="expected latent sector errors (default 2)",
     )
     nemesis_parser.add_argument(
-        "--spares", type=int, default=16, help="spare-disk pool (default 16)"
+        "--spares", type=_nonnegative_int, default=16, help="spare-disk pool (default 16)"
     )
     nemesis_parser.add_argument(
         "--repair-delay", type=float, default=0.5, metavar="S",
         help="technician delay before a spare rebuild starts (default 0.5)",
     )
     nemesis_parser.add_argument(
-        "--period", type=float, default=0.05, metavar="S",
+        "--period", type=_positive_float, default=0.05, metavar="S",
         help="gate/telemetry tick (default 0.05)",
     )
     nemesis_parser.add_argument(
-        "--sample-period", type=float, default=0.5, metavar="S",
+        "--sample-period", type=_positive_float, default=0.5, metavar="S",
         help="exposure/latency timeline sample period (default 0.5)",
     )
     nemesis_parser.add_argument(
-        "--window", type=float, default=2.0, metavar="S",
+        "--window", type=_positive_float, default=2.0, metavar="S",
         help="sliding exposure window (default 2)",
     )
     nemesis_parser.add_argument(
@@ -1498,7 +1529,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-cache", action="store_true", help="simulate every cell, never touch the cache"
     )
     serve_parser.add_argument(
-        "--cache-max-bytes", type=int, default=None, metavar="N",
+        "--cache-max-bytes", type=_nonnegative_int, default=None, metavar="N",
         help="bound on-disk cache growth: prune oldest entries past N bytes",
     )
     serve_parser.add_argument(
@@ -1521,13 +1552,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--url", default="http://127.0.0.1:8642", help="daemon base URL"
     )
     submit_parser.add_argument(
-        "--targets", type=float, nargs="+", default=None, help="MTTDL_x targets in hours"
+        "--targets", type=_positive_float, nargs="+", default=None, help="MTTDL_x targets in hours"
     )
     submit_parser.add_argument(
         "--policy", action="append", default=None, metavar="KIND",
         help="submit explicit (workload x policy) cells instead of the full ladder; repeatable",
     )
-    submit_parser.add_argument("--duration", type=float, default=30.0)
+    submit_parser.add_argument("--duration", type=_positive_float, default=30.0)
     submit_parser.add_argument("--seed", type=int, default=42)
     submit_parser.add_argument(
         "--wait", action="store_true", help="block until the job is terminal"
@@ -1536,7 +1567,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--stream", action="store_true",
         help="stream the job's NDJSON events to stdout until it finishes",
     )
-    submit_parser.add_argument("--timeout", type=float, default=600.0)
+    submit_parser.add_argument("--timeout", type=_positive_float, default=600.0)
     submit_parser.add_argument("--json", action="store_true", help="print the job snapshot as JSON")
     submit_parser.set_defaults(handler=cmd_submit)
 
@@ -1551,7 +1582,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--result", action="store_true",
         help="with a job id: print the job's full per-cell result payload",
     )
-    status_parser.add_argument("--timeout", type=float, default=30.0)
+    status_parser.add_argument("--timeout", type=_positive_float, default=30.0)
     status_parser.add_argument("--json", action="store_true", help="machine-readable output")
     status_parser.set_defaults(handler=cmd_status)
     return parser

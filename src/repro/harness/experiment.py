@@ -20,6 +20,7 @@ from repro.availability import (
 )
 from repro.disk import hp_c3325
 from repro.harness.replay import replay_trace
+from repro.harness.sharding import ShardReplayResult, replay_trace_sharded
 from repro.metrics import PerfCounters, Summary
 from repro.obs import ExposureMonitor, HistogramSet
 from repro.policy import ParityPolicy
@@ -184,9 +185,9 @@ def derive_availability(
 
 
 def _checkpoint_extras(sim, array) -> dict:
-    """Collected on the final shard of a checkpointed run: everything
-    ``run_experiment`` reads off the live array after ``replay_trace``
-    that is not already in the :class:`ShardReplayResult` counters."""
+    """Everything ``run_experiment`` reads off the live array after the
+    replay that is not already in the :class:`ShardReplayResult`
+    counters (collected on the final shard of a checkpointed run)."""
     return {
         "dirty_at_end": array.dirty_stripe_count,
         "latency_hists": array.hists.to_payload() if array.hists is not None else None,
@@ -297,7 +298,6 @@ def run_experiment(
             )
     if checkpointable:
         from repro.harness.checkpoint import CheckpointStore
-        from repro.harness.sharding import replay_trace_sharded
 
         scope = CheckpointStore(checkpoint_dir).scope(
             {
@@ -311,13 +311,11 @@ def run_experiment(
                 "idle_threshold_s": idle_threshold_s,
                 "params": dataclasses.asdict(params),
                 "exposure_window_s": exposure_window_s,
-                # Added only for non-default organizations so checkpoints
-                # written before the knob existed keep resolving.
-                **({"organization": organization} if organization != "raid5" else {}),
+                "organization": organization,
             }
         )
         with counters.phase("replay"):
-            sharded = replay_trace_sharded(
+            replayed = replay_trace_sharded(
                 sim,
                 array,
                 trace,
@@ -326,93 +324,52 @@ def run_experiment(
                 checkpoint=scope,
                 extras_fn=_checkpoint_extras,
             )
-        counters.count("events_dispatched", sharded.events_simulated)
-        counters.count(
-            "ios_serviced", sharded.stats.reads_completed + sharded.stats.writes_completed
-        )
-        outcome = sharded.outcome
-        if outcome.failures:
-            raise RuntimeError(
-                f"{len(outcome.failures)} requests failed during a fault-free run: "
-                f"{outcome.failures[0]!r}"
-            )
-        unprotected, mean_lag, peak_lag, _total = sharded.parity_lag
-        extras = sharded.extras or {}
-        with counters.phase("reduce"):
-            mttdl_disk, mdlr_unprot, mdlr_disk, mttdl_overall, mdlr_overall = (
-                derive_availability(
-                    ndisks=ndisks,
-                    unprotected_fraction=unprotected,
-                    mean_parity_lag_bytes=mean_lag,
-                    params=params,
-                    organization=organization,
-                )
-            )
-        return ExperimentResult(
-            workload=trace.name,
-            policy=policy.describe(),
-            ndisks=ndisks,
-            nrequests=len(outcome.requests),
-            reads=sharded.stats.reads_completed,
-            writes=sharded.stats.writes_completed,
-            io_time=Summary.of(outcome.io_times),
-            horizon_s=outcome.horizon_s,
-            stripes_scrubbed=sharded.stats.stripes_scrubbed,
-            dirty_at_end=extras.get("dirty_at_end", 0),
-            unprotected_fraction=unprotected,
-            mean_parity_lag_bytes=mean_lag,
-            peak_parity_lag_bytes=peak_lag,
-            params=params,
-            mttdl_disk_h=mttdl_disk,
-            mdlr_unprotected_bytes_per_h=mdlr_unprot,
-            mdlr_disk_bytes_per_h=mdlr_disk,
-            mttdl_overall_h=mttdl_overall,
-            mdlr_overall_bytes_per_h=mdlr_overall,
-            latency_hists=extras.get("latency_hists"),
-            exposure_hists=extras.get("exposure_hists"),
-            organization=organization,
-        )
-
-    with counters.phase("replay"):
-        outcome = replay_trace(sim, array, trace, extra_settle_s=extra_settle_s)
-    counters.count("events_dispatched", sim.events_dispatched)
-    counters.count("ios_serviced", array.stats.reads_completed + array.stats.writes_completed)
+        counters.count("events_dispatched", replayed.events_simulated)
+    else:
+        with counters.phase("replay"):
+            outcome = replay_trace(sim, array, trace, extra_settle_s=extra_settle_s)
+        replayed = ShardReplayResult.from_array(array, outcome)
+        replayed.extras = _checkpoint_extras(sim, array)
+        counters.count("events_dispatched", sim.events_dispatched)
+    stats = replayed.stats
+    counters.count("ios_serviced", stats.reads_completed + stats.writes_completed)
+    outcome = replayed.outcome
     if outcome.failures:
         raise RuntimeError(
             f"{len(outcome.failures)} requests failed during a fault-free run: "
             f"{outcome.failures[0]!r}"
         )
-
-    tracker = array.lag_tracker
+    unprotected, mean_lag, peak_lag, _total = replayed.parity_lag
+    extras = replayed.extras or {}
     with counters.phase("reduce"):
         mttdl_disk, mdlr_unprot, mdlr_disk, mttdl_overall, mdlr_overall = derive_availability(
-            ndisks=array.ndisks,
-            unprotected_fraction=tracker.unprotected_fraction,
-            mean_parity_lag_bytes=tracker.mean_parity_lag_bytes,
+            ndisks=ndisks,
+            unprotected_fraction=unprotected,
+            mean_parity_lag_bytes=mean_lag,
             params=params,
             organization=organization,
         )
     return ExperimentResult(
         workload=trace.name,
         policy=policy.describe(),
-        ndisks=array.ndisks,
+        ndisks=ndisks,
         nrequests=len(outcome.requests),
-        reads=array.stats.reads_completed,
-        writes=array.stats.writes_completed,
+        reads=stats.reads_completed,
+        writes=stats.writes_completed,
         io_time=Summary.of(outcome.io_times),
         horizon_s=outcome.horizon_s,
-        stripes_scrubbed=array.stats.stripes_scrubbed,
-        dirty_at_end=array.dirty_stripe_count,
-        unprotected_fraction=tracker.unprotected_fraction,
-        mean_parity_lag_bytes=tracker.mean_parity_lag_bytes,
-        peak_parity_lag_bytes=tracker.peak_parity_lag_bytes,
+        stripes_scrubbed=stats.stripes_scrubbed,
+        dirty_at_end=extras.get("dirty_at_end", 0),
+        unprotected_fraction=unprotected,
+        mean_parity_lag_bytes=mean_lag,
+        peak_parity_lag_bytes=peak_lag,
         params=params,
         mttdl_disk_h=mttdl_disk,
         mdlr_unprotected_bytes_per_h=mdlr_unprot,
         mdlr_disk_bytes_per_h=mdlr_disk,
         mttdl_overall_h=mttdl_overall,
         mdlr_overall_bytes_per_h=mdlr_overall,
-        latency_hists=histograms.to_payload(),
-        exposure_hists=exposure.hists.to_payload(),
+        latency_hists=extras.get("latency_hists"),
+        exposure_hists=extras.get("exposure_hists"),
         organization=organization,
     )

@@ -22,6 +22,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import math
 import os
 import pathlib
 import threading
@@ -31,6 +32,7 @@ import typing
 from repro.array.factory import PAPER_NDISKS, PAPER_STRIPE_UNIT_SECTORS
 from repro.availability import ReliabilityParams, TABLE_1
 from repro.harness.experiment import ExperimentResult, run_experiment
+from repro.layout import get_organization
 from repro.metrics import PerfCounters, Summary
 from repro.obs import HistogramSet
 from repro.policy import (
@@ -107,6 +109,11 @@ class CellSpec:
     idle_threshold_s: float = 0.100
     extra_settle_s: float = 0.0
     organization: str = "raid5"
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration_s must be a finite number > 0, got {self.duration_s!r}")
+        get_organization(self.organization).validate(self.ndisks)
 
     @property
     def key(self) -> tuple[str, str]:

@@ -103,7 +103,11 @@ def parse_cell(payload, defaults: dict | None = None) -> CellSpec:
                     f"cell field {field!r}: cannot make a {coerce.__name__} "
                     f"of {merged[field]!r}"
                 ) from None
-    spec = CellSpec(policy=parse_policy(merged["policy"]), **kwargs)
+    policy = parse_policy(merged["policy"])
+    try:
+        spec = CellSpec(policy=policy, **kwargs)
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
     if spec.workload not in CATALOG:
         raise ProtocolError(
             f"unknown workload {spec.workload!r}; choose from {workload_names()}"
@@ -161,13 +165,16 @@ def parse_job_payload(payload) -> list[CellSpec]:
         targets = [float(target) for target in targets]
     except (TypeError, ValueError):
         raise ProtocolError('"targets" must be a list of hours') from None
-    return ladder_specs(
-        [str(w) for w in workloads],
-        targets,
-        include_raid5=bool(payload.get("include_raid5", True)),
-        include_raid0=bool(payload.get("include_raid0", True)),
-        **cell_kwargs,
-    )
+    try:
+        return ladder_specs(
+            [str(w) for w in workloads],
+            targets,
+            include_raid5=bool(payload.get("include_raid5", True)),
+            include_raid0=bool(payload.get("include_raid0", True)),
+            **cell_kwargs,
+        )
+    except ValueError as exc:
+        raise ProtocolError(str(exc)) from None
 
 
 def cell_label(spec: CellSpec) -> str:

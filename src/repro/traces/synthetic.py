@@ -45,8 +45,8 @@ class BurstyWorkloadParams:
     sync_fraction: float = 0.10
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration must be positive")
+        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
+            raise ValueError(f"duration must be a finite number > 0, got {self.duration_s}")
         if self.address_space_sectors < self.large_size_sectors:
             raise ValueError("address space smaller than one large request")
         for name in ("write_fraction", "large_fraction", "sequential_fraction",

@@ -61,6 +61,35 @@ class TestPolicySpec:
             assert entry.spec.label == entry.label
 
 
+class TestCellSpecValidation:
+    """A spec the worker cannot run is refused at construction."""
+
+    @pytest.mark.parametrize("duration", [0.0, -3.0, float("nan"), float("inf")])
+    def test_duration_must_be_positive_and_finite(self, duration):
+        with pytest.raises(ValueError, match="duration_s"):
+            CellSpec(workload="hplajw", policy=PolicySpec("afraid"), duration_s=duration)
+
+    @pytest.mark.parametrize(
+        "organization, ndisks", [("raid5", 1), ("raid5", 2), ("raid1", 4), ("raid10", 5)]
+    )
+    def test_disk_count_must_fit_the_organization(self, organization, ndisks):
+        with pytest.raises(ValueError, match="disks"):
+            CellSpec(
+                workload="hplajw", policy=PolicySpec("afraid"), ndisks=ndisks,
+                organization=organization,
+            )
+
+    def test_unknown_organization_rejected(self):
+        with pytest.raises(ValueError, match="unknown organization"):
+            CellSpec(workload="hplajw", policy=PolicySpec("afraid"), organization="raid99")
+
+    def test_synthetic_trace_rejects_nan_duration(self):
+        from repro.traces import make_trace
+
+        with pytest.raises(ValueError, match="duration"):
+            make_trace("hplajw", duration_s=float("nan"), address_space_sectors=1 << 20, seed=1)
+
+
 class TestCacheKey:
     def test_stable_for_equal_specs(self):
         a = CellSpec(workload="hplajw", policy=PolicySpec("afraid"), **QUICK)

@@ -150,6 +150,26 @@ class TestParseJobPayload:
         with pytest.raises(ProtocolError, match="JSON object"):
             parse_job_payload([{"workload": "hplajw"}])
 
+    @pytest.mark.parametrize("duration", [0, -3, float("nan"), "NaN", "inf"])
+    def test_unrunnable_duration_rejected(self, duration):
+        cells = [{"workload": "hplajw", "policy": "afraid"}]
+        for payload in (
+            {"cells": cells, "duration_s": duration},
+            {"cells": [{**cells[0], "duration_s": duration}]},
+            {"workloads": ["hplajw"], "duration_s": duration},
+        ):
+            with pytest.raises(ProtocolError, match="duration_s"):
+                parse_job_payload(payload)
+
+    @pytest.mark.parametrize("ndisks", [1, 2])
+    def test_disk_count_the_organization_refuses_rejected(self, ndisks):
+        for payload in (
+            {"cells": [{"workload": "hplajw", "policy": "afraid", "ndisks": ndisks}]},
+            {"workloads": ["hplajw"], "ndisks": ndisks},
+        ):
+            with pytest.raises(ProtocolError, match="disks for RAID 5"):
+                parse_job_payload(payload)
+
 
 class TestCellLabel:
     def test_matches_sweep_grid_key(self):

@@ -114,6 +114,12 @@ class TestJobRoutes:
         assert excinfo.value.status == 400
         assert "non-empty" in str(excinfo.value)
 
+    def test_unrunnable_cell_400(self, client):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({"workloads": ["hplajw"], "duration_s": float("nan")})
+        assert excinfo.value.status == 400
+        assert "duration_s" in str(excinfo.value)
+
     def test_non_json_body_400(self, client):
         request = urllib.request.Request(
             f"{client.base_url}/jobs", data=b"not json", method="POST"

@@ -481,3 +481,94 @@ class TestNemesis:
     def test_custom_slo_rules(self, capsys):
         assert main([*self.QUICK, "--slo", "degraded_disks < 2"]) == 0
         assert "degraded_disks < 2" in capsys.readouterr().out
+
+
+class TestNumericFlags:
+    """Out-of-range numeric flags are argparse usage errors (exit 2),
+    never a traceback or a silently wrong run."""
+
+    @pytest.fixture(autouse=True)
+    def _in_tmp_path(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # where a run the parser let through writes
+
+    @staticmethod
+    def _assert_usage_error(capsys, argv, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "usage:" in err
+        assert f"argument {flag}" in err
+
+    @pytest.mark.parametrize("value", ["0", "-3", "nan"])
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["run", "snake"], ["compare", "snake"], ["analyze", "snake"],
+            ["profile", "snake"], ["sweep", "hplajw", "--no-cache"],
+            ["trace", "snake"], ["report", "snake"],
+            ["exposure", "snake"], ["replay", "snake"], ["nemesis", "snake"],
+        ],
+    )
+    def test_duration_must_be_positive_and_finite(self, capsys, command, value):
+        self._assert_usage_error(capsys, [*command, "--duration", value], "--duration")
+
+    def test_infinity_is_not_a_duration(self):
+        import argparse
+
+        from repro.cli import _positive_float
+
+        for text in ("inf", "-inf", "1e999"):
+            with pytest.raises(argparse.ArgumentTypeError):
+                _positive_float(text)
+
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_shards_must_be_at_least_one(self, capsys, value):
+        self._assert_usage_error(
+            capsys, ["replay", "snake", "--duration", "1", "--shards", value], "--shards"
+        )
+
+    def test_workers_must_not_be_negative(self, capsys):
+        self._assert_usage_error(
+            capsys,
+            ["replay", "snake", "--duration", "1", "--shards", "2", "--workers", "-1"],
+            "--workers",
+        )
+
+    def test_store_byte_caps_must_not_be_negative(self, tmp_path, capsys):
+        self._assert_usage_error(
+            capsys,
+            ["replay", "snake", "--duration", "1", "--checkpoint-dir", str(tmp_path / "ck"),
+             "--checkpoint-max-bytes", "-1"],
+            "--checkpoint-max-bytes",
+        )
+        self._assert_usage_error(
+            capsys,
+            ["sweep", "hplajw", "--targets", "1e7", "--duration", "1",
+             "--cache-dir", str(tmp_path / "cache"), "--cache-max-bytes", "-1"],
+            "--cache-max-bytes",
+        )
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["run", "snake", "--policy", "mttdl", "--mttdl-target", "-1"], "--mttdl-target"),
+            (["sweep", "hplajw", "--no-cache", "--targets", "0"], "--targets"),
+            (["trace", "snake", "--sample-period", "0"], "--sample-period"),
+            (["exposure", "snake", "--window", "0"], "--window"),
+            (["exposure", "snake", "--period", "0"], "--period"),
+        ],
+    )
+    def test_periods_and_targets_must_be_positive(self, capsys, argv, flag):
+        self._assert_usage_error(capsys, [*argv, "--duration", "1"], flag)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["trace", "snake", "--duration", "1", "--max-records", "0"], "--max-records"),
+            (["faults", "--seeds", "-1"], "--seeds"),
+            (["nemesis", "snake", "--duration", "3", "--spares", "-1"], "--spares"),
+        ],
+    )
+    def test_counts_must_be_in_range(self, capsys, argv, flag):
+        self._assert_usage_error(capsys, argv, flag)
