@@ -37,6 +37,32 @@ _READ = IoKind.READ
 _SEEK_TABLE_CACHE: dict[tuple, list[float]] = {}
 
 
+def _seek_table(seek_model: SeekModel, cylinders: int) -> list[float]:
+    """Seek time by cylinder distance, tabulated once per curve.
+
+    The seek curve is a pure function of distance and the hot path pays a
+    sqrt plus branchy float math per I/O without it.  ~4k floats per
+    geometry, shared across drives with identical curve parameters
+    (arrays build dozens of identical drives; tabulating per drive was
+    measurable in replay setup).  Subclassed seek models get a private
+    table — their coefficients do not determine their behaviour.
+    """
+    if type(seek_model) is not SeekModel:
+        return [seek_model.seek_time(d) for d in range(cylinders)]
+    key = (
+        seek_model.a,
+        seek_model.b,
+        seek_model.c,
+        seek_model.e,
+        seek_model.crossover,
+        cylinders,
+    )
+    table = _SEEK_TABLE_CACHE.get(key)
+    if table is None:
+        table = _SEEK_TABLE_CACHE[key] = [seek_model.seek_time(d) for d in range(cylinders)]
+    return table
+
+
 class DiskFailedError(Exception):
     """An I/O was issued to (or in flight on) a failed disk."""
 
@@ -199,30 +225,7 @@ class MechanicalDisk:
         self.immediate_report = immediate_report
         self.readahead_segments = readahead_segments
         self.name = name
-        # Seek time by cylinder distance, tabulated once: the seek curve is
-        # a pure function of distance and the hot path pays a sqrt plus
-        # branchy float math per I/O without it.  ~4k floats per geometry.
-        # The table is shared across instances with identical curve
-        # parameters (arrays build dozens of identical drives; tabulating
-        # per drive was measurable in replay setup).  Subclassed seek
-        # models fall back to a private table — their coefficients do not
-        # determine their behaviour.
-        if type(seek_model) is SeekModel:
-            key = (
-                seek_model.a,
-                seek_model.b,
-                seek_model.c,
-                seek_model.e,
-                seek_model.crossover,
-                geometry.cylinders,
-            )
-            table = _SEEK_TABLE_CACHE.get(key)
-            if table is None:
-                table = [seek_model.seek_time(d) for d in range(geometry.cylinders)]
-                _SEEK_TABLE_CACHE[key] = table
-            self._seek_table = table
-        else:
-            self._seek_table = [seek_model.seek_time(d) for d in range(geometry.cylinders)]
+        self._seek_table = _seek_table(seek_model, geometry.cylinders)
         self.stats = DiskStats()
         self._current_cylinder = 0
         self._current_head = 0
@@ -239,6 +242,17 @@ class MechanicalDisk:
         #: Latent (unreadable) sectors; empty on the fault-free path so
         #: the per-I/O check is a single falsy test.
         self._latent_errors: set[int] = set()
+
+    # A snapshot carries the seek curve, not its table (most of a fresh
+    # array's pickled bytes): a revived drive fetches the shared table.
+    def __getstate__(self):
+        state = self.__dict__.copy()
+        del state["_seek_table"]
+        return state
+
+    def __setstate__(self, state) -> None:
+        self.__dict__.update(state)
+        self._seek_table = _seek_table(self.seek_model, self.geometry.cylinders)
 
     # -- state -------------------------------------------------------------------
 

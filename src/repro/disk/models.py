@@ -16,6 +16,8 @@ itself relies on:
 
 from __future__ import annotations
 
+import functools
+
 from repro.disk.disk import MechanicalDisk
 from repro.disk.geometry import DiskGeometry, Zone
 from repro.disk.seek import SeekModel
@@ -33,8 +35,13 @@ _C3325_HEAD_SWITCH_S = 0.0008
 _C3325_OVERHEAD_S = 0.0007
 
 
+@functools.cache
 def c3325_geometry() -> DiskGeometry:
-    """The zoned geometry of the modelled HP C3325 (≈1.999 GB)."""
+    """The zoned geometry of the modelled HP C3325 (≈1.999 GB).
+
+    Built once per process and shared by every drive, like the seek
+    curve below: neither is ever mutated.
+    """
     zones = [Zone(cylinders=_C3325_CYLS_PER_ZONE, sectors_per_track=spt) for spt in _C3325_ZONE_SPT]
     return DiskGeometry(
         heads=_C3325_HEADS,
@@ -45,6 +52,7 @@ def c3325_geometry() -> DiskGeometry:
     )
 
 
+@functools.cache
 def c3325_seek_model() -> SeekModel:
     """Seek curve fitted to the C3325 anchor times."""
     geometry = c3325_geometry()

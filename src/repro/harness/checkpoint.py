@@ -1,14 +1,14 @@
 """Content-addressed on-disk store for replay checkpoints.
 
-A checkpoint is one of the quiescent-cut snapshots
-:mod:`repro.harness.sharding` already produces — the full simulator +
-array state at a cut, pickled — persisted so a later replay of the same
-cell can resume from the longest matching trace prefix instead of
-re-simulating from ``t=0``.  The final shard's :class:`ShardReplayResult`
-is stored too, as the last rung of the prefix ladder: a byte-identical
-re-run pays only the store lookup, a ``--duration`` extension resumes
-from the deepest cut inside the new trace, and everything else falls
-back to a cold replay.
+A checkpoint is one of the quiescent cuts :mod:`repro.harness.sharding`
+pauses at — the full simulator + array state at the arrival of one
+trace record, before that record is submitted — pickled and persisted so
+a later replay of the same cell can resume from the longest matching
+trace prefix instead of re-simulating from ``t=0``.  The final shard's
+:class:`ShardReplayResult` is stored too, as the last rung of the prefix
+ladder: a byte-identical re-run pays only the store lookup, a
+``--duration`` extension resumes from the deepest cut inside the new
+trace, and everything else falls back to a cold replay.
 
 Keying follows the same fingerprint discipline as
 :class:`repro.harness.runner.ResultCache`:
@@ -18,12 +18,14 @@ Keying follows the same fingerprint discipline as
   reliability parameters — together with :func:`code_fingerprint` and a
   schema number, so any change to the simulator's code invalidates every
   checkpoint it wrote;
-* each **cut entry** additionally records the number of trace records
-  consumed and a digest of exactly those records, so a checkpoint is
-  only ever resumed into a trace whose prefix is bit-identical to the
-  one that produced it (this is what makes ``--duration`` extension
-  safe: the synthetic generators emit identical prefixes for longer
-  durations, and the digest proves it);
+* each **cut entry** additionally records the index ``consumed`` of the
+  record it is paused at and a digest of ``records[:consumed + 1]`` —
+  the submitted records *and* the paused one, whose arrival the state's
+  clock already reads — so a checkpoint is only ever resumed into a
+  trace whose prefix is bit-identical to the one that produced it (this
+  is what makes ``--duration`` extension safe: the synthetic generators
+  emit identical prefixes for longer durations, and the digest proves
+  it);
 * each **final entry** is additionally keyed on the full record count,
   the measurement-horizon inputs (duration, settle) and the finalize
   flag — everything that distinguishes one complete replay from another
@@ -32,7 +34,7 @@ Keying follows the same fingerprint discipline as
 Entries are written atomically (tmp + rename) in a self-describing
 container: a magic line, a JSON header, then the raw payload pickle.
 The header names the repro version and the pinned pickle protocol
-(:data:`repro.harness.sharding.PICKLE_PROTOCOL`); a mismatch on either
+(:data:`PICKLE_PROTOCOL`); a mismatch on either
 raises :class:`CheckpointVersionError` naming both sides, so a stale
 store can never silently corrupt a resume.  A *corrupted* entry
 (truncated payload, garbage header) is quietly deleted and treated as a
@@ -41,10 +43,10 @@ miss — the replay falls back to cold and rewrites it.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
+import pickle
 import struct
 import typing
 
@@ -52,11 +54,17 @@ from repro import __version__ as _REPRO_VERSION
 from repro.harness.runner import code_fingerprint
 
 if typing.TYPE_CHECKING:  # pragma: no cover
-    from repro.harness.sharding import ShardHandoff
+    from repro.harness.sharding import ShardReplayResult
     from repro.traces.records import TraceRecord
 
 #: Bump when the entry container format changes incompatibly.
-STORE_SCHEMA = 1
+STORE_SCHEMA = 2
+
+#: Pickle protocol of every checkpoint payload.  Pinned explicitly (not
+#: ``HIGHEST_PROTOCOL``) so payloads written by one Python version are
+#: readable by another, and so the store can name the exact protocol it
+#: expects when rejecting entries from a different repro build.
+PICKLE_PROTOCOL = 5
 
 _MAGIC = b"afraid-checkpoint/1\n"
 
@@ -68,12 +76,6 @@ class CheckpointError(RuntimeError):
 class CheckpointVersionError(CheckpointError):
     """A checkpoint was written by a different repro version or pickle
     protocol than this process uses; resuming from it is refused."""
-
-
-def _pickle_protocol() -> int:
-    from repro.harness.sharding import PICKLE_PROTOCOL
-
-    return PICKLE_PROTOCOL
 
 
 def records_digest(records: typing.Sequence["TraceRecord"], upto: int) -> str:
@@ -124,16 +126,6 @@ def _prefix_digests(
     return out
 
 
-@dataclasses.dataclass
-class StoredCut:
-    """A cut entry revived from the store (mirrors ``ShardHandoff``)."""
-
-    payload: bytes
-    consumed: int
-    last_arrival_s: float
-    cut_time_s: float
-
-
 class CheckpointScope:
     """One keyed configuration's slice of the store (a subdirectory)."""
 
@@ -148,7 +140,7 @@ class CheckpointScope:
         os.makedirs(self.path, exist_ok=True)
         header = dict(header)
         header["version"] = _REPRO_VERSION
-        header["protocol"] = _pickle_protocol()
+        header["protocol"] = PICKLE_PROTOCOL
         path = os.path.join(self.path, filename)
         tmp = f"{path}.tmp.{os.getpid()}"
         blob = _MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + payload
@@ -188,12 +180,12 @@ class CheckpointScope:
         except (ValueError, KeyError):
             self._discard(path)
             return None
-        if header.get("version") != _REPRO_VERSION or header.get("protocol") != _pickle_protocol():
+        if header.get("version") != _REPRO_VERSION or header.get("protocol") != PICKLE_PROTOCOL:
             raise CheckpointVersionError(
                 f"checkpoint {path} was written by repro "
                 f"{header.get('version')!r} (pickle protocol {header.get('protocol')!r}) "
                 f"but this is repro {_REPRO_VERSION!r} (pickle protocol "
-                f"{_pickle_protocol()!r}); delete the store or point "
+                f"{PICKLE_PROTOCOL!r}); delete the store or point "
                 f"--checkpoint-dir at a fresh directory"
             )
         if len(payload) != declared:
@@ -211,24 +203,24 @@ class CheckpointScope:
     # -- cuts --------------------------------------------------------------------
 
     def store_cut(
-        self, records: typing.Sequence["TraceRecord"], consumed: int, handoff: "ShardHandoff"
+        self, records: typing.Sequence["TraceRecord"], consumed: int, state: tuple
     ) -> None:
-        """Persist the quiescent-cut snapshot taken after ``consumed`` records."""
+        """Persist ``state``, paused at the arrival of record ``consumed``."""
+        payload = pickle.dumps(state, protocol=PICKLE_PROTOCOL)
         self._write(
             f"cut-{consumed:08d}.ckpt",
             {
                 "kind": "cut",
                 "consumed": consumed,
-                "prefix_sha": records_digest(records, consumed),
-                "last_arrival_s": handoff.last_arrival_s,
-                "cut_time_s": handoff.cut_time_s,
-                "payload_bytes": len(handoff.payload),
+                "prefix_sha": records_digest(records, consumed + 1),
+                "cut_time_s": state[0].now,
+                "payload_bytes": len(payload),
             },
-            handoff.payload,
+            payload,
         )
 
-    def lookup_cut(self, records: typing.Sequence["TraceRecord"]) -> StoredCut | None:
-        """The deepest stored cut whose record prefix matches ``records``."""
+    def lookup_cut(self, records: typing.Sequence["TraceRecord"]) -> tuple[int, tuple] | None:
+        """``(consumed, state)`` of the deepest stored cut matching ``records``."""
         try:
             names = sorted(
                 name for name in os.listdir(self.path)
@@ -242,13 +234,13 @@ class CheckpointScope:
                 consumed = int(name[4:-5])
             except ValueError:
                 continue
-            # A cut at or past the end of this trace cannot seed a final
-            # shard (there would be no arrivals left to drive it).
+            # A cut is paused at the arrival of record ``consumed``: this
+            # trace must have that record.
             if 0 < consumed < len(records):
                 candidates.append((consumed, name))
         if not candidates:
             return None
-        digests = _prefix_digests(records, (consumed for consumed, _ in candidates))
+        digests = _prefix_digests(records, (consumed + 1 for consumed, _ in candidates))
         for consumed, name in sorted(candidates, reverse=True):
             entry = self._read(name)
             if entry is None:
@@ -257,14 +249,9 @@ class CheckpointScope:
             if header.get("kind") != "cut" or header.get("consumed") != consumed:
                 self._discard(os.path.join(self.path, name))
                 continue
-            if header.get("prefix_sha") != digests[consumed]:
+            if header.get("prefix_sha") != digests[consumed + 1]:
                 continue  # same scope, different trace content — not ours
-            return StoredCut(
-                payload=payload,
-                consumed=consumed,
-                last_arrival_s=header["last_arrival_s"],
-                cut_time_s=header["cut_time_s"],
-            )
+            return consumed, pickle.loads(payload)
         return None
 
     # -- final results -----------------------------------------------------------
@@ -291,9 +278,10 @@ class CheckpointScope:
         duration_s: float,
         extra_settle_s: float,
         finalize: bool,
-        result_payload: bytes,
+        result: "ShardReplayResult",
     ) -> None:
-        """Persist a complete replay's pickled ``ShardReplayResult``."""
+        """Persist a complete replay's ``ShardReplayResult``."""
+        result_payload = pickle.dumps(result, protocol=PICKLE_PROTOCOL)
         self._write(
             self._final_name(len(records), duration_s, extra_settle_s, finalize),
             {
@@ -311,8 +299,8 @@ class CheckpointScope:
         duration_s: float,
         extra_settle_s: float,
         finalize: bool,
-    ) -> bytes | None:
-        """The pickled result of an identical complete replay, if stored."""
+    ) -> "ShardReplayResult | None":
+        """The result of an identical complete replay, if stored."""
         entry = self._read(self._final_name(len(records), duration_s, extra_settle_s, finalize))
         if entry is None:
             return None
@@ -321,7 +309,7 @@ class CheckpointScope:
             return None
         if header.get("prefix_sha") != records_digest(records, len(records)):
             return None
-        return payload
+        return pickle.loads(payload)
 
 
 class CheckpointStore:

@@ -16,6 +16,8 @@ from repro.array.request import ArrayRequest
 from repro.sim import Event, Simulator
 from repro.traces.records import Trace
 
+_INF = float("inf")
+
 
 def gather(sim: Simulator, events: list[Event]) -> Event:
     """An event firing once *all* ``events`` have triggered, failures included.
@@ -70,37 +72,50 @@ class _Feeder:
     against in-flight completions — is unchanged), and a listener-free
     finish that never schedules an event (matching the process-finish
     elision in ``Process._resume``).
+
+    A feeder given a ``cut`` index also pauses: the first arrival of a
+    record at or past ``cut`` that finds the simulator otherwise empty
+    completes ``done`` the same way, *before* submitting that record, and
+    leaves ``index`` on it.  The paused state is exactly the uninterrupted
+    run's at that arrival, and a feeder started at ``index > 0`` resumes
+    it by firing in place: no event, no sequence number.
     """
 
     __slots__ = (
-        "sim", "array", "records", "index", "requests", "completions", "done", "_fire_cb",
+        "sim", "array", "records", "index", "cut", "requests", "completions", "done",
+        "_fire_cb",
     )
 
-    def __init__(self, sim, array, records, requests, completions) -> None:
+    def __init__(self, sim, array, records, requests, completions, index=0, cut=None) -> None:
         self.sim = sim
         #: Bound once: appended to every inter-arrival timeout.
         self._fire_cb = self._fire
         self.array = array
         self.records = records
-        self.index = 0
+        self.index = index
+        self.cut = len(records) if cut is None else cut
         self.requests = requests
         self.completions = completions
-        #: Triggers when the last record has been submitted.  Completed by
-        #: hand exactly the way a listener-free process finishes: value
-        #: set, callbacks cleared, nothing scheduled.
+        #: Triggers when the last record has been submitted, or at a pause.
+        #: Completed by hand exactly the way a listener-free process
+        #: finishes: value set, callbacks cleared, nothing scheduled.
         self.done = Event(sim, name="trace_feeder")
 
     def start(self) -> Event:
-        self.sim.call_soon(self._fire_cb)
+        if self.index:
+            self._fire(None)
+        else:
+            self.sim.call_soon(self._fire_cb)
         return self.done
 
-    def _fire(self, _event: Event) -> None:
+    def _fire(self, _event: Event | None) -> None:
         sim = self.sim
         array = self.array
         records = self.records
         requests = self.requests
         completions = self.completions
         index = self.index
+        cut = self.cut
         total = len(records)
         while index < total:
             record = records[index]
@@ -109,6 +124,8 @@ class _Feeder:
                 timeout.callbacks.append(self._fire_cb)
                 self.index = index
                 return
+            if index >= cut and sim.peek() == _INF:
+                break
             # ArrayRequest() inlined: TraceRecord already enforced the
             # same offset/nsectors bounds __post_init__ would re-check,
             # and one dataclass construction per record is hot at

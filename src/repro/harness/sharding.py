@@ -3,31 +3,36 @@
 A long trace is replayed as consecutive time slices ("shards"); the
 complete simulation state at each slice boundary — disk head positions,
 NVRAM mark memory, parity-lag integrals, caches, the event kernel itself
-— is serialised and handed to the next shard, which resumes bit-exactly
-where the previous one stopped.  The handoff payload is a pickle, so a
-shard can run in a different worker process than its predecessor
-(``submit`` below plugs into the sweep pool of :mod:`repro.harness.runner`).
+— is handed to the next shard, which resumes bit-exactly where the
+previous one stopped.  In-process the handoff is the live
+``(sim, array, requests, completions)`` tuple; a ``submit`` that runs
+shard steps in worker processes (the sweep pool of
+:mod:`repro.harness.runner`) pickles it across the process boundary,
+and a checkpoint store (:mod:`repro.harness.checkpoint`) pickles it to
+disk.
 
 Correctness contract: the sharded replay is **byte-identical** to
 :func:`repro.harness.replay.replay_trace` on the same inputs, for any
 shard count.  Three properties make that hold:
 
-* **Quiescent cuts.**  A shard may only end when the simulator is
-  completely empty — no heap entries, no current-instant bucket — and
-  strictly before the next shard's first effective arrival.  Everything
-  the drain dispatched (completions, idle declarations, scrub passes) is
-  exactly what the unsharded run would have dispatched before that
-  arrival, in the same order.  If the drain overruns the next arrival
-  (e.g. the ATT trace's scarce idle windows), the cut is invalid and the
-  slice is *extended* — in the limit a trace with no usable gap
-  degenerates to one shard, which is trivially identical.
+* **Quiescent cuts.**  A shard step ends at an arrival, never between
+  events: the feeder pauses at the first arrival of a record at or past
+  the step's tentative cut index that finds the simulator otherwise
+  empty — no heap entries, no current-instant bucket — before submitting
+  that record.  Cuts are found online, in the one live simulation: the
+  paused state *is* the unsharded run's state at that arrival, so every
+  pause is a valid cut and nothing is simulated twice.  A trace with no
+  such arrival past the cut index (e.g. the ATT trace's scarce idle
+  windows) simply runs on, and the step that reaches the end of the
+  trace closes the books in the same simulation.
 * **Arrival-chain replication.**  The open-loop feeder realises record
   ``k`` at ``A_k = A_{k-1} + (t_k - A_{k-1})`` — floating-point addition
-  is not associative, so a resumed shard must not recompute the arrival
-  from its own restore time.  The handoff carries ``last_arrival_s`` and
-  the resumed feeder's first timer is scheduled at that exact chained
-  instant (and with the same sequence-number budget: one timer, no
-  bootstrap kick), so every later ``(time, seq)`` tie-break is unchanged.
+  is not associative, so a resumed shard must not recompute an arrival.
+  It does not have to: the clock of a paused state already reads the
+  chained instant of the paused record, and the next shard resumes by
+  firing the feeder in place at that instant (no timer, no sequence
+  number, no dispatched event), so every later ``(time, seq)``
+  tie-break is unchanged.
 * **Snapshot fidelity.**  The pickle round-trip preserves value state
   bit-for-bit (floats, dict/deque order, the pending-value sentinel —
   see ``_PendingType.__reduce__`` in :mod:`repro.sim.events`).  At a
@@ -46,25 +51,17 @@ import dataclasses
 import gc
 import hashlib
 import os
-import pickle
 import struct
 import typing
 
 from repro.array.controller import DiskArray
 from repro.array.batchplan import warm_extent_cache
 from repro.harness.replay import ReplayOutcome, _Feeder, gather
-from repro.sim import Event, Simulator
+from repro.sim import Simulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.harness.checkpoint import CheckpointScope
     from repro.traces import Trace
-
-#: Pickle protocol for every shard handoff and checkpoint payload.
-#: Pinned explicitly (not ``HIGHEST_PROTOCOL``) so payloads written by
-#: one Python version are readable by another, and so the checkpoint
-#: store can name the exact protocol it expects when rejecting entries
-#: from a different repro build (see :mod:`repro.harness.checkpoint`).
-PICKLE_PROTOCOL = 5
 
 
 @dataclasses.dataclass
@@ -87,7 +84,7 @@ class ShardReplayResult:
     #: store hit reports 0.  Excluded from :func:`replay_digest` — it
     #: describes the run, not the simulated results.
     events_simulated: int = 0
-    #: Extra per-run values collected by ``finish_shard``'s ``extras_fn``
+    #: Extra per-run values collected by the closing step's ``extras_fn``
     #: (e.g. histogram payloads for :func:`repro.harness.experiment`).
     extras: dict | None = None
 
@@ -109,25 +106,16 @@ class ShardReplayResult:
 
 @dataclasses.dataclass
 class ShardHandoff:
-    """Boundary state between consecutive shards.
+    """A shard step paused at a quiescent cut."""
 
-    A handoff without a ``payload`` reports a cut search that found no
-    valid cut: only its ``events`` are meaningful.
-    """
-
-    #: Pickle of ``(sim, array, requests, completions)`` at quiescence,
-    #: or ``None`` when no valid cut exists (see :func:`advance_shard`).
-    payload: bytes | None
-    #: Records consumed from the slice this shard was given (≥ the
-    #: tentative count when an invalid cut forced an extension).
-    consumed: int = 0
-    #: Effective arrival instant of the last submitted record (the
-    #: feeder's float chain value, not the nominal record timestamp).
-    last_arrival_s: float = 0.0
-    #: Simulated time at the quiescent cut.
-    cut_time_s: float = 0.0
-    #: Events this shard step dispatched, extension retries included.
-    events: int = 0
+    #: ``(sim, array, requests, completions)``, paused at the arrival of
+    #: record ``consumed``.
+    state: tuple
+    #: Index of the record the step paused at: the records before it
+    #: are submitted, it is not.
+    consumed: int
+    #: Events this shard step dispatched.
+    events: int
 
 
 @contextlib.contextmanager
@@ -143,119 +131,35 @@ def _gc_paused():
             gc.enable()
 
 
-def _snapshot(sim, array, requests, completions) -> bytes:
-    return pickle.dumps(
-        (sim, array, requests, completions), protocol=PICKLE_PROTOCOL
-    )
+def _feed(state: tuple, records: list, start: int, cut: int) -> int:
+    """Submit ``records`` from ``start``; returns the index the feeder stopped at.
 
-
-def _arm_feeder(sim, array, records, requests, completions, first_shard, last_arrival_s):
-    """Start the slice's feeder; returns its done event.
-
-    The first shard boots exactly like :func:`replay_trace` (bootstrap
-    kick, one sequence number).  A resumed shard instead schedules the
-    inter-arrival timer the unsharded feeder would have armed at the
-    previous record's wake: same chained fire time, same single sequence
-    number, no kick.
+    That is the first record at or past ``cut`` whose arrival found the
+    simulator otherwise empty, or ``len(records)``.  ``start == 0`` boots
+    exactly like :func:`replay_trace`; a later ``start`` resumes a state
+    paused at that record's arrival.
     """
-    warm_extent_cache(array.layout, records)
-    feeder = _Feeder(sim, array, records, requests, completions)
-    if first_shard:
-        return feeder.start()
-    target = last_arrival_s + (records[0].time_s - last_arrival_s)
-    timer = Event(sim)
-    timer.add_callback(feeder._fire)
-    sim.trigger_at(timer, target)
-    return feeder.done
+    sim, array, requests, completions = state
+    warm_extent_cache(array.layout, records[start:])
+    feeder = _Feeder(sim, array, records, requests, completions, start, cut)
+    sim.run_until_triggered(feeder.start())
+    return feeder.index
 
 
-def advance_shard(
-    payload: bytes,
-    remaining: list,
-    tentative: int,
-    first_shard: bool,
-    last_arrival_s: float,
-) -> ShardHandoff:
-    """Replay a prefix of ``remaining`` records and cut at quiescence.
-
-    ``tentative`` is the requested slice length; the actual cut extends
-    past it whenever draining to quiescence would overrun the next
-    arrival (the validity condition above).  Runs from — and, on an
-    invalid cut, retries from — the ``payload`` snapshot, so the final
-    attempt is the only one that leaves a trace in the returned state.
-
-    Returns a handoff without a payload when the extension consumes
-    every remaining record without finding a valid cut — i.e. from this
-    start there is no quiescent gap at all; its ``events`` still count
-    the simulation the search spent.  The caller must then fold the whole
-    tail into the final shard: a cut may only land *between* arrivals,
-    never past the trace's end, because the closing flow
-    (:func:`finish_shard`) clamps at the measurement horizon whereas a
-    quiescence drain would run trailing background work (the AFRAID
-    scrub) to exhaustion — beyond what the horizon admits.
-    """
-    total = len(remaining)
-    stop = tentative
-    events = 0
-    with _gc_paused():
-        while stop < total:
-            sim, array, requests, completions = pickle.loads(payload)
-            base = sim.events_dispatched
-            done = _arm_feeder(
-                sim, array, remaining[:stop], requests, completions, first_shard, last_arrival_s
-            )
-            sim.run_until_triggered(done)
-            arrival = sim._now
-            sim.run()  # drain to complete quiescence
-            events += sim.events_dispatched - base
-            target = arrival + (remaining[stop].time_s - arrival)
-            if sim._now < target:
-                return ShardHandoff(
-                    _snapshot(sim, array, requests, completions), stop, arrival, sim._now,
-                    events,
-                )
-            # The tail (idle declaration, scrub pass) ran past the next
-            # arrival: the unsharded run would have interleaved them.  Extend
-            # the slice beyond everything the drain overlapped and retry.
-            extended = stop + 1
-            while extended < total and remaining[extended].time_s <= sim._now:
-                extended += 1
-            stop = extended
-    return ShardHandoff(payload=None, events=events)
-
-
-def finish_shard(
-    payload: bytes,
-    remaining: list,
-    first_shard: bool,
-    last_arrival_s: float,
+def _close(
+    state: tuple,
+    base: int,
     duration_s: float,
     extra_settle_s: float,
     finalize: bool,
-    extras_fn: typing.Callable[..., dict] | None = None,
-) -> bytes:
-    """Replay the final slice and close the books like ``replay_trace``.
-
-    ``extras_fn(sim, array)`` — a module-level (picklable) callable —
-    runs after finalisation and its return value lands in
-    ``ShardReplayResult.extras``; callers that need more than the
-    counters (histogram payloads, end-state gauges) collect them here,
-    on whichever side of the process boundary the final shard ran.
-
-    Returns a pickle of the :class:`ShardReplayResult`.
-    """
-    sim, array, requests, completions = pickle.loads(payload)
-    base = sim.events_dispatched
-    with _gc_paused():
-        if remaining:
-            done = _arm_feeder(
-                sim, array, remaining, requests, completions, first_shard, last_arrival_s
-            )
-            sim.run_until_triggered(done)
-        outcomes = sim.run_until_triggered(gather(sim, completions))
-        failures = [value for ok, value in outcomes if not ok]
-        horizon = max(duration_s, sim.now) + extra_settle_s
-        sim.run(until=horizon)
+    extras_fn: typing.Callable[..., dict] | None,
+) -> ShardReplayResult:
+    """Drain a fully fed replay to its horizon and build the result."""
+    sim, array, requests, completions = state
+    outcomes = sim.run_until_triggered(gather(sim, completions))
+    failures = [value for ok, value in outcomes if not ok]
+    horizon = max(duration_s, sim.now) + extra_settle_s
+    sim.run(until=horizon)
     if finalize:
         array.finalize()
     outcome = ReplayOutcome(requests=requests, failures=failures, horizon_s=horizon)
@@ -263,7 +167,57 @@ def finish_shard(
     result.events_simulated = sim.events_dispatched - base
     if extras_fn is not None:
         result.extras = extras_fn(sim, array)
-    return pickle.dumps(result, protocol=PICKLE_PROTOCOL)
+    return result
+
+
+def advance_shard(
+    state: tuple,
+    records: list,
+    start: int,
+    cut: int,
+    duration_s: float,
+    extra_settle_s: float,
+    finalize: bool,
+    extras_fn: typing.Callable[..., dict] | None = None,
+) -> "ShardHandoff | ShardReplayResult":
+    """Replay ``records`` from ``start`` to the first quiescent cut at or past ``cut``.
+
+    ``state`` is ``(sim, array, requests, completions)``, freshly built
+    for ``start == 0`` and otherwise paused at the arrival of record
+    ``start``.  Returns the :class:`ShardHandoff` of the pause.  A search
+    that reaches the end of the trace without one closes the books in the
+    same simulation instead and returns :func:`finish_shard`'s result.
+    """
+    sim = state[0]
+    base = sim.events_dispatched
+    with _gc_paused():
+        consumed = _feed(state, records, start, cut)
+        if consumed == len(records):
+            return _close(state, base, duration_s, extra_settle_s, finalize, extras_fn)
+    return ShardHandoff(state, consumed, sim.events_dispatched - base)
+
+
+def finish_shard(
+    state: tuple,
+    records: list,
+    start: int,
+    duration_s: float,
+    extra_settle_s: float,
+    finalize: bool,
+    extras_fn: typing.Callable[..., dict] | None = None,
+) -> ShardReplayResult:
+    """Replay ``records`` from ``start`` and close the books like ``replay_trace``.
+
+    ``extras_fn(sim, array)`` — a module-level (picklable) callable —
+    runs after finalisation and its return value lands in
+    ``ShardReplayResult.extras``; callers that need more than the
+    counters (histogram payloads, end-state gauges) collect them here,
+    on whichever side of the process boundary the final shard ran.
+    """
+    base = state[0].events_dispatched
+    with _gc_paused():
+        _feed(state, records, start, len(records))
+        return _close(state, base, duration_s, extra_settle_s, finalize, extras_fn)
 
 
 def replay_trace_sharded(
@@ -283,9 +237,8 @@ def replay_trace_sharded(
     submitted).  ``submit(fn, *args)`` runs one shard step and returns its
     result — pass a pool adapter (e.g. ``lambda fn, *a:
     pool.submit(fn, *a).result()``) to execute each shard in a worker
-    process; the default runs in-process.  Either way the handoff is the
-    same pickled payload, so the in-process mode exercises (and proves)
-    snapshot fidelity too.
+    process, the handoff then crossing the boundary as a pickle; the
+    default runs every step in-process on the one live simulation.
 
     ``checkpoint`` — a :class:`repro.harness.checkpoint.CheckpointScope`
     — turns the replay incremental: the run resumes from the deepest
@@ -307,13 +260,13 @@ def replay_trace_sharded(
             return fn(*args)
     records = list(trace)
     duration_s = trace.duration_s
+    #: What closes the books, and keys a stored final result.
+    closing = (duration_s, extra_settle_s, finalize)
     if checkpoint is not None:
-        stored = checkpoint.lookup_final(records, duration_s, extra_settle_s, finalize)
+        stored = checkpoint.lookup_final(records, *closing)
         if stored is not None:
-            result = pickle.loads(stored)
-            result.events_simulated = 0
-            return result
-    payload = _snapshot(sim, array, [], [])
+            stored.events_simulated = 0
+            return stored
 
     # Tentative cut indices at equal time slices of the nominal duration.
     cuts: list[int] = []
@@ -327,48 +280,31 @@ def replay_trace_sharded(
             cuts.append(index)
     cuts = sorted(set(cuts))
 
+    state = (sim, array, [], [])
     start = 0
-    first_shard = True
-    last_arrival = 0.0
-    events = 0
     if checkpoint is not None:
         resumed = checkpoint.lookup_cut(records)
         if resumed is not None:
-            payload = resumed.payload
-            start = resumed.consumed
-            last_arrival = resumed.last_arrival_s
-            first_shard = False
+            start, state = resumed
+    events = 0
+    result = None
     for cut in cuts:
-        if cut <= start:  # an earlier extension (or a resume) covered this cut
+        if cut <= start:  # an earlier pause (or a resume) covered this cut
             continue
-        handoff = submit(
-            advance_shard, payload, records[start:], cut - start, first_shard, last_arrival
-        )
-        events += handoff.events
-        if handoff.payload is None:
-            # No quiescent gap anywhere past this point; the rest of the
-            # trace runs as one final shard.
+        step = submit(advance_shard, state, records, start, cut, *closing, extras_fn)
+        if isinstance(step, ShardReplayResult):
+            # No quiescent arrival anywhere past this point: the step ran
+            # the rest of the trace and closed the books.
+            result = step
             break
-        payload = handoff.payload
-        start += handoff.consumed
-        last_arrival = handoff.last_arrival_s
-        first_shard = False
+        events += step.events
+        state, start = step.state, step.consumed
         if checkpoint is not None:
-            checkpoint.store_cut(records, start, handoff)
-    final_payload = submit(
-        finish_shard,
-        payload,
-        records[start:],
-        first_shard,
-        last_arrival,
-        duration_s,
-        extra_settle_s,
-        finalize,
-        extras_fn,
-    )
+            checkpoint.store_cut(records, start, state)
+    if result is None:
+        result = submit(finish_shard, state, records, start, *closing, extras_fn)
     if checkpoint is not None:
-        checkpoint.store_final(records, duration_s, extra_settle_s, finalize, final_payload)
-    result = pickle.loads(final_payload)
+        checkpoint.store_final(records, *closing, result)
     result.events_simulated += events
     return result
 
@@ -406,8 +342,8 @@ def run_sharded_replay(
     """Build a fresh paper-configuration array and replay ``workload`` sharded.
 
     ``workers > 0`` runs each shard step in a process pool (the handoff
-    travels through real pickled IPC); ``workers == 0`` runs in-process,
-    still pickling between shards.  ``workers=None`` (the default) picks
+    travels through real pickled IPC); ``workers == 0`` runs in-process
+    on one live simulation.  ``workers=None`` (the default) picks
     ``min(shards, os.cpu_count())`` — a multi-shard replay uses the pool
     automatically — except for the single-shard case, which stays
     in-process.  Returns the result and its :func:`replay_digest`

@@ -1,10 +1,13 @@
 """Tests for the mechanical disk timing model."""
 
+import pickle
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.disk import DiskFailedError, DiskIO, IoKind, hp_c3325, toy_disk
+from repro.disk import DiskFailedError, DiskIO, IoKind, MechanicalDisk, hp_c3325, toy_disk
+from repro.disk import models
 from repro.sim import Simulator
 
 
@@ -170,3 +173,42 @@ class TestTimingProperties:
         small = disk.compute_service(DiskIO(IoKind.READ, 0, nsectors), 0.0)
         large = disk.compute_service(DiskIO(IoKind.READ, 0, nsectors + 1), 0.0)
         assert large.transfer >= small.transfer
+
+
+def seek_sweep(disk):
+    """Service breakdowns of reads at a sweep of seek distances from cylinder 0."""
+    geometry = disk.geometry
+    return [
+        disk.compute_service(DiskIO(IoKind.READ, geometry.physical_to_lba(cylinder, 0, 0), 8), 0.0)
+        for cylinder in range(0, geometry.cylinders, 37)
+    ]
+
+
+class TestSharedModelState:
+    def test_c3325_drives_share_geometry_and_seek_model(self, sim):
+        first, second = hp_c3325(sim, name="d0"), hp_c3325(sim, name="d1")
+        assert first.geometry is second.geometry
+        assert first.seek_model is second.seek_model
+        # A disk built from a freshly fitted curve times every I/O the same.
+        fitted = models.c3325_seek_model.__wrapped__()
+        assert fitted is not first.seek_model
+        fresh = MechanicalDisk(
+            sim,
+            geometry=models.c3325_geometry.__wrapped__(),
+            seek_model=fitted,
+            rpm=first.rpm,
+            controller_overhead_s=first.controller_overhead_s,
+            head_switch_s=first.head_switch_s,
+            name="fresh",
+        )
+        assert first._seek_table == [
+            fitted.seek_time(distance) for distance in range(fresh.geometry.cylinders)
+        ]
+        assert seek_sweep(fresh) == seek_sweep(first) == seek_sweep(second)
+
+    def test_round_tripped_disk_shares_the_cached_table(self, sim):
+        disk = hp_c3325(sim)
+        assert "_seek_table" not in disk.__getstate__()
+        revived = pickle.loads(pickle.dumps(disk))
+        assert revived._seek_table is disk._seek_table
+        assert seek_sweep(revived) == seek_sweep(disk)

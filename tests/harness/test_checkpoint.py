@@ -8,6 +8,8 @@ version-mismatched store never silently corrupts a resume (eviction and
 truncation fall back to cold, a foreign version is refused loudly).
 """
 
+import dataclasses
+import functools
 import glob
 import json
 import os
@@ -16,22 +18,25 @@ import shutil
 
 import pytest
 
+from repro.array.controller import DiskArray
 from repro.array.factory import build_array
 from repro.harness import checkpoint as checkpoint_mod
 from repro.harness.checkpoint import (
+    PICKLE_PROTOCOL,
     CheckpointStore,
     CheckpointVersionError,
     records_digest,
 )
+from repro.harness.replay import replay_trace
 from repro.harness.sharding import (
-    PICKLE_PROTOCOL,
+    ShardReplayResult,
     replay_digest,
     replay_trace_sharded,
     run_sharded_replay,
 )
 from repro.policy import AlwaysRaid5Policy, BaselineAfraidPolicy, NeverScrubPolicy
 from repro.sim import Simulator
-from repro.traces import make_trace
+from repro.traces import Trace, make_trace
 
 POLICIES = {
     "afraid": BaselineAfraidPolicy,
@@ -142,6 +147,78 @@ def test_run_sharded_replay_checkpoint_round_trip(tmp_path):
     assert cold_digest == warm_digest == plain_digest
     assert cold.events_simulated > 0
     assert warm.events_simulated == 0
+
+
+# -- every organization, with no re-simulation -------------------------------------------
+
+#: Disk count per organization (three mirrored pairs for the hybrids).
+NDISKS = {"raid5": 5, "raid5d": 5, "raid1": 2, "raid10": 6, "raid15": 6}
+
+
+def _org_cell(organization, policy, workload):
+    sim = Simulator()
+    array = build_array(
+        sim, POLICIES[policy](), ndisks=NDISKS[organization], organization=organization
+    )
+    trace = make_trace(
+        workload,
+        duration_s=10.0,
+        seed=5,
+        address_space_sectors=array.layout.total_data_sectors,
+    )
+    return sim, array, trace
+
+
+@functools.cache
+def _org_direct(organization, policy, workload):
+    """``replay_trace``'s digest and event count for one cell."""
+    sim, array, trace = _org_cell(organization, policy, workload)
+    outcome = replay_trace(sim, array, trace)
+    return replay_digest(ShardReplayResult.from_array(array, outcome)), sim.events_dispatched
+
+
+def _count_submits(monkeypatch):
+    """Patch ``DiskArray.submit`` to log every call; returns the log."""
+    calls = []
+    submit = DiskArray.submit
+
+    def counting(self, request):
+        calls.append(request)
+        return submit(self, request)
+
+    monkeypatch.setattr(DiskArray, "submit", counting)
+    return calls
+
+
+@pytest.mark.parametrize("shards", [1, 2, 4])
+@pytest.mark.parametrize("workload", ["cello-usr", "ATT"])
+@pytest.mark.parametrize("policy", ["afraid", "raid5"])
+@pytest.mark.parametrize("organization", sorted(NDISKS))
+def test_every_organization_cold_and_resumed_without_resimulation(
+    tmp_path, monkeypatch, organization, policy, workload, shards
+):
+    """Cold checkpointed runs, and runs resumed from each stored cut alone,
+    match ``replay_trace``; each record is submitted exactly once."""
+    expected, events = _org_direct(organization, policy, workload)
+    submitted = _count_submits(monkeypatch)
+    config = {"organization": organization, "policy": policy, "workload": workload}
+    scope = CheckpointStore(tmp_path / "cold").scope(config)
+    sim, array, trace = _org_cell(organization, policy, workload)
+    cold = replay_trace_sharded(sim, array, trace, shards=shards, checkpoint=scope)
+    assert replay_digest(cold) == expected
+    assert cold.events_simulated == events
+    assert len(submitted) == len(trace)
+
+    for path in _entry_files(scope, "cut"):
+        consumed = int(os.path.basename(path)[4:-5])
+        alone = CheckpointStore(tmp_path / f"cut-{consumed}").scope(config)
+        os.makedirs(alone.path)
+        shutil.copy2(path, alone.path)
+        submitted.clear()
+        sim, array, trace = _org_cell(organization, policy, workload)
+        resumed = replay_trace_sharded(sim, array, trace, shards=shards, checkpoint=alone)
+        assert replay_digest(resumed) == expected, f"resume from cut {consumed} diverged"
+        assert len(submitted) == len(trace) - consumed
 
 
 # -- store maintenance: eviction --------------------------------------------------------
@@ -285,6 +362,33 @@ def test_prefix_digest_guards_against_different_trace_content(tmp_path):
     fresh_sim = Simulator()
     fresh_array = build_array(fresh_sim, BaselineAfraidPolicy())
     expected = replay_trace_sharded(fresh_sim, fresh_array, trace_b, shards=4)
+    assert replay_digest(result) == replay_digest(expected)
+
+
+def test_cut_never_resumes_into_a_trace_whose_next_record_differs(tmp_path):
+    """A cut is paused at the arrival of record ``consumed``, so its digest
+    covers that record too: moving it earlier than the paused state's
+    clock must miss the cut, not resume into the past."""
+    _, scope = _scope(tmp_path, "cello-usr", "afraid")
+    _replay("cello-usr", "afraid", 12.0, scope=scope)
+    assert os.path.exists(os.path.join(scope.path, "cut-00000072.ckpt"))
+
+    sim = Simulator()
+    array = build_array(sim, BaselineAfraidPolicy())
+    trace = make_trace(
+        "cello-usr", duration_s=12.0, seed=42,
+        address_space_sectors=array.layout.total_data_sectors,
+    )
+    records = list(trace)
+    assert records[71].time_s < 2.62 < records[72].time_s
+    records[72] = dataclasses.replace(records[72], time_s=2.62)
+    edited = Trace(trace.name, records, trace.duration_s)
+    result = replay_trace_sharded(sim, array, edited, shards=4, checkpoint=scope)
+
+    cold_sim = Simulator()
+    cold_array = build_array(cold_sim, BaselineAfraidPolicy())
+    cold = replay_trace(cold_sim, cold_array, edited)
+    expected = ShardReplayResult.from_array(cold_array, cold)
     assert replay_digest(result) == replay_digest(expected)
 
 

@@ -8,6 +8,7 @@ replay, for any N, whether the shard steps run in-process or in worker
 processes.
 """
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -15,6 +16,7 @@ import pytest
 from repro.array.factory import build_array
 from repro.harness.replay import replay_trace
 from repro.harness.sharding import (
+    ShardHandoff,
     ShardReplayResult,
     advance_shard,
     replay_digest,
@@ -88,8 +90,7 @@ class TestShardCountInvariance:
         assert result.parity_lag == reference.parity_lag
 
     def test_n1_equals_direct_flow(self):
-        # shards=1 must degenerate to exactly the replay_trace flow with
-        # one snapshot round-trip — proving pickling alone changes nothing.
+        # shards=1 must degenerate to exactly the replay_trace flow.
         reference = _direct("cello-usr", "raid5", 10.0, 3)
         result = _sharded("cello-usr", "raid5", 10.0, 3, 1)
         assert replay_digest(result) == replay_digest(reference)
@@ -129,26 +130,70 @@ class TestSpecEntryPoint:
             replay_trace_sharded(sim, array, trace, shards=0)
 
 
-class TestCutSearch:
-    def test_no_cut_signals_none(self):
-        # A tentative count at/past the slice end cannot produce a cut:
-        # the handoff carries no payload, and nothing was simulated.
-        import pickle
+def _quiescent_arrivals(policy: str, workload: str, duration_s: float, seed: int):
+    """Indices of the records whose arrival finds an unsharded replay's
+    simulator otherwise empty (probed as the feeder submits each one)."""
+    sim, array = _fresh(policy)
+    trace = _trace_for(array, workload, duration_s, seed)
+    quiet = []
+    submitted = []
+    submit = array.submit
 
-        sim, array = _fresh("afraid")
-        payload = pickle.dumps((sim, array, [], []), protocol=pickle.HIGHEST_PROTOCOL)
-        trace = _trace_for(array, "cello-usr", 5.0, 42)
+    def probe(request):
+        if sim.peek() == math.inf:
+            quiet.append(len(submitted))
+        submitted.append(request)
+        return submit(request)
+
+    array.submit = probe
+    replay_trace(sim, array, trace)
+    return quiet
+
+
+class TestCutSearch:
+    def test_step_pauses_at_first_quiescent_arrival_at_or_past_cut(self):
+        # ATT's quiescent arrivals are scarce, so the search runs past
+        # its tentative index before it finds one.
+        quiet = _quiescent_arrivals("raid5", "ATT", 20.0, 11)
+        sim, array = _fresh("raid5")
+        trace = _trace_for(array, "ATT", 20.0, 11)
         records = list(trace)
-        handoff = advance_shard(payload, records, len(records), True, 0.0)
-        assert handoff.payload is None
-        assert handoff.events == 0
+        cut = len(records) // 4
+        expected = min(index for index in quiet if index >= cut)
+        assert expected > cut
+        handoff = advance_shard(
+            (sim, array, [], []), records, 0, cut, trace.duration_s, 0.0, True
+        )
+        assert isinstance(handoff, ShardHandoff)
+        assert handoff.consumed == expected
+        paused_sim, paused_array, requests, completions = handoff.state
+        assert paused_sim is sim and paused_array is array  # handed over live
+        assert sim.peek() == math.inf
+        assert records[expected - 1].time_s < sim.now
+        assert len(requests) == len(completions) == expected
+        assert handoff.events == sim.events_dispatched
+
+    def test_search_without_cut_closes_the_books_in_the_same_simulation(self):
+        quiet = _quiescent_arrivals("raid5", "ATT", 20.0, 11)
+        reference = _direct("ATT", "raid5", 20.0, 11)
+        sim, array = _fresh("raid5")
+        trace = _trace_for(array, "ATT", 20.0, 11)
+        records = list(trace)
+        result = advance_shard(
+            (sim, array, [], []), records, 0, quiet[-1] + 1, trace.duration_s, 0.0, True
+        )
+        assert isinstance(result, ShardReplayResult)
+        assert result.stats is array.stats
+        assert replay_digest(result) == replay_digest(reference)
+        assert result.events_simulated == sim.events_dispatched
 
 
 class TestEventAccounting:
     @pytest.mark.parametrize("shards", [1, 4])
     def test_events_simulated_counts_every_dispatch(self, monkeypatch, shards):
-        # ATT under AFRAID starves the cut search, so with 4 shards whole
-        # searches fail and are retried; their events were paid too.
+        # ATT under AFRAID has no quiescent arrival, so with 4 shards the
+        # first step runs to the end and closes the books; every event is
+        # counted once.
         dispatched = []
 
         def counting(method):
