@@ -20,7 +20,8 @@ import sys
 import tempfile
 import threading
 
-from repro.harness.runner import ladder_specs, result_to_payload, run_cells
+from repro.harness.experiment import result_to_payload
+from repro.harness.runner import ladder_specs, run_cells
 from repro.service import JobManager, ServiceClient, ServiceServer, cell_label
 
 

@@ -35,6 +35,10 @@ Quick start::
     sim.run_until_triggered(done)                  # 1 disk I/O, not 4
 """
 
+# Defined before the imports below: the result store, imported with
+# ``repro.harness``, stamps it into every checkpoint header.
+__version__ = "1.0.0"
+
 from repro.array import ArrayRequest, DiskArray, paper_array, toy_array
 from repro.availability import TABLE_1, ReliabilityParams
 from repro.disk import IoKind
@@ -49,8 +53,6 @@ from repro.policy import (
 )
 from repro.sim import Simulator
 from repro.traces import make_trace, workload_names
-
-__version__ = "1.0.0"
 
 __all__ = [
     "AlwaysRaid5Policy",

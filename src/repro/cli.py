@@ -358,7 +358,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     from repro.harness import (
         DEFAULT_MTTDL_TARGETS,
-        ResultCache,
+        CheckpointStore,
         SweepInterrupted,
         ladder_specs,
         run_cells,
@@ -404,7 +404,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         )
         return 130
     if cache_dir is not None and args.cache_max_bytes is not None:
-        removed, freed = ResultCache(cache_dir).prune(args.cache_max_bytes)
+        removed, freed = CheckpointStore(cache_dir).prune(args.cache_max_bytes)
         if removed and not args.json:
             print(
                 f"cache pruned: {removed} entries, {freed / 1024:.0f} KB freed",

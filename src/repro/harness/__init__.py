@@ -11,6 +11,7 @@ from repro.harness.campaign import (
     run_campaign_suite,
     write_campaign_reports,
 )
+from repro.harness.checkpoint import CheckpointStore
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.harness.figures import ascii_bars, ascii_scatter, ascii_series
 from repro.harness.nemesis import NemesisOutcome, run_nemesis, write_nemesis_report
@@ -21,7 +22,6 @@ from repro.harness.runner import (
     CellOutcome,
     CellSpec,
     PolicySpec,
-    ResultCache,
     SweepInterrupted,
     SweepOutcome,
     cache_key,
@@ -46,11 +46,11 @@ __all__ = [
     "CellExecutor",
     "CellOutcome",
     "CellSpec",
+    "CheckpointStore",
     "ExperimentResult",
     "NemesisOutcome",
     "PolicyLadderEntry",
     "PolicySpec",
-    "ResultCache",
     "SweepInterrupted",
     "SweepOutcome",
     "ascii_bars",

@@ -1,44 +1,62 @@
-"""Content-addressed on-disk store for replay checkpoints.
+"""The one on-disk result store: finished cells and replay checkpoints.
 
-A checkpoint is one of the quiescent cuts :mod:`repro.harness.sharding`
-pauses at — the full simulator + array state at the arrival of one
-trace record, before that record is submitted — pickled and persisted so
-a later replay of the same cell can resume from the longest matching
-trace prefix instead of re-simulating from ``t=0``.  The final shard's
-:class:`ShardReplayResult` is stored too, as the last rung of the prefix
-ladder: a byte-identical re-run pays only the store lookup, a
-``--duration`` extension resumes from the deepest cut inside the new
-trace, and everything else falls back to a cold replay.
+A :class:`CheckpointStore` directory holds two kinds of entry:
 
-Keying follows the same fingerprint discipline as
-:class:`repro.harness.runner.ResultCache`:
+* **Cell entries** — ``<key>.json`` at the store root, one finished
+  :class:`~repro.harness.experiment.ExperimentResult` each, in
+  :func:`~repro.harness.experiment.result_to_payload` form.  The key is
+  :func:`repro.harness.runner.cache_key`: the cell configuration, the
+  payload schema and :func:`code_fingerprint`.  ``--cache-dir``, the
+  service's cache-first admission and ``run_cell(spec,
+  checkpoint_dir=...)`` all read them.  They are JSON, so loading one
+  cannot run code.
+* **Scope entries** — one subdirectory per *scope* (a keyed replay
+  configuration) holding the quiescent cuts
+  :mod:`repro.harness.sharding` pauses at (the full simulator + array
+  state at the arrival of one trace record, before that record is
+  submitted) and the final :class:`ShardReplayResult` of each complete
+  replay, pickled.
 
-* the **scope** (one directory per keyed configuration) hashes the cell
-  configuration — workload identity, policy, array geometry,
-  reliability parameters — together with :func:`code_fingerprint` and a
-  schema number, so any change to the simulator's code invalidates every
-  checkpoint it wrote;
+A checkpointed cell is answered by the first rung that hits:
+
+1. its cell entry — one keyed read, before any array is built or any
+   trace synthesised;
+2. the final of an identical complete replay — zero events simulated;
+3. the deepest stored cut whose record prefix matches the trace — only
+   the suffix is simulated (this is what a ``--duration`` extension
+   pays);
+4. a cold replay.
+
+Scope keying follows the same fingerprint discipline as cell keys:
+
+* the **scope** hashes the replay configuration — workload identity,
+  policy, array geometry, reliability parameters — together with
+  :func:`code_fingerprint` and :data:`STORE_SCHEMA`, so any change to the
+  simulator's code invalidates every entry it wrote;
 * each **cut entry** additionally records the index ``consumed`` of the
   record it is paused at and a digest of ``records[:consumed + 1]`` —
   the submitted records *and* the paused one, whose arrival the state's
   clock already reads — so a checkpoint is only ever resumed into a
-  trace whose prefix is bit-identical to the one that produced it (this
-  is what makes ``--duration`` extension safe: the synthetic generators
-  emit identical prefixes for longer durations, and the digest proves
-  it);
+  trace whose prefix is bit-identical to the one that produced it (the
+  synthetic generators emit identical prefixes for longer durations,
+  and the digest proves it);
 * each **final entry** is additionally keyed on the full record count,
   the measurement-horizon inputs (duration, settle) and the finalize
   flag — everything that distinguishes one complete replay from another
   within a scope.
 
-Entries are written atomically (tmp + rename) in a self-describing
-container: a magic line, a JSON header, then the raw payload pickle.
-The header names the repro version and the pinned pickle protocol
-(:data:`PICKLE_PROTOCOL`); a mismatch on either
+Every entry is written the same way: a temp file renamed into place,
+best effort — a failed write (a full disk) removes its temp file and
+leaves a miss, never failing the run that produced the result.  Every
+entry is read under one rule: a corrupt entry (unparseable, wrong shape,
+truncated) is deleted on sight and treated as a miss.  Scope entries are
+a self-describing container — a magic line, a JSON header naming the
+repro version and the pinned pickle protocol (:data:`PICKLE_PROTOCOL`),
+then the raw payload pickle; an intact entry from a different build
 raises :class:`CheckpointVersionError` naming both sides, so a stale
-store can never silently corrupt a resume.  A *corrupted* entry
-(truncated payload, garbage header) is quietly deleted and treated as a
-miss — the replay falls back to cold and rewrites it.
+store can never silently corrupt a resume.  :meth:`CheckpointStore.
+size_bytes`, :meth:`~CheckpointStore.listing` and
+:meth:`~CheckpointStore.prune` see both kinds, oldest first by mtime.
 """
 
 from __future__ import annotations
@@ -46,18 +64,19 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import pathlib
 import pickle
 import struct
 import typing
 
 from repro import __version__ as _REPRO_VERSION
-from repro.harness.runner import code_fingerprint
+from repro.harness.experiment import ExperimentResult, result_from_payload, result_to_payload
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.harness.sharding import ShardReplayResult
     from repro.traces.records import TraceRecord
 
-#: Bump when the entry container format changes incompatibly.
+#: Bump when the scope-entry container format changes incompatibly.
 STORE_SCHEMA = 2
 
 #: Pickle protocol of every checkpoint payload.  Pinned explicitly (not
@@ -76,6 +95,25 @@ class CheckpointError(RuntimeError):
 class CheckpointVersionError(CheckpointError):
     """A checkpoint was written by a different repro version or pickle
     protocol than this process uses; resuming from it is refused."""
+
+
+def code_fingerprint(refresh: bool = False) -> str:
+    """A hash of every ``repro`` source file, so code edits invalidate results.
+
+    Computed once per process; ``refresh=True`` forces a rescan (tests).
+    """
+    global _FINGERPRINT
+    if _FINGERPRINT is None or refresh:
+        package_root = pathlib.Path(__file__).resolve().parent.parent
+        digest = hashlib.sha256()
+        for path in sorted(package_root.rglob("*.py")):
+            digest.update(str(path.relative_to(package_root)).encode())
+            digest.update(path.read_bytes())
+        _FINGERPRINT = digest.hexdigest()
+    return _FINGERPRINT
+
+
+_FINGERPRINT: str | None = None
 
 
 def records_digest(records: typing.Sequence["TraceRecord"], upto: int) -> str:
@@ -126,8 +164,41 @@ def _prefix_digests(
     return out
 
 
+def _discard(path: str | os.PathLike) -> None:
+    try:
+        os.unlink(path)
+    except OSError:
+        pass
+
+
+def _parse_scope_entry(path: str, blob: bytes) -> tuple[dict, bytes]:
+    """Split a scope entry into header and payload.
+
+    Raises ``ValueError`` (or ``KeyError``/``TypeError``) for a corrupt
+    entry, and :class:`CheckpointVersionError` for an intact entry from a
+    different repro build — silently resuming from that is exactly the
+    failure mode the pinned header exists to prevent.
+    """
+    if not blob.startswith(_MAGIC):
+        raise ValueError("bad magic")
+    header_line, _, payload = blob[len(_MAGIC):].partition(b"\n")
+    header = json.loads(header_line)
+    declared = header["payload_bytes"]
+    if header.get("version") != _REPRO_VERSION or header.get("protocol") != PICKLE_PROTOCOL:
+        raise CheckpointVersionError(
+            f"checkpoint {path} was written by repro "
+            f"{header.get('version')!r} (pickle protocol {header.get('protocol')!r}) "
+            f"but this is repro {_REPRO_VERSION!r} (pickle protocol "
+            f"{PICKLE_PROTOCOL!r}); delete the store or point "
+            f"--checkpoint-dir at a fresh directory"
+        )
+    if len(payload) != declared:
+        raise ValueError("truncated payload")  # a crash mid-store
+    return header, payload
+
+
 class CheckpointScope:
-    """One keyed configuration's slice of the store (a subdirectory)."""
+    """One keyed replay configuration's slice of the store (a subdirectory)."""
 
     def __init__(self, store: "CheckpointStore", key: str) -> None:
         self.store = store
@@ -137,68 +208,14 @@ class CheckpointScope:
     # -- entry I/O ---------------------------------------------------------------
 
     def _write(self, filename: str, header: dict, payload: bytes) -> None:
-        os.makedirs(self.path, exist_ok=True)
-        header = dict(header)
-        header["version"] = _REPRO_VERSION
-        header["protocol"] = PICKLE_PROTOCOL
-        path = os.path.join(self.path, filename)
-        tmp = f"{path}.tmp.{os.getpid()}"
+        header = dict(header, version=_REPRO_VERSION, protocol=PICKLE_PROTOCOL)
         blob = _MAGIC + json.dumps(header, sort_keys=True).encode() + b"\n" + payload
-        try:
-            with open(tmp, "wb") as handle:
-                handle.write(blob)
-            os.replace(tmp, path)
-        except OSError:
-            # Best-effort store: a full disk must not fail the replay.
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+        self.store._write(os.path.join(self.path, filename), blob)
 
     def _read(self, filename: str) -> tuple[dict, bytes] | None:
-        """Header + payload, or ``None`` for missing/corrupt entries.
-
-        Corrupt entries are deleted on sight.  A version or protocol
-        mismatch raises :class:`CheckpointVersionError` instead — the
-        entry is intact, it just belongs to a different repro build, and
-        silently resuming from it is exactly the failure mode the pinned
-        header exists to prevent.
-        """
+        """Header + payload, or ``None`` for missing/corrupt entries."""
         path = os.path.join(self.path, filename)
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            return None
-        try:
-            if not blob.startswith(_MAGIC):
-                raise ValueError("bad magic")
-            rest = blob[len(_MAGIC):]
-            header_line, _, payload = rest.partition(b"\n")
-            header = json.loads(header_line)
-            declared = header["payload_bytes"]
-        except (ValueError, KeyError):
-            self._discard(path)
-            return None
-        if header.get("version") != _REPRO_VERSION or header.get("protocol") != PICKLE_PROTOCOL:
-            raise CheckpointVersionError(
-                f"checkpoint {path} was written by repro "
-                f"{header.get('version')!r} (pickle protocol {header.get('protocol')!r}) "
-                f"but this is repro {_REPRO_VERSION!r} (pickle protocol "
-                f"{PICKLE_PROTOCOL!r}); delete the store or point "
-                f"--checkpoint-dir at a fresh directory"
-            )
-        if len(payload) != declared:
-            # Truncated write (crash mid-store): recover by discarding.
-            self._discard(path)
-            return None
-        return header, payload
-
-    def _discard(self, path: str) -> None:
-        try:
-            os.unlink(path)
-        except OSError:
-            pass
+        return self.store._read(path, lambda blob: _parse_scope_entry(path, blob))
 
     # -- cuts --------------------------------------------------------------------
 
@@ -247,7 +264,7 @@ class CheckpointScope:
                 continue
             header, payload = entry
             if header.get("kind") != "cut" or header.get("consumed") != consumed:
-                self._discard(os.path.join(self.path, name))
+                _discard(os.path.join(self.path, name))
                 continue
             if header.get("prefix_sha") != digests[consumed + 1]:
                 continue  # same scope, different trace content — not ours
@@ -313,14 +330,64 @@ class CheckpointScope:
 
 
 class CheckpointStore:
-    """Directory of replay checkpoints, one subdirectory per scope key."""
+    """A directory of cell entries (``<key>.json``) and scope subdirectories."""
 
     def __init__(self, root: str | os.PathLike) -> None:
-        self.root = os.fspath(root)
-        os.makedirs(self.root, exist_ok=True)
+        self.root = pathlib.Path(root)
+        self.root.mkdir(parents=True, exist_ok=True)
+
+    # -- entry I/O: one write and one corrupt-entry rule for both kinds -----------
+
+    def _write(self, path: str, blob: bytes) -> None:
+        """Place ``blob`` at ``path`` atomically (temp file + rename), best effort."""
+        tmp = f"{path}.tmp.{os.getpid()}"
+        try:
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            with open(tmp, "wb") as handle:
+                handle.write(blob)
+            os.replace(tmp, path)
+        except OSError:
+            # A full disk must not fail the run that produced the entry:
+            # the entry just stays a miss.
+            _discard(tmp)
+
+    def _read(self, path: str, parse: typing.Callable[[bytes], typing.Any]) -> typing.Any:
+        """``parse(blob)`` of the entry at ``path``; ``None`` if missing or corrupt.
+
+        A corrupt entry — ``parse`` raising ``ValueError``, ``KeyError``,
+        ``TypeError`` or ``AttributeError`` — is deleted on sight, so the
+        run that misses rewrites it.
+        """
+        try:
+            with open(path, "rb") as handle:
+                blob = handle.read()
+        except OSError:
+            return None
+        try:
+            return parse(blob)
+        except (ValueError, KeyError, TypeError, AttributeError):
+            _discard(path)
+            return None
+
+    # -- cell entries ------------------------------------------------------------
+
+    def _cell_path(self, key: str) -> str:
+        return os.path.join(self.root, f"{key}.json")
+
+    def load(self, key: str) -> ExperimentResult | None:
+        """The finished cell stored under ``key``, or ``None``."""
+        return self._read(
+            self._cell_path(key), lambda blob: result_from_payload(json.loads(blob))
+        )
+
+    def store(self, key: str, result: ExperimentResult) -> None:
+        """Store a finished cell under ``key`` (best effort)."""
+        self._write(self._cell_path(key), json.dumps(result_to_payload(result)).encode())
+
+    # -- scope entries -----------------------------------------------------------
 
     def scope(self, config: dict) -> CheckpointScope:
-        """The scope for one keyed configuration.
+        """The scope for one keyed replay configuration.
 
         ``config`` must be a JSON-serialisable description of everything
         (other than the trace records themselves) that determines the
@@ -342,51 +409,48 @@ class CheckpointStore:
 
     # -- maintenance -------------------------------------------------------------
 
-    def _entries(self) -> list[tuple[float, int, str]]:
-        """(mtime, size, path) of every entry file, oldest first."""
-        found: list[tuple[float, int, str]] = []
-        try:
-            scopes = os.listdir(self.root)
-        except OSError:
-            return found
-        for scope in scopes:
-            scope_dir = os.path.join(self.root, scope)
+    def _entries(self) -> list[tuple[float, int, pathlib.Path]]:
+        """(mtime, size, path) of every cell and scope entry, oldest first."""
+        found = []
+        for path in [*self.root.glob("*.json"), *self.root.glob("*/*.ckpt")]:
             try:
-                names = os.listdir(scope_dir)
+                info = path.stat()
             except OSError:
-                continue
-            for name in names:
-                if not name.endswith(".ckpt"):
-                    continue
-                path = os.path.join(scope_dir, name)
-                try:
-                    info = os.stat(path)
-                except OSError:
-                    continue
-                found.append((info.st_mtime, info.st_size, path))
+                continue  # removed concurrently
+            found.append((info.st_mtime, info.st_size, path))
         found.sort()
         return found
 
     def size_bytes(self) -> int:
-        """Total bytes currently stored."""
+        """Total bytes currently stored, cell and scope entries alike."""
         return sum(size for _, size, _ in self._entries())
 
     def listing(self) -> list[dict]:
-        """One row per entry (scope, name, bytes) — for store audits."""
-        return [
-            {
-                "scope": os.path.basename(os.path.dirname(path)),
-                "entry": os.path.basename(path),
-                "bytes": size,
-            }
-            for _, size, path in self._entries()
-        ]
+        """One row per entry, oldest first — for store audits.
+
+        ``kind`` is ``"cell"``, ``"cut"`` or ``"final"``; ``scope`` is
+        ``None`` for cell entries.
+        """
+        rows = []
+        for _, size, path in self._entries():
+            cell = path.parent == self.root
+            rows.append(
+                {
+                    "kind": "cell" if cell else path.name.split("-", 1)[0],
+                    "scope": None if cell else path.parent.name,
+                    "entry": path.name,
+                    "bytes": size,
+                }
+            )
+        return rows
 
     def prune(self, max_bytes: int) -> tuple[int, int]:
-        """Delete oldest entries until the store fits ``max_bytes``.
+        """Evict the oldest entries (by mtime, across both kinds) until the
+        store fits ``max_bytes``; scope directories left empty go too.
 
-        Returns ``(entries_removed, bytes_freed)`` — the same contract as
-        ``ResultCache.prune``.
+        Returns ``(entries_removed, bytes_freed)``.  Entries that vanish
+        concurrently (another process pruning, or a store racing) are
+        simply skipped — pruning is advisory, never load-bearing.
         """
         entries = self._entries()
         total = sum(size for _, size, _ in entries)
@@ -395,18 +459,15 @@ class CheckpointStore:
             if total <= max_bytes:
                 break
             try:
-                os.unlink(path)
+                path.unlink()
             except OSError:
                 continue
             total -= size
             removed += 1
             freed += size
-        # Drop scope directories emptied by the sweep (best-effort).
-        for scope in os.listdir(self.root):
-            scope_dir = os.path.join(self.root, scope)
+        for scope_dir in self.root.glob("*/"):
             try:
-                if os.path.isdir(scope_dir) and not os.listdir(scope_dir):
-                    os.rmdir(scope_dir)
+                scope_dir.rmdir()  # refuses a scope that still holds entries
             except OSError:
                 continue
         return removed, freed

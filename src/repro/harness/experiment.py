@@ -32,6 +32,15 @@ if typing.TYPE_CHECKING:  # pragma: no cover - optional observability
     from repro.obs import MetricsRegistry, Tracer
 
 
+def _encode(value):
+    """``value`` with every infinite float (nested in dicts too) as ``"inf"``."""
+    if isinstance(value, float) and value == float("inf"):
+        return "inf"
+    if isinstance(value, dict):
+        return {key: _encode(item) for key, item in value.items()}
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class ExperimentResult:
     """Everything one run contributes to the paper's tables and figures."""
@@ -106,12 +115,6 @@ class ExperimentResult:
         Infinities are rendered as the string ``"inf"`` so the output is
         strict-JSON safe; everything else is plain numbers/strings.
         """
-
-        def jsonable(value):
-            if isinstance(value, float) and value == float("inf"):
-                return "inf"
-            return value
-
         payload = {
             "workload": self.workload,
             "policy": self.policy,
@@ -136,7 +139,41 @@ class ExperimentResult:
             "mttdl_overall_h": self.mttdl_overall_h,
             "mdlr_overall_bytes_per_h": self.mdlr_overall_bytes_per_h,
         }
-        return {key: jsonable(value) for key, value in payload.items()}
+        return {key: _encode(value) for key, value in payload.items()}
+
+
+def result_to_payload(result: ExperimentResult) -> dict:
+    """A JSON-shaped dict that round-trips through :func:`result_from_payload`.
+
+    Infinities become the string ``"inf"`` so the files are strict JSON.
+    The histogram payloads are strict JSON already and pass through
+    uncopied; only ``io_time`` and ``params`` are converted to dicts.
+    """
+    payload = {}
+    for field in dataclasses.fields(result):
+        value = getattr(result, field.name)
+        if field.name in ("io_time", "params"):
+            value = _encode(dataclasses.asdict(value))
+        elif field.name not in ("latency_hists", "exposure_hists"):
+            value = _encode(value)
+        payload[field.name] = value
+    return payload
+
+
+def result_from_payload(payload: dict) -> ExperimentResult:
+    """Rebuild an :class:`ExperimentResult` from a stored payload."""
+
+    def revive(value):
+        if value == "inf":
+            return float("inf")
+        if isinstance(value, dict):
+            return {key: revive(item) for key, item in value.items()}
+        return value
+
+    data = {key: revive(value) for key, value in payload.items()}
+    data["io_time"] = Summary(**data["io_time"])
+    data["params"] = ReliabilityParams(**data["params"])
+    return ExperimentResult(**data)
 
 
 def derive_availability(

@@ -1,13 +1,14 @@
-"""Parallel sweep engine with a content-addressed on-disk result cache.
+"""Parallel sweep engine over the content-addressed result store.
 
 Every headline figure is a grid of independent (workload, policy, seed)
 cells, each a fresh simulator — embarrassingly parallel.  This module
 fans cells out over :class:`concurrent.futures.ProcessPoolExecutor` and
-memoises finished cells on disk, keyed by a hash of everything that can
-change the answer: the cell's full configuration plus a fingerprint of
-the installed ``repro`` source tree.  Re-running a sweep after an edit
-re-simulates only what the edit could have affected; re-running with no
-edits is pure cache reads.
+memoises finished cells as the cell entries of a
+:class:`~repro.harness.checkpoint.CheckpointStore`, keyed by a hash of
+everything that can change the answer: the cell's full configuration
+plus a fingerprint of the installed ``repro`` source tree.  Re-running a
+sweep after an edit re-simulates only what the edit could have affected;
+re-running with no edits is pure store reads.
 
 Cells are described by :class:`CellSpec` — plain data, picklable, and
 hashable into a cache key — rather than by policy *instances* (policies
@@ -24,16 +25,16 @@ import hashlib
 import json
 import math
 import os
-import pathlib
 import threading
 import time
 import typing
 
 from repro.array.factory import PAPER_NDISKS, PAPER_STRIPE_UNIT_SECTORS
 from repro.availability import ReliabilityParams, TABLE_1
+from repro.harness.checkpoint import CheckpointStore, code_fingerprint
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.layout import get_organization
-from repro.metrics import PerfCounters, Summary
+from repro.metrics import PerfCounters
 from repro.obs import HistogramSet
 from repro.policy import (
     AlwaysRaid5Policy,
@@ -140,25 +141,6 @@ class CellSpec:
 # -- cache keys -------------------------------------------------------------------
 
 
-def code_fingerprint(refresh: bool = False) -> str:
-    """A hash of every ``repro`` source file, so code edits invalidate results.
-
-    Computed once per process; ``refresh=True`` forces a rescan (tests).
-    """
-    global _FINGERPRINT
-    if _FINGERPRINT is None or refresh:
-        package_root = pathlib.Path(__file__).resolve().parent.parent
-        digest = hashlib.sha256()
-        for path in sorted(package_root.rglob("*.py")):
-            digest.update(str(path.relative_to(package_root)).encode())
-            digest.update(path.read_bytes())
-        _FINGERPRINT = digest.hexdigest()
-    return _FINGERPRINT
-
-
-_FINGERPRINT: str | None = None
-
-
 def cache_key(spec: CellSpec) -> str:
     """Content address of one cell: config + schema + code fingerprint."""
     payload = {
@@ -168,116 +150,6 @@ def cache_key(spec: CellSpec) -> str:
     }
     encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(encoded.encode()).hexdigest()
-
-
-# -- result (de)serialisation -----------------------------------------------------
-
-
-def result_to_payload(result: ExperimentResult) -> dict:
-    """A JSON-shaped dict that round-trips through :func:`result_from_payload`.
-
-    Infinities become the string ``"inf"`` so the files are strict JSON.
-    """
-
-    def encode(value):
-        if isinstance(value, float) and value == float("inf"):
-            return "inf"
-        if isinstance(value, dict):
-            return {key: encode(item) for key, item in value.items()}
-        return value
-
-    return {key: encode(value) for key, value in dataclasses.asdict(result).items()}
-
-
-def result_from_payload(payload: dict) -> ExperimentResult:
-    """Rebuild an :class:`ExperimentResult` from a cached payload."""
-
-    def revive(value):
-        if value == "inf":
-            return float("inf")
-        if isinstance(value, dict):
-            return {key: revive(item) for key, item in value.items()}
-        return value
-
-    data = {key: revive(value) for key, value in payload.items()}
-    data["io_time"] = Summary(**data["io_time"])
-    data["params"] = ReliabilityParams(**data["params"])
-    return ExperimentResult(**data)
-
-
-class ResultCache:
-    """Directory of ``<key>.json`` result files.
-
-    Corrupt or unreadable entries are treated as misses — a sweep must
-    never crash because a cache file was truncated mid-write (entries are
-    written via a temp file + rename to keep that window small).
-    """
-
-    def __init__(self, cache_dir: str | os.PathLike) -> None:
-        self.root = pathlib.Path(cache_dir)
-        self.root.mkdir(parents=True, exist_ok=True)
-
-    def _path(self, key: str) -> pathlib.Path:
-        return self.root / f"{key}.json"
-
-    def load(self, key: str) -> ExperimentResult | None:
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-            return result_from_payload(payload)
-        except FileNotFoundError:
-            return None
-        except Exception:
-            # Corrupted / stale-schema entry: drop it and recompute.
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                pass
-            return None
-
-    def store(self, key: str, result: ExperimentResult) -> None:
-        path = self._path(key)
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(json.dumps(result_to_payload(result)))
-        tmp.replace(path)
-
-    def size_bytes(self) -> int:
-        """Total on-disk size of every cache entry."""
-        total = 0
-        for path in self.root.glob("*.json"):
-            try:
-                total += path.stat().st_size
-            except OSError:
-                continue
-        return total
-
-    def prune(self, max_bytes: int) -> tuple[int, int]:
-        """Evict oldest entries (by mtime) until the cache fits ``max_bytes``.
-
-        Returns ``(entries_removed, bytes_freed)``.  Entries that vanish
-        concurrently (another process pruning, or a store racing) are
-        simply skipped — pruning is advisory, never load-bearing.
-        """
-        entries = []
-        for path in self.root.glob("*.json"):
-            try:
-                stat = path.stat()
-            except OSError:
-                continue
-            entries.append((stat.st_mtime, stat.st_size, path))
-        total = sum(size for _mtime, size, _path in entries)
-        removed = freed = 0
-        for _mtime, size, path in sorted(entries):
-            if total <= max_bytes:
-                break
-            try:
-                path.unlink(missing_ok=True)
-            except OSError:
-                continue
-            total -= size
-            removed += 1
-            freed += size
-        return removed, freed
 
 
 # -- execution --------------------------------------------------------------------
@@ -339,8 +211,10 @@ class CellExecutor:
 
     Guarantees:
 
-    * **Cache write-through** — a finished cell is persisted before its
-      callback fires, so identical future cells are cache hits.
+    * **Cache write-through** — a finished cell is written to the store
+      before its callback fires, so identical future cells are cache
+      hits.  The write is best effort: a failed one (a full disk) is a
+      later miss, never a lost callback.
     * **Crash-safe requeue** — a worker dying mid-cell (``os._exit``,
       OOM-kill, segfault) breaks the whole ``ProcessPoolExecutor``; the
       executor rebuilds the pool and resubmits every in-flight cell, up
@@ -355,7 +229,7 @@ class CellExecutor:
     def __init__(
         self,
         jobs: int = 1,
-        cache: ResultCache | None = None,
+        cache: CheckpointStore | None = None,
         cell_fn: typing.Callable[[CellSpec], ExperimentResult] | None = None,
         max_attempts: int = 3,
         on_worker_restart: typing.Callable[[], None] | None = None,
@@ -587,16 +461,25 @@ class SweepOutcome:
 def run_cell(spec: CellSpec, checkpoint_dir: str | None = None) -> ExperimentResult:
     """Simulate one cell (the process-pool work function).
 
-    ``checkpoint_dir`` routes the cell's replay through the incremental
-    checkpoint store (see :mod:`repro.harness.checkpoint`): a re-run or a
-    longer-``duration_s`` variant of an already-simulated cell pays only
-    the un-simulated suffix.  Deliberately *not* part of the cell's cache
-    key — it changes where the work happens, never the result.  Thread it
-    into a :class:`CellExecutor` with
-    ``functools.partial(run_cell, checkpoint_dir=...)`` (picklable, so it
-    crosses the process pool).
+    ``checkpoint_dir`` names a :class:`~repro.harness.checkpoint.
+    CheckpointStore` and answers the cell from its first rung that hits:
+    the cell entry under :func:`cache_key` (one keyed read, before any
+    array is built or trace synthesised), then the stored final of an
+    identical replay, then the deepest stored cut matching the trace
+    (a longer-``duration_s`` variant pays only the un-simulated suffix),
+    then a cold replay.  A miss writes the cell entry.  The store is
+    deliberately *not* part of the cell's key — it changes where the work
+    happens, never the result.  Thread it into a :class:`CellExecutor`
+    with ``functools.partial(run_cell, checkpoint_dir=...)`` (picklable,
+    so it crosses the process pool).
     """
-    return run_experiment(
+    if checkpoint_dir is not None:
+        store = CheckpointStore(checkpoint_dir)
+        key = cache_key(spec)
+        hit = store.load(key)
+        if hit is not None:
+            return hit
+    result = run_experiment(
         spec.workload,
         spec.policy.build(),
         duration_s=spec.duration_s,
@@ -608,6 +491,9 @@ def run_cell(spec: CellSpec, checkpoint_dir: str | None = None) -> ExperimentRes
         extra_settle_s=spec.extra_settle_s,
         checkpoint_dir=checkpoint_dir,
     )
+    if checkpoint_dir is not None:
+        store.store(key, result)
+    return result
 
 
 def run_cells(
@@ -617,16 +503,17 @@ def run_cells(
     counters: PerfCounters | None = None,
     checkpoint_dir: str | None = None,
 ) -> SweepOutcome:
-    """Run every cell, in parallel when ``jobs > 1``, through the cache.
+    """Run every cell, in parallel when ``jobs > 1``, through the store.
 
     Results are keyed by ``(workload, policy label)``.  ``jobs`` counts
-    worker processes; cells already in the cache never reach a worker, so
-    a warm rerun is pure I/O.  Cell order never affects results — each
-    cell is a fresh simulator with its own explicitly-seeded RNG.
-    ``checkpoint_dir`` additionally resumes each simulated cell from the
-    deepest stored replay checkpoint (exact-result cache and incremental
-    checkpoints compose: the cache skips finished cells, the store
-    accelerates the ones that still must run).
+    worker processes.  ``cache_dir`` names a
+    :class:`~repro.harness.checkpoint.CheckpointStore` whose cell entries
+    answer finished cells before any reaches a worker, so a warm rerun is
+    pure I/O; every simulated cell is written back.  ``checkpoint_dir``
+    hands each remaining cell to ``run_cell(spec, checkpoint_dir=...)``,
+    which answers it from that store's first rung that hits.  Cell order
+    never affects results — each cell is a fresh simulator with its own
+    explicitly-seeded RNG.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -636,7 +523,7 @@ def run_cells(
         if checkpoint_dir is None
         else functools.partial(run_cell, checkpoint_dir=os.fspath(checkpoint_dir))
     )
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    cache = CheckpointStore(cache_dir) if cache_dir is not None else None
     results: dict[tuple[str, str], ExperimentResult] = {}
     pending: list[tuple[CellSpec, str | None]] = []
 

@@ -10,8 +10,10 @@ sweep``), tracked from submission to a terminal state.  The
   push the number of accepted-but-unfinished *simulated* cells past
   ``queue_limit`` (:class:`QueueFull`, surfaced as HTTP 429).  Cache
   hits are free and never rejected: the warm path costs one file read.
-* **Cache-first answers** — every cell is probed against the
-  content-addressed result cache *in the submitting thread*; hits
+* **Cache-first answers** — every cell is probed against the cell
+  entries of the content-addressed result store
+  (:class:`~repro.harness.checkpoint.CheckpointStore`) *in the
+  submitting thread*; hits
   complete synchronously in microseconds without touching the worker
   pool, and a fully-cached job is DONE before ``submit`` returns.
 * **Crash-tolerant execution** — misses flow through the persistent
@@ -20,8 +22,8 @@ sweep``), tracked from submission to a terminal state.  The
   and in the ``service_worker_restarts`` / ``service_cell_retries``
   metrics.
 * **Deterministic results** — per-cell results are encoded with
-  :func:`~repro.harness.runner.result_to_payload`, the exact encoding
-  the sweep cache uses, so a job's payload for a given spec is
+  :func:`~repro.harness.experiment.result_to_payload`, the exact
+  encoding the store's cell entries use, so a job's payload for a given spec is
   byte-identical to what ``afraid-sim sweep`` produces.
 
 Every state change appends an event to the job's ordered event log,
@@ -35,13 +37,13 @@ import threading
 import time
 import typing
 
+from repro.harness.checkpoint import CheckpointStore
+from repro.harness.experiment import result_to_payload
 from repro.harness.runner import (
     CellExecutor,
     CellOutcome,
     CellSpec,
     DEFAULT_CACHE_DIR,
-    ResultCache,
-    result_to_payload,
     run_cell,
 )
 from repro.obs.service import ServiceMetrics
@@ -131,7 +133,7 @@ class Job:
         """The JSON view served by ``GET /jobs/<id>/result``.
 
         ``cells`` maps ``workload/policy`` labels to the exact
-        ``result_to_payload`` encoding the sweep cache writes — the
+        ``result_to_payload`` encoding the store's cell entries hold — the
         byte-identity contract with ``afraid-sim sweep``.
         """
         with self._cond:
@@ -209,7 +211,7 @@ class JobManager:
         self.queue_limit = queue_limit
         self.cache_max_bytes = cache_max_bytes
         self.checkpoint_dir = checkpoint_dir
-        self.cache = ResultCache(cache_dir) if cache_dir is not None else None
+        self.cache = CheckpointStore(cache_dir) if cache_dir is not None else None
         if cell_fn is None:
             # A warm service restart replays only what the checkpoint
             # store has not already simulated; partial (ordinary)

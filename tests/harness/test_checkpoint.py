@@ -253,6 +253,47 @@ def test_prune_keeps_entries_under_budget(tmp_path):
     assert store.size_bytes() == total
 
 
+def _aged(path, size, mtime):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "wb") as handle:
+        handle.write(b"x" * size)
+    os.utime(path, (mtime, mtime))
+    return path
+
+
+def test_maintenance_counts_and_evicts_both_kinds_oldest_first(tmp_path):
+    store = CheckpointStore(tmp_path / "store")
+    scope = store.scope({"a": 1})
+    old_cell = _aged(os.path.join(store.root, "a" * 64 + ".json"), 100, 1000)
+    cut = _aged(os.path.join(scope.path, "cut-00000007.ckpt"), 200, 2000)
+    new_cell = _aged(os.path.join(store.root, "b" * 64 + ".json"), 300, 3000)
+    final = _aged(os.path.join(scope.path, "final-0123456789abcdef.ckpt"), 400, 4000)
+    assert store.size_bytes() == 1000
+    assert [(row["kind"], row["scope"], row["bytes"]) for row in store.listing()] == [
+        ("cell", None, 100),
+        ("cut", scope.key, 200),
+        ("cell", None, 300),
+        ("final", scope.key, 400),
+    ]
+    assert store.prune(700) == (2, 300)
+    assert not os.path.exists(old_cell) and not os.path.exists(cut)
+    assert os.path.exists(new_cell) and os.path.exists(final)
+    assert store.size_bytes() == 700
+
+
+def test_prune_to_zero_empties_the_store_and_its_scopes(tmp_path):
+    from repro.harness.runner import CellSpec, PolicySpec, run_cell
+
+    store = CheckpointStore(tmp_path / "store")
+    spec = CellSpec(workload="cello-usr", policy=PolicySpec("afraid"), duration_s=12.0)
+    run_cell(spec, checkpoint_dir=str(store.root))
+    listed = store.listing()
+    assert {row["kind"] for row in listed} == {"cell", "cut", "final"}
+    assert store.prune(0) == (len(listed), sum(row["bytes"] for row in listed))
+    assert store.size_bytes() == 0
+    assert list(store.root.iterdir()) == []
+
+
 # -- recovery: corruption and version skew ----------------------------------------------
 
 

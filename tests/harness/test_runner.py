@@ -1,6 +1,8 @@
 """The parallel sweep engine: cache behaviour, parallel determinism."""
 
 import dataclasses
+import errno
+import functools
 import json
 import os
 import time
@@ -13,11 +15,13 @@ from repro.harness import (
     run_policy_grid,
     policy_ladder,
 )
+from repro.array.controller import DiskArray
+from repro.harness.checkpoint import CheckpointScope, CheckpointStore
+from repro.harness.experiment import result_to_payload
 from repro.harness.runner import (
     CellExecutor,
     CellSpec,
     PolicySpec,
-    ResultCache,
     SweepInterrupted,
     cache_key,
     code_fingerprint,
@@ -26,6 +30,7 @@ from repro.harness.runner import (
     run_cells,
 )
 from repro.metrics import PerfCounters
+from repro.service import DONE, JobManager
 
 #: Short enough to keep the whole module fast, long enough for real I/O.
 QUICK = dict(duration_s=2.0, seed=11)
@@ -163,7 +168,7 @@ class TestResultCache:
         assert list(tmp_path.iterdir()) == []
 
     def test_load_returns_none_for_unknown_key(self, tmp_path):
-        assert ResultCache(tmp_path).load("0" * 64) is None
+        assert CheckpointStore(tmp_path).load("0" * 64) is None
 
 
 def _entry(cache, name, size, mtime):
@@ -175,13 +180,13 @@ def _entry(cache, name, size, mtime):
 
 class TestCachePrune:
     def test_size_bytes_sums_entries(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = CheckpointStore(tmp_path)
         _entry(cache, "a", 100, 1000)
         _entry(cache, "b", 250, 2000)
         assert cache.size_bytes() == 350
 
     def test_prune_evicts_oldest_first(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = CheckpointStore(tmp_path)
         oldest = _entry(cache, "a", 400, 1000)
         middle = _entry(cache, "b", 400, 2000)
         newest = _entry(cache, "c", 400, 3000)
@@ -192,13 +197,13 @@ class TestCachePrune:
         assert cache.size_bytes() == 800
 
     def test_prune_under_limit_is_a_no_op(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = CheckpointStore(tmp_path)
         _entry(cache, "a", 100, 1000)
         assert cache.prune(1 << 20) == (0, 0)
         assert cache.size_bytes() == 100
 
     def test_prune_to_zero_clears_the_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = CheckpointStore(tmp_path)
         _entry(cache, "a", 100, 1000)
         _entry(cache, "b", 100, 2000)
         assert cache.prune(0) == (2, 200)
@@ -207,7 +212,7 @@ class TestCachePrune:
     def test_pruned_sweep_cache_recomputes_cleanly(self, tmp_path):
         specs = quick_specs(kinds=("afraid",))
         run_cells(specs, cache_dir=tmp_path)
-        ResultCache(tmp_path).prune(0)
+        CheckpointStore(tmp_path).prune(0)
         assert run_cells(specs, cache_dir=tmp_path).simulated == 1
 
 
@@ -257,7 +262,7 @@ class TestSweepInterrupted:
 class TestCellExecutor:
     def test_callbacks_fire_once_per_cell_and_write_through(self, tmp_path):
         specs = quick_specs()
-        cache = ResultCache(tmp_path)
+        cache = CheckpointStore(tmp_path)
         executor = CellExecutor(jobs=2, cache=cache).start()
         outcomes = []
         try:
@@ -277,7 +282,7 @@ class TestCellExecutor:
     def test_warm_submit_completes_synchronously(self, tmp_path):
         spec = quick_specs(kinds=("afraid",))[0]
         run_cells([spec], cache_dir=tmp_path)
-        executor = CellExecutor(jobs=1, cache=ResultCache(tmp_path)).start()
+        executor = CellExecutor(jobs=1, cache=CheckpointStore(tmp_path)).start()
         outcomes = []
         try:
             executor.submit(spec, outcomes.append)
@@ -402,3 +407,213 @@ class TestExposureHistogramsThroughTheEngine:
         legacy = dataclasses.replace(result, exposure_hists=None)
         merged = merged_exposure_histograms([result, legacy])
         assert merged == merged_exposure_histograms([result])
+
+
+# -- the one result store -----------------------------------------------------------
+
+#: Disk count per organization (three mirrored pairs for the hybrids).
+NDISKS = {"raid5": 5, "raid5d": 5, "raid1": 2, "raid10": 6, "raid15": 6}
+
+SURFACE_POLICIES = (PolicySpec("afraid"), PolicySpec("raid5"), PolicySpec("mttdl", 1e6))
+
+
+def _org_spec(organization, policy, workload):
+    return CellSpec(
+        workload=workload, policy=policy, duration_s=3.0, seed=5,
+        ndisks=NDISKS[organization], organization=organization,
+    )
+
+
+def _org_specs(policies):
+    return [
+        _org_spec(organization, policy, workload)
+        for organization in sorted(NDISKS)
+        for policy in policies
+        for workload in ("cello-usr", "ATT")
+    ]
+
+
+@functools.cache
+def _direct(spec):
+    return run_cell(spec)
+
+
+def _text(result):
+    return json.dumps(result_to_payload(result))
+
+
+def _asdict_payload(result):
+    """The reference encoding: ``dataclasses.asdict``, then an inf walk."""
+
+    def encode(value):
+        if isinstance(value, float) and value == float("inf"):
+            return "inf"
+        if isinstance(value, dict):
+            return {key: encode(item) for key, item in value.items()}
+        return value
+
+    return {key: encode(value) for key, value in dataclasses.asdict(result).items()}
+
+
+class TestOneStore:
+    def test_every_surface_gives_the_same_payload(self, tmp_path):
+        store = str(tmp_path / "store")
+        specs = _org_specs(SURFACE_POLICIES)
+        expected = [_text(_direct(spec)) for spec in specs]
+        for spec, text in zip(specs, expected):
+            assert _text(run_cell(spec, checkpoint_dir=store)) == text, spec.key
+            assert _text(run_cell(spec, checkpoint_dir=store)) == text, spec.key
+        sweep = run_cells(specs, cache_dir=store)
+        assert (sweep.simulated, sweep.cached) == (0, len(specs))
+        for spec, text in zip(specs, expected):
+            assert _text(sweep.results[spec.key]) == text, spec.key
+        manager = JobManager(jobs=1, cache_dir=None, checkpoint_dir=store)
+        try:
+            job = manager.submit(specs)
+            assert job.wait(120) == DONE
+        finally:
+            manager.shutdown(drain=False)
+        for spec, record, text in zip(specs, job.cells, expected):
+            assert json.dumps(record["result"]) == text, spec.key
+
+    def test_warm_cell_builds_nothing(self, tmp_path, monkeypatch):
+        import repro.harness.experiment as experiment_mod
+
+        store = str(tmp_path)
+        spec = quick_specs(kinds=("afraid",))[0]
+        cold = run_cell(spec, checkpoint_dir=store)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a warm cell reached the replay machinery")
+
+        monkeypatch.setattr(experiment_mod, "build_array", forbidden)
+        monkeypatch.setattr(experiment_mod, "make_trace", forbidden)
+        monkeypatch.setattr(CheckpointScope, "lookup_final", forbidden)
+        monkeypatch.setattr(CheckpointScope, "lookup_cut", forbidden)
+        assert run_cell(spec, checkpoint_dir=store) == cold
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            pytest.param(dict(workload="cello-usr"), id="workload"),
+            pytest.param(dict(policy=PolicySpec("afraid")), id="policy-kind"),
+            pytest.param(dict(policy=PolicySpec("mttdl", 1e6)), id="mttdl-target"),
+            pytest.param(dict(duration_s=3.0), id="duration"),
+            pytest.param(dict(seed=12), id="seed"),
+            pytest.param(dict(ndisks=6), id="ndisks"),
+            pytest.param(dict(stripe_unit_sectors=32), id="stripe-unit"),
+            pytest.param(dict(idle_threshold_s=0.2), id="idle-threshold"),
+            pytest.param(dict(extra_settle_s=1.0), id="settle"),
+            pytest.param(dict(organization="raid5d"), id="organization"),
+            pytest.param("code", id="code"),
+        ],
+    )
+    def test_any_changed_input_misses(self, tmp_path, monkeypatch, change):
+        import repro.harness.runner as runner_mod
+
+        store = str(tmp_path)
+        base = CellSpec(
+            workload="hplajw", policy=PolicySpec("mttdl", mttdl_target=1e7), **QUICK
+        )
+        run_cell(base, checkpoint_dir=store)
+
+        class Missed(Exception):
+            pass
+
+        def missed(*args, **kwargs):
+            raise Missed
+
+        monkeypatch.setattr(runner_mod, "run_experiment", missed)
+        run_cell(base, checkpoint_dir=store)  # the unchanged cell still hits
+        if change == "code":
+            monkeypatch.setattr(runner_mod, "code_fingerprint", lambda: "different")
+            spec = base
+        else:
+            spec = dataclasses.replace(base, **change)
+        with pytest.raises(Missed):
+            run_cell(spec, checkpoint_dir=store)
+
+    def test_every_rung_gives_the_same_payload(self, tmp_path, monkeypatch):
+        store = CheckpointStore(tmp_path)
+        spec = CellSpec(workload="cello-usr", policy=PolicySpec("afraid"), duration_s=12.0)
+        cold = run_cell(spec, checkpoint_dir=str(tmp_path))
+        expected = _text(cold)
+        cell_entry = tmp_path / f"{cache_key(spec)}.json"
+        submitted = []
+        submit = DiskArray.submit
+
+        def counting(self, request):
+            submitted.append(request)
+            return submit(self, request)
+
+        monkeypatch.setattr(DiskArray, "submit", counting)
+
+        # Rung 2: the record-keyed final answers without simulating.
+        cell_entry.unlink()
+        assert _text(run_cell(spec, checkpoint_dir=str(tmp_path))) == expected
+        assert submitted == []
+
+        # Rung 3: the deepest cut resumes, submitting only the suffix.
+        cell_entry.unlink()
+        finals = list(tmp_path.glob("*/final-*.ckpt"))
+        assert len(finals) == 1
+        finals[0].unlink()
+        cuts = sorted(tmp_path.glob("*/cut-*.ckpt"))
+        assert cuts, "expected a quiescent cut at this duration"
+        consumed = int(cuts[-1].name[4:-5])
+        assert _text(run_cell(spec, checkpoint_dir=str(tmp_path))) == expected
+        assert len(submitted) == cold.nrequests - consumed
+
+        # Rung 4: an empty store runs cold.
+        store.prune(0)
+        submitted.clear()
+        assert _text(run_cell(spec, checkpoint_dir=str(tmp_path))) == expected
+        assert len(submitted) == cold.nrequests
+
+    def test_payload_text_matches_the_asdict_route(self):
+        policies = (PolicySpec("raid5"), PolicySpec("afraid"), PolicySpec("raid0"),
+                    PolicySpec("mttdl", 1e6))
+        results = [_direct(spec) for spec in _org_specs(policies)]
+        results.append(dataclasses.replace(results[0], mttdl_disk_h=float("inf")))
+        for result in results:
+            assert json.dumps(result_to_payload(result)) == json.dumps(_asdict_payload(result))
+
+
+def _full_disk(monkeypatch, root):
+    """Make every rename into ``root`` fail as if the disk were full."""
+    replace = os.replace
+
+    def failing(src, dst, *args, **kwargs):
+        if os.fspath(dst).startswith(os.fspath(root)):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), os.fspath(dst))
+        return replace(src, dst, *args, **kwargs)
+
+    monkeypatch.setattr(os, "replace", failing)
+
+
+class TestFailedStoreWrite:
+    """A failed result write must not fail a finished cell or stall the pool."""
+
+    def test_serial_sweep_keeps_the_cell(self, tmp_path, monkeypatch):
+        spec = quick_specs(kinds=("afraid",))[0]
+        _full_disk(monkeypatch, tmp_path)
+        outcome = run_cells([spec], jobs=1, cache_dir=tmp_path)
+        assert outcome.results[spec.key] == run_cell(spec)
+        assert list(tmp_path.iterdir()) == []  # no temp file left behind
+
+    def test_executor_delivers_every_cell(self, tmp_path, monkeypatch):
+        specs = quick_specs()
+        _full_disk(monkeypatch, tmp_path)
+        executor = CellExecutor(jobs=1, cache=CheckpointStore(tmp_path)).start()
+        outcomes = []
+        try:
+            for count, spec in enumerate(specs, 1):
+                executor.submit(spec, outcomes.append)
+                deadline = time.monotonic() + 60
+                while len(outcomes) < count and time.monotonic() < deadline:
+                    time.sleep(0.05)
+                assert len(outcomes) == count, f"no callback for {spec.key}"
+        finally:
+            executor.shutdown(drain=True, timeout=30)
+        assert all(o.error is None and o.result == run_cell(o.spec) for o in outcomes)
+        assert list(tmp_path.iterdir()) == []

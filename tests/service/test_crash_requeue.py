@@ -12,11 +12,11 @@ import os
 import pathlib
 import time
 
+from repro.harness.checkpoint import CheckpointStore
+from repro.harness.experiment import result_to_payload
 from repro.harness.runner import (
     CellExecutor,
-    ResultCache,
     cache_key,
-    result_to_payload,
     run_cell,
 )
 from repro.service import DONE, FAILED, JobManager
@@ -96,7 +96,7 @@ class TestExecutorLevelRequeue:
         must be requeued, not just the crashing cell's."""
         monkeypatch.setenv(_MARKER_ENV, str(tmp_path / "crashed-once"))
         specs = quick_specs(kinds=("afraid", "raid0"))
-        cache = ResultCache(tmp_path / "cache")
+        cache = CheckpointStore(tmp_path / "cache")
         executor = CellExecutor(
             jobs=2, cache=cache, cell_fn=crash_once_then_run
         ).start()

@@ -5,12 +5,12 @@ import time
 
 import pytest
 
+from repro.harness.checkpoint import CheckpointStore
+from repro.harness.experiment import result_to_payload
 from repro.harness.runner import (
     CellSpec,
     PolicySpec,
-    ResultCache,
     cache_key,
-    result_to_payload,
     run_cell,
     run_cells,
 )
@@ -263,7 +263,7 @@ class TestHealthAndPrune:
 
     def test_cache_pruned_at_init(self, tmp_path):
         cache_dir = tmp_path / "cache"
-        stale = ResultCache(cache_dir)
+        stale = CheckpointStore(cache_dir)
         victim = stale.root / ("f" * 64 + ".json")
         victim.write_text("{}" + " " * (1 << 20))
         mgr = JobManager(jobs=1, cache_dir=cache_dir, cache_max_bytes=1 << 19)

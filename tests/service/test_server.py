@@ -76,7 +76,7 @@ class TestJobRoutes:
     def test_results_match_local_sweep_over_http(self, client, tmp_path):
         """Byte-identity survives the wire: the raw served JSON equals the
         sweep-cache encoding of the same cell (``"inf"`` strings and all)."""
-        from repro.harness.runner import result_to_payload
+        from repro.harness.experiment import result_to_payload
 
         spec = quick_specs(kinds=("raid0",))[0]  # raid0: infinite-MTTDL fields
         local = run_cells([spec], cache_dir=tmp_path / "sweep-cache")
