@@ -29,7 +29,6 @@ from repro.availability import (
     afraid_mttdl,
     loss_probability,
     combine_mttdl,
-    raid5_mttdl_catastrophic,
 )
 from repro.harness import DEFAULT_CACHE_DIR, format_quantity, format_table, run_experiment
 from repro.metrics import PerfCounters
@@ -41,28 +40,18 @@ from repro.obs import (
     SloRule,
     start_exposure_poller,
 )
-from repro.policy import (
-    AlwaysRaid5Policy,
-    BaselineAfraidPolicy,
-    MttdlTargetPolicy,
-    NeverScrubPolicy,
-    ParityPolicy,
-)
+from repro.policy import POLICIES, MttdlTargetPolicy, ParityPolicy
 from repro.traces import CATALOG, workload_names
 
 
 def _make_policy(name: str, mttdl_target: float | None) -> ParityPolicy:
-    if name == "afraid":
-        return BaselineAfraidPolicy()
-    if name == "raid5":
-        return AlwaysRaid5Policy()
-    if name == "raid0":
-        return NeverScrubPolicy()
     if name == "mttdl":
         if mttdl_target is None:
             raise SystemExit("--policy mttdl requires --mttdl-target HOURS")
         return MttdlTargetPolicy(mttdl_target)
-    raise SystemExit(f"unknown policy {name!r}")
+    if name not in POLICIES:
+        raise SystemExit(f"unknown policy {name!r}")
+    return POLICIES[name]()
 
 
 def _positive_float(text: str) -> float:
@@ -1157,7 +1146,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     run_parser = commands.add_parser("run", help="run one workload under one policy")
     run_parser.add_argument("workload", choices=workload_names())
-    run_parser.add_argument("--policy", default="afraid", choices=["afraid", "raid5", "raid0", "mttdl"])
+    run_parser.add_argument("--policy", default="afraid", choices=[*POLICIES, "mttdl"])
     run_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
     run_parser.add_argument(
         "--organization", default="raid5", choices=ORGANIZATION_CHOICES,
@@ -1209,7 +1198,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     profile_parser.add_argument("workload", choices=workload_names())
     profile_parser.add_argument(
-        "--policy", default="afraid", choices=["afraid", "raid5", "raid0", "mttdl"]
+        "--policy", default="afraid", choices=[*POLICIES, "mttdl"]
     )
     profile_parser.add_argument(
         "--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl"
@@ -1274,7 +1263,7 @@ def build_parser() -> argparse.ArgumentParser:
     trace_parser.add_argument(
         "workload", help="catalog name (unknown names synthesise a generic workload)"
     )
-    trace_parser.add_argument("--policy", default="afraid", choices=["afraid", "raid5", "raid0", "mttdl"])
+    trace_parser.add_argument("--policy", default="afraid", choices=[*POLICIES, "mttdl"])
     trace_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
     trace_parser.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration (simulated s)")
     trace_parser.add_argument("--seed", type=int, default=42)
@@ -1298,7 +1287,7 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument(
         "workload", nargs="?", default=None, help="catalog name (or use --from)"
     )
-    report_parser.add_argument("--policy", default="afraid", choices=["afraid", "raid5", "raid0", "mttdl"])
+    report_parser.add_argument("--policy", default="afraid", choices=[*POLICIES, "mttdl"])
     report_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
     report_parser.add_argument("--duration", type=_positive_float, default=30.0)
     report_parser.add_argument("--seed", type=int, default=42)
@@ -1327,7 +1316,7 @@ def build_parser() -> argparse.ArgumentParser:
     exposure_parser.add_argument(
         "workload", help="catalog name (unknown names synthesise a generic workload)"
     )
-    exposure_parser.add_argument("--policy", default="afraid", choices=["afraid", "raid5", "raid0", "mttdl"])
+    exposure_parser.add_argument("--policy", default="afraid", choices=[*POLICIES, "mttdl"])
     exposure_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
     exposure_parser.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration (simulated s)")
     exposure_parser.add_argument("--seed", type=int, default=42)
@@ -1362,7 +1351,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     replay_parser.add_argument("workload", choices=workload_names())
     replay_parser.add_argument(
-        "--policy", default="afraid", choices=["afraid", "raid5", "raid0"]
+        "--policy", default="afraid", choices=list(POLICIES)
     )
     replay_parser.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration (simulated s)")
     replay_parser.add_argument("--seed", type=int, default=42)
@@ -1441,7 +1430,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     nemesis_parser.add_argument("--seed", type=int, default=0, help="schedule seed (default 0)")
     nemesis_parser.add_argument(
-        "--policy", default="afraid", choices=["afraid", "raid5", "raid0"]
+        "--policy", default="afraid", choices=list(POLICIES)
     )
     nemesis_parser.add_argument(
         "--ndisks", type=int, default=None,

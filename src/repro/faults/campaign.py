@@ -14,7 +14,10 @@ was in flight is lost); the next segment builds a fresh simulator at the
 crash time, restores the NVRAM marks (non-volatile), the failed-member
 state, and the latent sector set, re-attaches the same functional twin
 (the platters), runs the §3.1 recovery scan, and resumes the remainder
-of the trace at its original timestamps.
+of the trace at its original timestamps.  Each segment feeds its slice
+of the trace through the replay driver
+(:func:`repro.harness.replay.feed_trace`); the last one closes with
+:func:`repro.harness.replay.close_replay` and :func:`finish_recovery`.
 
 Everything — fault schedule, workload, simulation — derives from the
 (seed, spec) pair, so two runs of the same campaign produce byte-
@@ -30,7 +33,6 @@ import typing
 
 from repro.array.controller import DiskArray
 from repro.array.factory import build_array
-from repro.array.request import ArrayRequest
 from repro.blocks import FunctionalArray
 from repro.disk import DiskFailedError, DiskIO, IoKind, LatentSectorError, hp_c3325, toy_disk
 from repro.ext.rebuild import RebuildManager
@@ -39,15 +41,9 @@ from repro.faults.invariants import InvariantChecker, InvariantResult
 from repro.layout.base import UnitKind
 from repro.nvram import sub_unit_of
 from repro.obs import HistogramSet
-from repro.policy import AlwaysRaid5Policy, BaselineAfraidPolicy, NeverScrubPolicy
+from repro.policy import POLICIES
 from repro.sim import Simulator
 from repro.traces import make_trace
-
-_POLICIES = {
-    "afraid": BaselineAfraidPolicy,
-    "raid5": AlwaysRaid5Policy,
-    "raid0": NeverScrubPolicy,
-}
 
 _DISK_FACTORIES = {
     "toy": toy_disk,
@@ -85,8 +81,8 @@ class CampaignSpec:
     max_faults: int = 16
 
     def __post_init__(self) -> None:
-        if self.policy not in _POLICIES:
-            raise ValueError(f"policy must be one of {sorted(_POLICIES)}, got {self.policy!r}")
+        if self.policy not in POLICIES:
+            raise ValueError(f"policy must be one of {sorted(POLICIES)}, got {self.policy!r}")
         if self.disk_model not in _DISK_FACTORIES:
             raise ValueError(
                 f"disk_model must be one of {sorted(_DISK_FACTORIES)}, got {self.disk_model!r}"
@@ -129,6 +125,12 @@ class FaultEvent:
     kind: str  # disk_failure | nvram_loss | latent_error
     disk: int = 0
     lba_fraction: float = 0.0
+
+    def latent_lba(self, layout) -> int:
+        """The member sector a latent error strikes: ``lba_fraction`` of
+        the span the layout's units occupy on every member."""
+        span = layout.disk_sectors_used
+        return min(int(self.lba_fraction * span), span - 1)
 
 
 def draw_fault_schedule(
@@ -182,6 +184,37 @@ def draw_fault_schedule(
     return events, crash_times
 
 
+def finish_recovery(
+    sim: Simulator, array: DiskArray, poll: typing.Callable[[float], None] | None = None
+) -> None:
+    """The post-horizon recovery drain of a fault run, one second per step.
+
+    First lets an in-flight spare rebuild finish (``degraded_disk`` flips
+    to None when the spare installs; stop once a step dispatches nothing,
+    i.e. no repair was ever scheduled), then force-scrubs the remaining
+    parity debt (stop once the scrubber makes no further progress, e.g.
+    policy-excluded debt).  ``poll(now)`` runs once up front and after
+    every step.
+    """
+
+    def step() -> None:
+        sim.run(until=sim.now + 1.0)
+        if poll is not None:
+            poll(sim.now)
+
+    if poll is not None:
+        poll(sim.now)
+    previous_dispatched = -1
+    while array.degraded_disk is not None and sim.events_dispatched != previous_dispatched:
+        previous_dispatched = sim.events_dispatched
+        step()
+    previous = -1
+    while array.degraded_disk is None and array.marks.count and array.marks.count != previous:
+        previous = array.marks.count
+        array.request_scrub(force=True)
+        step()
+
+
 @dataclasses.dataclass
 class CampaignReport:
     """Everything one seeded campaign run produced."""
@@ -218,7 +251,7 @@ class FaultCampaign:
         spec = self.spec
         return build_array(
             sim,
-            _POLICIES[spec.policy](),
+            POLICIES[spec.policy](),
             ndisks=spec.ndisks,
             stripe_unit_sectors=spec.stripe_unit_sectors,
             disk_factory=_DISK_FACTORIES[spec.disk_model],
@@ -246,6 +279,9 @@ class FaultCampaign:
     # -- the run -------------------------------------------------------------------
 
     def run(self) -> CampaignReport:
+        # Deferred: repro.harness imports this package.
+        from repro.harness.replay import close_replay, feed_trace
+
         spec = self.spec
         rng = random.Random(self.seed)
         events, crash_times = self._draw_schedule(rng)
@@ -304,12 +340,6 @@ class FaultCampaign:
             checker = InvariantChecker(array) if supports_twin else None
             injector = FaultInjector(sim, array)
             unit_sectors = array.layout.stripe_unit_sectors
-            striped_sectors = array.layout.nstripes * unit_sectors
-            disk_span_sectors = (
-                array.layout.disk_sectors_used
-                if organization.declustered
-                else striped_sectors
-            )
 
             # ---- restore carried state (this is the crash-restart path) ----
             if state["marks"]:
@@ -501,9 +531,7 @@ class FaultCampaign:
                         event.time_s - sim.now, name="campaign.check"
                     ).add_callback(on_nvram_lost)
                 elif event.kind == "latent_error":
-                    lba = min(
-                        int(event.lba_fraction * disk_span_sectors), disk_span_sectors - 1
-                    )
+                    lba = event.latent_lba(array.layout)
                     injector.inject_latent_error_at(event.disk, lba, event.time_s)
                     sim.timeout(
                         event.time_s - sim.now, name="campaign.check"
@@ -514,59 +542,19 @@ class FaultCampaign:
                     )
 
             # ---- replay this segment's slice of the trace --------------------
-            records = [
-                record for record in trace if seg_start <= record.time_s < seg_end
-            ]
-            completions = []
-
-            def feeder(records=records, completions=completions):
-                for record in records:
-                    if record.time_s > sim.now:
-                        yield sim.timeout(record.time_s - sim.now)
-                    request = ArrayRequest(
-                        kind=record.kind,
-                        offset_sectors=record.offset_sectors,
-                        nsectors=record.nsectors,
-                        sync=record.sync,
-                    )
-                    completion = array.submit(request)
-                    completion.defused = True
-                    completions.append(completion)
-
-            feeder_proc = sim.process(feeder(), name="campaign.feeder")
+            replay = (sim, array, [], [])
+            feed_trace(
+                replay, [record for record in trace if seg_start <= record.time_s < seg_end]
+            )
             if final:
-                sim.run_until_triggered(feeder_proc)
-                from repro.harness.replay import gather
-
-                sim.run_until_triggered(gather(sim, completions))
-                horizon = max(spec.duration_s, sim.now) + spec.settle_s
-                sim.run(until=horizon)
-                # Let an in-flight spare rebuild finish: degraded_disk
-                # flips to None when the spare installs; stop once a pass
-                # dispatches nothing (no repair was ever scheduled).
-                previous_dispatched = -1
-                while (
-                    array.degraded_disk is not None
-                    and sim.events_dispatched != previous_dispatched
-                ):
-                    previous_dispatched = sim.events_dispatched
-                    sim.run(until=sim.now + 1.0)
-                # Drain remaining parity debt so the recovery invariant is
-                # checked against a settled array (stop once the scrubber
-                # makes no further progress, e.g. policy-excluded debt).
-                previous = -1
-                while (
-                    array.degraded_disk is None
-                    and array.marks.count
-                    and array.marks.count != previous
-                ):
-                    previous = array.marks.count
-                    array.request_scrub(force=True)
-                    sim.run(until=sim.now + 1.0)
+                close_replay(replay, spec.duration_s, spec.settle_s, finalize=False)
+                # The recovery invariant is checked against a settled array.
+                finish_recovery(sim, array)
             else:
                 sim.run(until=seg_end)
                 event_log.append({"t": seg_end, "kind": "crash"})
 
+            completions = replay[3]
             requests["submitted"] += len(completions)
             for completion in completions:
                 if not completion.triggered:

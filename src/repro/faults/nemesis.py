@@ -39,9 +39,9 @@ import dataclasses
 import random
 import typing
 
-from repro.disk import DiskFailedError, DiskIO, IoKind, LatentSectorError, hp_c3325, toy_disk
+from repro.disk import DiskFailedError, DiskIO, IoKind, LatentSectorError
 from repro.ext.rebuild import RebuildManager
-from repro.faults.campaign import FaultEvent, draw_fault_schedule
+from repro.faults.campaign import _DISK_FACTORIES, FaultEvent, draw_fault_schedule
 from repro.faults.injector import FaultInjector
 from repro.obs.timeline import Timeline, TimelineEvent
 
@@ -52,11 +52,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.slo import SloEngine
     from repro.obs.timeline import LatencyWindows
     from repro.sim import Simulator
-
-_DISK_FACTORIES = {
-    "toy": toy_disk,
-    "hp_c3325": hp_c3325,
-}
 
 
 @dataclasses.dataclass(frozen=True)
@@ -179,9 +174,9 @@ class NemesisLoop:
 
     Construct it with the array's live telemetry stack and call
     :meth:`start`; the loop ticks every ``spec.period_s`` of simulated
-    time until ``spec.duration_s``.  After the horizon, keep calling
-    :meth:`poll` from the drain phase so clears and recoveries recorded
-    while the array settles still reach the timeline.
+    time until ``spec.duration_s``.  After the horizon, pass :meth:`poll`
+    to :func:`~repro.faults.campaign.finish_recovery` so clears and
+    recoveries recorded while the array settles still reach the timeline.
     """
 
     def __init__(
@@ -458,9 +453,7 @@ class NemesisLoop:
                 self.tracker.cleared(event_id, now, "backlog_drained")
 
     def _inject_latent_error(self, fault: FaultEvent, now: float) -> None:
-        layout = self.array.layout
-        striped_sectors = layout.nstripes * layout.stripe_unit_sectors
-        lba = min(int(fault.lba_fraction * striped_sectors), striped_sectors - 1)
+        lba = fault.latent_lba(self.array.layout)
         inject = self.timeline.fault_injected(
             now, "latent_error", disk=fault.disk, lba=lba, scheduled_at=fault.time_s
         )

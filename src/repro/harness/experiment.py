@@ -19,8 +19,7 @@ from repro.availability import (
     raid5_mttdl_catastrophic,
 )
 from repro.disk import hp_c3325
-from repro.harness.replay import replay_trace
-from repro.harness.sharding import ShardReplayResult, replay_trace_sharded
+from repro.harness.sharding import replay_trace_sharded
 from repro.metrics import PerfCounters, Summary
 from repro.obs import ExposureMonitor, HistogramSet
 from repro.policy import ParityPolicy
@@ -221,10 +220,15 @@ def derive_availability(
     return mttdl_disk, mdlr_unprot, mdlr_disk, mttdl_overall, mdlr_overall
 
 
+#: Time slices of a checkpointed :func:`run_experiment` replay.
+CHECKPOINT_SHARDS = 4
+
+
 def _checkpoint_extras(sim, array) -> dict:
     """Everything ``run_experiment`` reads off the live array after the
-    replay that is not already in the :class:`ShardReplayResult`
-    counters (collected on the final shard of a checkpointed run)."""
+    replay that is not already in the
+    :class:`~repro.harness.sharding.ShardReplayResult` counters
+    (collected on the final shard)."""
     return {
         "dirty_at_end": array.dirty_stripe_count,
         "latency_hists": array.hists.to_payload() if array.hists is not None else None,
@@ -254,7 +258,6 @@ def run_experiment(
     exposure_window_s: float = 5.0,
     on_array: "typing.Callable[[Simulator, DiskArray], None] | None" = None,
     checkpoint_dir: str | None = None,
-    checkpoint_shards: int = 4,
 ) -> ExperimentResult:
     """Run one (workload, policy) experiment from a clean simulator.
 
@@ -277,18 +280,20 @@ def run_experiment(
     :class:`~repro.obs.PeriodicSampler`, an SLO poller, or a fault
     injector).
 
+    The replay always runs through
+    :func:`~repro.harness.sharding.replay_trace_sharded`.
     ``checkpoint_dir`` names an on-disk
-    :class:`~repro.harness.checkpoint.CheckpointStore`: the replay runs
-    through :func:`~repro.harness.sharding.replay_trace_sharded` (in
-    ``checkpoint_shards`` slices), resumes from the deepest stored
+    :class:`~repro.harness.checkpoint.CheckpointStore`: the replay then
+    runs in ``CHECKPOINT_SHARDS`` slices, resumes from the deepest stored
     quiescent cut matching this cell, and a byte-identical re-run
-    returns the stored result without simulating at all.  The result is
-    bit-identical to the direct path.  Checkpointing is only taken when
-    no live observer is attached (``tracer``/``registry``/``on_array``
-    and caller-owned ``histograms``/``exposure`` must all be ``None``) —
-    the replay then crosses pickle boundaries, so in-place mutation of
-    caller objects cannot be honoured; those runs silently fall back to
-    the direct path.
+    returns the stored result without simulating at all.  Otherwise it
+    is one shard with no store.  The result is bit-identical either way.
+    The store is only used when no live observer is attached
+    (``tracer``/``registry``/``on_array`` and caller-owned
+    ``histograms``/``exposure`` must all be ``None``): a checkpointed
+    replay crosses pickle boundaries, so in-place mutation of caller
+    objects cannot be honoured, and such a run ignores
+    ``checkpoint_dir``.
     """
     if counters is None:
         counters = PerfCounters()  # throwaway: keeps the body branch-free
@@ -333,6 +338,7 @@ def run_experiment(
                 address_space_sectors=array.layout.total_data_sectors,
                 seed=seed,
             )
+    scope = None
     if checkpointable:
         from repro.harness.checkpoint import CheckpointStore
 
@@ -351,23 +357,17 @@ def run_experiment(
                 "organization": organization,
             }
         )
-        with counters.phase("replay"):
-            replayed = replay_trace_sharded(
-                sim,
-                array,
-                trace,
-                shards=checkpoint_shards,
-                extra_settle_s=extra_settle_s,
-                checkpoint=scope,
-                extras_fn=_checkpoint_extras,
-            )
-        counters.count("events_dispatched", replayed.events_simulated)
-    else:
-        with counters.phase("replay"):
-            outcome = replay_trace(sim, array, trace, extra_settle_s=extra_settle_s)
-        replayed = ShardReplayResult.from_array(array, outcome)
-        replayed.extras = _checkpoint_extras(sim, array)
-        counters.count("events_dispatched", sim.events_dispatched)
+    with counters.phase("replay"):
+        replayed = replay_trace_sharded(
+            sim,
+            array,
+            trace,
+            shards=1 if scope is None else CHECKPOINT_SHARDS,
+            extra_settle_s=extra_settle_s,
+            checkpoint=scope,
+            extras_fn=_checkpoint_extras,
+        )
+    counters.count("events_dispatched", replayed.events_simulated)
     stats = replayed.stats
     counters.count("ios_serviced", stats.reads_completed + stats.writes_completed)
     outcome = replayed.outcome

@@ -3,12 +3,16 @@
 :func:`run_nemesis` is the workload side of the
 :class:`~repro.faults.nemesis.NemesisLoop`: it builds a fresh array with
 the full telemetry stack attached (registry, exposure monitor, SLO
-engine, latency histograms, correlation timeline), replays the seeded
-workload open-loop while the nemesis ticks alongside it, then drains the
-array campaign-style — completions gathered, settle time, in-flight
-rebuild allowed to finish, parity debt force-scrubbed — with the loop's
-telemetry pass still running, so recoveries that happen during the drain
-are real timeline events rather than horizon artifacts.
+engine, latency histograms, correlation timeline), and feeds the seeded
+workload through the replay driver
+(:func:`~repro.harness.replay.feed_trace`, then
+:func:`~repro.harness.replay.close_replay` without finalizing) while the
+nemesis ticks alongside it.  It then runs the campaigns' post-horizon
+recovery drain (:func:`~repro.faults.campaign.finish_recovery`: an
+in-flight rebuild is allowed to finish, parity debt is force-scrubbed)
+with :meth:`~repro.faults.nemesis.NemesisLoop.poll` as its per-step
+poll, so recoveries that happen during the drain are real timeline
+events rather than horizon artifacts.
 
 Everything in the resulting :class:`NemesisOutcome` derives from the
 (spec, seed) pair — no wall clocks anywhere — so
@@ -24,10 +28,9 @@ import pathlib
 import typing
 
 from repro.array.factory import build_array
-from repro.array.request import ArrayRequest
-from repro.faults.campaign import _DISK_FACTORIES, _POLICIES
+from repro.faults.campaign import _DISK_FACTORIES, finish_recovery
 from repro.faults.nemesis import NemesisLoop, NemesisSpec
-from repro.harness.replay import gather
+from repro.harness.replay import close_replay, feed_trace
 from repro.obs import (
     ExposureMonitor,
     HistogramSet,
@@ -37,6 +40,7 @@ from repro.obs import (
     prometheus_text,
 )
 from repro.obs.timeline import LatencyWindows, Timeline
+from repro.policy import POLICIES
 from repro.sim import Simulator
 from repro.traces import make_trace
 
@@ -110,7 +114,7 @@ def run_nemesis(
 
     array = build_array(
         sim,
-        _POLICIES[spec.policy](),
+        POLICIES[spec.policy](),
         ndisks=spec.ndisks,
         stripe_unit_sectors=spec.stripe_unit_sectors,
         disk_factory=_DISK_FACTORIES[spec.disk_model],
@@ -141,57 +145,22 @@ def run_nemesis(
         seed=seed,
         allow_generic=True,
     )
-    completions = []
-    failure_kinds: dict[str, int] = {}
-
-    def feeder():
-        for record in trace:
-            if record.time_s > sim.now:
-                yield sim.timeout(record.time_s - sim.now)
-            request = ArrayRequest(
-                kind=record.kind,
-                offset_sectors=record.offset_sectors,
-                nsectors=record.nsectors,
-                sync=record.sync,
-            )
-            # Failures are data, not errors, under continuous chaos.
-            completion = array.submit(request)
-            completion.defused = True
-            completions.append(completion)
-
     loop.start()
-    feeder_proc = sim.process(feeder(), name="nemesis.feeder")
-    sim.run_until_triggered(feeder_proc)
-    sim.run_until_triggered(gather(sim, completions))
-
-    # ---- drain, with the telemetry pass still ticking -------------------
-    horizon = max(spec.duration_s, sim.now) + spec.settle_s
-    sim.run(until=horizon)
-    loop.poll(sim.now)
-    # Let an in-flight spare rebuild finish (campaign-style: stop once a
-    # pass dispatches nothing).
-    previous_dispatched = -1
-    while array.degraded_disk is not None and sim.events_dispatched != previous_dispatched:
-        previous_dispatched = sim.events_dispatched
-        sim.run(until=sim.now + 1.0)
-        loop.poll(sim.now)
-    # Drain remaining parity debt so still-open NVRAM faults can clear
-    # and backlog SLOs genuinely recover before the horizon close.
-    previous = -1
-    while (
-        array.degraded_disk is None
-        and array.marks.count
-        and array.marks.count != previous
-    ):
-        previous = array.marks.count
-        array.request_scrub(force=True)
-        sim.run(until=sim.now + 1.0)
-        loop.poll(sim.now)
+    # Failures are data, not errors, under continuous chaos: the feed
+    # defuses every completion and the close collects them.
+    replay = (sim, array, [], [])
+    feed_trace(replay, list(trace))
+    close_replay(replay, spec.duration_s, spec.settle_s, finalize=False)
+    # ---- drain, with the telemetry pass still ticking: still-open NVRAM
+    # faults clear and backlog SLOs genuinely recover before the close.
+    finish_recovery(sim, array, poll=loop.poll)
 
     loop.finish_engine(sim.now)
     monitor.finish(sim.now)
     array.finalize()
 
+    completions = replay[3]
+    failure_kinds: dict[str, int] = {}
     requests = {"submitted": len(completions), "completed": 0, "failed": 0}
     for completion in completions:
         if completion.ok:

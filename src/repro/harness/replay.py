@@ -3,10 +3,20 @@
 Requests are issued at their trace timestamps regardless of completions
 (open queueing), which is what makes the RAID 5 small-update penalty show
 up as queueing delay under bursts — the effect the paper measures.
+
+Every surface replays through the same two steps on one replay state
+``(sim, array, requests, completions)``: :func:`feed_trace` warms the
+extent cache and pumps arrivals into the array, and :func:`close_replay`
+gathers the completions and runs to the measurement horizon.
+:func:`replay_trace` is the two calls under one GC pause; sharded replay
+(:mod:`repro.harness.sharding`) splits the feed at quiescent cuts; fault
+campaigns and the nemesis feed each run (or crash segment) the same way
+and close it with ``finalize=False`` before their recovery drain.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import gc
 
@@ -65,13 +75,14 @@ def gather(sim: Simulator, events: list[Event]) -> Event:
 class _Feeder:
     """The open-loop arrival pump, as a callback state machine.
 
-    Replicates the old generator feeder event-for-event: one bootstrap
-    event (matching the ``Process`` bootstrap), one pooled timeout per
-    inter-arrival gap created at the *wake* position of the previous gap
-    (so its sequence number — and therefore every same-instant tie-break
-    against in-flight completions — is unchanged), and a listener-free
-    finish that never schedules an event (matching the process-finish
-    elision in ``Process._resume``).
+    Its event pattern is that of a feeder process, so the schedule around
+    it is the one the fixtures pin: one bootstrap event (where a
+    ``Process`` bootstrap would sit), one pooled timeout per inter-arrival
+    gap created at the *wake* position of the previous gap (so its
+    sequence number — and therefore every same-instant tie-break against
+    in-flight completions — is fixed), and a listener-free finish that
+    never schedules an event (as ``Process._resume`` elides a process
+    finish nobody waits on).
 
     A feeder given a ``cut`` index also pauses: the first arrival of a
     record at or past ``cut`` that finds the simulator otherwise empty
@@ -174,6 +185,65 @@ class ReplayOutcome:
         return [request.io_time for request in self.completed]
 
 
+@contextlib.contextmanager
+def gc_paused():
+    """Suspend cyclic GC for a bounded replay burst.
+
+    A replay allocates hundreds of thousands of short-lived events that
+    die by refcount, while everything the young-generation scans keep
+    walking (requests, completions, the array graph — cyclic through the
+    cached bound-method callbacks) stays reachable until the outcome is
+    built, so mid-run collections cost double-digit time and free nothing.
+    """
+    paused = gc.isenabled()
+    if paused:
+        gc.disable()
+    try:
+        yield
+    finally:
+        if paused:
+            gc.enable()
+
+
+def feed_trace(state: tuple, records: list, start: int = 0, cut: int | None = None) -> int:
+    """Submit ``records`` from ``start``; returns the index the feeder stopped at.
+
+    ``state`` is ``(sim, array, requests, completions)``; every submitted
+    request and its (defused) completion are appended to the two lists.
+    The feed stops at the first record at or past ``cut`` whose arrival
+    found the simulator otherwise empty, or at ``len(records)``.
+    ``start == 0`` boots the feeder; a later ``start`` resumes a state
+    paused at that record's arrival.
+    """
+    sim, array, requests, completions = state
+    # The arrival schedule is known before the clock starts: batch-map its
+    # geometry once (vectorised) so per-request map_extent is a probe.
+    warm_extent_cache(array.layout, records[start:])
+    feeder = _Feeder(sim, array, records, requests, completions, start, cut)
+    sim.run_until_triggered(feeder.start())
+    return feeder.index
+
+
+def close_replay(
+    state: tuple, duration_s: float, extra_settle_s: float, finalize: bool
+) -> ReplayOutcome:
+    """Drain a fully fed replay to its horizon and return its outcome.
+
+    The measurement horizon is ``max(duration_s, last completion)`` plus
+    ``extra_settle_s``; with ``finalize`` the parity-lag integrals are
+    closed there (so trailing idle-time scrubbing inside the horizon
+    counts, exactly as a fixed observation window would in a testbed).
+    """
+    sim, array, requests, completions = state
+    outcomes = sim.run_until_triggered(gather(sim, completions))
+    failures = [value for ok, value in outcomes if not ok]
+    horizon = max(duration_s, sim.now) + extra_settle_s
+    sim.run(until=horizon)
+    if finalize:
+        array.finalize()
+    return ReplayOutcome(requests=requests, failures=failures, horizon_s=horizon)
+
+
 def replay_trace(
     sim: Simulator,
     array: DiskArray,
@@ -181,40 +251,8 @@ def replay_trace(
     extra_settle_s: float = 0.0,
     finalize: bool = True,
 ) -> ReplayOutcome:
-    """Replay ``trace`` against ``array`` and close the books.
-
-    The measurement horizon is ``max(trace duration, last completion)``
-    plus ``extra_settle_s``; the parity-lag integrals are finalised there
-    (so trailing idle-time scrubbing inside the horizon counts, exactly as
-    a fixed observation window would in a testbed).
-    """
-    requests: list[ArrayRequest] = []
-    completions: list[Event] = []
-
-    records = list(trace)
-    # The whole arrival schedule is known before the clock starts: batch-map
-    # its geometry once (vectorised) so per-request map_extent is a probe.
-    warm_extent_cache(array.layout, records)
-    # Pause cyclic GC for the bounded duration of the run: a replay
-    # allocates hundreds of thousands of short-lived events that die by
-    # refcount, while everything the young-generation scans keep walking
-    # (requests, completions, the array graph — cyclic through the cached
-    # bound-method callbacks) stays reachable until the outcome is built,
-    # so mid-run collections cost double-digit time and free nothing.
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
-    try:
-        feeder_done = _Feeder(sim, array, records, requests, completions).start()
-        sim.run_until_triggered(feeder_done)
-        outcomes = sim.run_until_triggered(gather(sim, completions))
-        failures = [value for ok, value in outcomes if not ok]
-
-        horizon = max(trace.duration_s, sim.now) + extra_settle_s
-        sim.run(until=horizon)
-    finally:
-        if paused:
-            gc.enable()
-    if finalize:
-        array.finalize()
-    return ReplayOutcome(requests=requests, failures=failures, horizon_s=horizon)
+    """Replay ``trace`` against ``array`` and close the books (see :func:`close_replay`)."""
+    state = (sim, array, [], [])
+    with gc_paused():
+        feed_trace(state, list(trace))
+        return close_replay(state, trace.duration_s, extra_settle_s, finalize)

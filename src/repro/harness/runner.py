@@ -36,13 +36,7 @@ from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.layout import get_organization
 from repro.metrics import PerfCounters
 from repro.obs import HistogramSet
-from repro.policy import (
-    AlwaysRaid5Policy,
-    BaselineAfraidPolicy,
-    MttdlTargetPolicy,
-    NeverScrubPolicy,
-    ParityPolicy,
-)
+from repro.policy import POLICIES, MttdlTargetPolicy, ParityPolicy
 
 #: Bump when the cached payload layout (not the results) changes shape.
 #: 2: results grew per-class latency histograms (``latency_hists``).
@@ -68,20 +62,16 @@ class PolicySpec:
     mttdl_target: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in ("raid5", "afraid", "raid0", "mttdl"):
+        if self.kind not in POLICIES and self.kind != "mttdl":
             raise ValueError(f"unknown policy kind {self.kind!r}")
         if self.kind == "mttdl" and self.mttdl_target is None:
             raise ValueError("mttdl policy needs mttdl_target")
 
     def build(self, params: ReliabilityParams = TABLE_1) -> ParityPolicy:
         """A fresh policy instance (policies carry per-run state)."""
-        if self.kind == "raid5":
-            return AlwaysRaid5Policy()
-        if self.kind == "afraid":
-            return BaselineAfraidPolicy()
-        if self.kind == "raid0":
-            return NeverScrubPolicy()
-        return MttdlTargetPolicy(self.mttdl_target, params=params)
+        if self.kind == "mttdl":
+            return MttdlTargetPolicy(self.mttdl_target, params=params)
+        return POLICIES[self.kind]()
 
     @property
     def label(self) -> str:
@@ -473,13 +463,20 @@ def run_cell(spec: CellSpec, checkpoint_dir: str | None = None) -> ExperimentRes
     with ``functools.partial(run_cell, checkpoint_dir=...)`` (picklable,
     so it crosses the process pool).
     """
-    if checkpoint_dir is not None:
-        store = CheckpointStore(checkpoint_dir)
-        key = cache_key(spec)
-        hit = store.load(key)
-        if hit is not None:
-            return hit
-    result = run_experiment(
+    if checkpoint_dir is None:
+        return _replay_cell(spec)
+    store = CheckpointStore(checkpoint_dir)
+    key = cache_key(spec)
+    result = store.load(key)
+    if result is None:
+        result = _replay_cell(spec, checkpoint_dir)
+        store.store(key, result)
+    return result
+
+
+def _replay_cell(spec: CellSpec, checkpoint_dir: str | None = None) -> ExperimentResult:
+    """Replay one cell, resuming from ``checkpoint_dir``'s finals and cuts."""
+    return run_experiment(
         spec.workload,
         spec.policy.build(),
         duration_s=spec.duration_s,
@@ -491,9 +488,28 @@ def run_cell(spec: CellSpec, checkpoint_dir: str | None = None) -> ExperimentRes
         extra_settle_s=spec.extra_settle_s,
         checkpoint_dir=checkpoint_dir,
     )
-    if checkpoint_dir is not None:
-        store.store(key, result)
-    return result
+
+
+def cell_store(
+    cache_dir: str | os.PathLike | None, checkpoint_dir: str | os.PathLike | None
+) -> tuple[CheckpointStore | None, typing.Callable[[CellSpec], ExperimentResult]]:
+    """The store whose cell entries answer cells up front, and the cell function for misses.
+
+    ``cache_dir``'s store answers when given, and a miss runs ``run_cell``
+    with ``checkpoint_dir``.  Without ``cache_dir``, ``checkpoint_dir``'s
+    own cell entries answer instead, so a warm cell counts as cached: it
+    is one read, and a cold cell only replays through the store's finals
+    and cuts before the caller writes its one cell entry.
+    """
+    if checkpoint_dir is None:
+        return (None if cache_dir is None else CheckpointStore(cache_dir)), run_cell
+    checkpoint_dir = os.fspath(checkpoint_dir)
+    if cache_dir is None:
+        return (
+            CheckpointStore(checkpoint_dir),
+            functools.partial(_replay_cell, checkpoint_dir=checkpoint_dir),
+        )
+    return CheckpointStore(cache_dir), functools.partial(run_cell, checkpoint_dir=checkpoint_dir)
 
 
 def run_cells(
@@ -511,19 +527,15 @@ def run_cells(
     answer finished cells before any reaches a worker, so a warm rerun is
     pure I/O; every simulated cell is written back.  ``checkpoint_dir``
     hands each remaining cell to ``run_cell(spec, checkpoint_dir=...)``,
-    which answers it from that store's first rung that hits.  Cell order
-    never affects results — each cell is a fresh simulator with its own
-    explicitly-seeded RNG.
+    which answers it from that store's first rung that hits; with no
+    ``cache_dir``, that store's cell entries answer up front instead (see
+    :func:`cell_store`).  Cell order never affects results — each cell
+    is a fresh simulator with its own explicitly-seeded RNG.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     started = time.perf_counter()
-    cell_fn = (
-        run_cell
-        if checkpoint_dir is None
-        else functools.partial(run_cell, checkpoint_dir=os.fspath(checkpoint_dir))
-    )
-    cache = CheckpointStore(cache_dir) if cache_dir is not None else None
+    cache, cell_fn = cell_store(cache_dir, checkpoint_dir)
     results: dict[tuple[str, str], ExperimentResult] = {}
     pending: list[tuple[CellSpec, str | None]] = []
 

@@ -9,7 +9,10 @@ previous one stopped.  In-process the handoff is the live
 shard steps in worker processes (the sweep pool of
 :mod:`repro.harness.runner`) pickles it across the process boundary,
 and a checkpoint store (:mod:`repro.harness.checkpoint`) pickles it to
-disk.
+disk.  A shard step runs the replay driver's two steps on that state:
+:func:`~repro.harness.replay.feed_trace` up to its cut, and
+:func:`~repro.harness.replay.close_replay` once the trace is fed, so a
+one-shard replay is exactly :func:`~repro.harness.replay.replay_trace`.
 
 Correctness contract: the sharded replay is **byte-identical** to
 :func:`repro.harness.replay.replay_trace` on the same inputs, for any
@@ -46,17 +49,18 @@ fingerprints the observable results for N-vs-1 determinism checks.
 
 from __future__ import annotations
 
-import contextlib
 import dataclasses
-import gc
 import hashlib
 import os
 import struct
 import typing
 
 from repro.array.controller import DiskArray
-from repro.array.batchplan import warm_extent_cache
-from repro.harness.replay import ReplayOutcome, _Feeder, gather
+# Unused here (feed_trace warms the cache): the repo benchmark's ledger
+# wraps the name in this module.
+from repro.array.batchplan import warm_extent_cache  # noqa: F401
+from repro.harness.replay import ReplayOutcome, close_replay, feed_trace, gc_paused
+from repro.policy import POLICIES
 from repro.sim import Simulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -118,52 +122,12 @@ class ShardHandoff:
     events: int
 
 
-@contextlib.contextmanager
-def _gc_paused():
-    """Suspend cyclic GC for a bounded replay burst (see replay_trace)."""
-    paused = gc.isenabled()
-    if paused:
-        gc.disable()
-    try:
-        yield
-    finally:
-        if paused:
-            gc.enable()
-
-
-def _feed(state: tuple, records: list, start: int, cut: int) -> int:
-    """Submit ``records`` from ``start``; returns the index the feeder stopped at.
-
-    That is the first record at or past ``cut`` whose arrival found the
-    simulator otherwise empty, or ``len(records)``.  ``start == 0`` boots
-    exactly like :func:`replay_trace`; a later ``start`` resumes a state
-    paused at that record's arrival.
-    """
-    sim, array, requests, completions = state
-    warm_extent_cache(array.layout, records[start:])
-    feeder = _Feeder(sim, array, records, requests, completions, start, cut)
-    sim.run_until_triggered(feeder.start())
-    return feeder.index
-
-
 def _close(
-    state: tuple,
-    base: int,
-    duration_s: float,
-    extra_settle_s: float,
-    finalize: bool,
-    extras_fn: typing.Callable[..., dict] | None,
+    state: tuple, base: int, closing: tuple, extras_fn: typing.Callable[..., dict] | None
 ) -> ShardReplayResult:
-    """Drain a fully fed replay to its horizon and build the result."""
-    sim, array, requests, completions = state
-    outcomes = sim.run_until_triggered(gather(sim, completions))
-    failures = [value for ok, value in outcomes if not ok]
-    horizon = max(duration_s, sim.now) + extra_settle_s
-    sim.run(until=horizon)
-    if finalize:
-        array.finalize()
-    outcome = ReplayOutcome(requests=requests, failures=failures, horizon_s=horizon)
-    result = ShardReplayResult.from_array(array, outcome)
+    """Close a fully fed replay (:func:`close_replay`) and build the result."""
+    sim, array = state[0], state[1]
+    result = ShardReplayResult.from_array(array, close_replay(state, *closing))
     result.events_simulated = sim.events_dispatched - base
     if extras_fn is not None:
         result.extras = extras_fn(sim, array)
@@ -190,10 +154,10 @@ def advance_shard(
     """
     sim = state[0]
     base = sim.events_dispatched
-    with _gc_paused():
-        consumed = _feed(state, records, start, cut)
+    with gc_paused():
+        consumed = feed_trace(state, records, start, cut)
         if consumed == len(records):
-            return _close(state, base, duration_s, extra_settle_s, finalize, extras_fn)
+            return _close(state, base, (duration_s, extra_settle_s, finalize), extras_fn)
     return ShardHandoff(state, consumed, sim.events_dispatched - base)
 
 
@@ -215,9 +179,9 @@ def finish_shard(
     on whichever side of the process boundary the final shard ran.
     """
     base = state[0].events_dispatched
-    with _gc_paused():
-        _feed(state, records, start, len(records))
-        return _close(state, base, duration_s, extra_settle_s, finalize, extras_fn)
+    with gc_paused():
+        feed_trace(state, records, start)
+        return _close(state, base, (duration_s, extra_settle_s, finalize), extras_fn)
 
 
 def replay_trace_sharded(
@@ -309,26 +273,6 @@ def replay_trace_sharded(
     return result
 
 
-#: Policies a sharded replay can be parameterised with by name (the
-#: spec-string surface used by the CLI and CI determinism checks; the
-#: registry idiom matches repro.faults.campaign).
-_POLICIES: dict[str, type] = {}
-
-
-def _policy_registry() -> dict[str, type]:
-    if not _POLICIES:
-        from repro.policy import (
-            AlwaysRaid5Policy,
-            BaselineAfraidPolicy,
-            NeverScrubPolicy,
-        )
-
-        _POLICIES.update(
-            afraid=BaselineAfraidPolicy, raid5=AlwaysRaid5Policy, raid0=NeverScrubPolicy
-        )
-    return _POLICIES
-
-
 def run_sharded_replay(
     workload: str,
     policy: str = "afraid",
@@ -359,11 +303,9 @@ def run_sharded_replay(
     from repro.array.factory import build_array
     from repro.traces.catalog import make_trace
 
-    policy_cls = _policy_registry().get(policy)
+    policy_cls = POLICIES.get(policy)
     if policy_cls is None:
-        raise ValueError(
-            f"unknown policy {policy!r}; choose from {sorted(_policy_registry())}"
-        )
+        raise ValueError(f"unknown policy {policy!r}; choose from {sorted(POLICIES)}")
     if workers is None:
         workers = min(shards, os.cpu_count() or 1) if shards > 1 else 0
     sim = Simulator()

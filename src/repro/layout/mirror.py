@@ -90,6 +90,11 @@ class Raid10Layout:
 
     # -- mirror structure -------------------------------------------------------
 
+    @property
+    def disk_sectors_used(self) -> int:
+        """Sectors of each member the striped region occupies (one unit per stripe)."""
+        return self.nstripes * self.stripe_unit_sectors
+
     @staticmethod
     def mirror_disk(disk: int) -> int:
         """The other member of ``disk``'s mirror pair."""

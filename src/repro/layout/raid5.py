@@ -92,6 +92,11 @@ class Raid5Layout:
 
     # -- per-stripe structure ---------------------------------------------------
 
+    @property
+    def disk_sectors_used(self) -> int:
+        """Sectors of each member the striped region occupies (one unit per stripe)."""
+        return self.nstripes * self.stripe_unit_sectors
+
     def parity_disk(self, stripe: int) -> int:
         """Disk holding the parity unit of ``stripe``."""
         self._check_stripe(stripe)

@@ -137,6 +137,14 @@ class AlwaysRaid5Policy(ParityPolicy):
         return WriteMode.RAID5
 
 
+#: The fixed policies by name: the one vocabulary of the CLI, sweep cells,
+#: sharded replay and fault runs.  ``mttdl`` (:class:`MttdlTargetPolicy`)
+#: is not listed because it also needs a target.
+POLICIES: dict[str, type[ParityPolicy]] = {
+    policy.name: policy for policy in (BaselineAfraidPolicy, AlwaysRaid5Policy, NeverScrubPolicy)
+}
+
+
 class DirtyStripeThresholdPolicy(ParityPolicy):
     """Bound MDLR by capping the number of unprotected stripes.
 

@@ -32,19 +32,17 @@ which the server streams as NDJSON.
 
 from __future__ import annotations
 
-import functools
 import threading
 import time
 import typing
 
-from repro.harness.checkpoint import CheckpointStore
 from repro.harness.experiment import result_to_payload
 from repro.harness.runner import (
     CellExecutor,
     CellOutcome,
     CellSpec,
     DEFAULT_CACHE_DIR,
-    run_cell,
+    cell_store,
 )
 from repro.obs.service import ServiceMetrics
 from repro.obs.timeline import Timeline, TimelineEvent
@@ -209,18 +207,16 @@ class JobManager:
     ) -> None:
         self.metrics = ServiceMetrics(registry)
         self.queue_limit = queue_limit
-        self.cache_max_bytes = cache_max_bytes
+        # The bound is the result cache's: a checkpoint store answering
+        # in its place is never pruned by it.
+        self.cache_max_bytes = cache_max_bytes if cache_dir is not None else None
         self.checkpoint_dir = checkpoint_dir
-        self.cache = CheckpointStore(cache_dir) if cache_dir is not None else None
+        # A warm service restart replays only what the checkpoint store has
+        # not already simulated; partial (ordinary) functions pickle by
+        # reference, so the cell function crosses the pool.
+        self.cache, store_cell_fn = cell_store(cache_dir, checkpoint_dir)
         if cell_fn is None:
-            # A warm service restart replays only what the checkpoint
-            # store has not already simulated; partial (ordinary)
-            # functions pickle by reference, so this crosses the pool.
-            cell_fn = (
-                run_cell
-                if checkpoint_dir is None
-                else functools.partial(run_cell, checkpoint_dir=checkpoint_dir)
-            )
+            cell_fn = store_cell_fn
         self.executor = CellExecutor(
             jobs=jobs,
             cache=self.cache,
@@ -239,8 +235,7 @@ class JobManager:
         self._pending_cells = 0
         self._next_id = 0
         self._closed = False
-        if self.cache is not None and cache_max_bytes is not None:
-            self.cache.prune(cache_max_bytes)
+        self._maybe_prune()
 
     # -- submission ----------------------------------------------------------------
 

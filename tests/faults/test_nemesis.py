@@ -11,6 +11,7 @@ from repro.faults import (
     FaultCampaign,
     NemesisSpec,
     draw_fault_schedule,
+    run_campaign,
 )
 from repro.harness import run_nemesis, write_nemesis_report
 
@@ -180,3 +181,44 @@ class TestRunNemesis:
             assert paths[name].is_file(), name
         assert paths["timeline"].read_text() == outcome.timeline.to_jsonl()
         assert "Nemesis incident report" in paths["incident"].read_text()
+
+
+ORGANIZATIONS = {"raid5": 5, "raid5d": 5, "raid1": 2, "raid10": 6, "raid15": 6}
+
+
+class TestLatentLbaRule:
+    """Campaigns and the nemesis place latent errors by one rule."""
+
+    @pytest.mark.parametrize("seed", [0, 4, 5])
+    def test_declustered_nemesis_finishes(self, seed):
+        # These seeds once drew a latent LBA past a declustered member's end
+        # (``afraid-sim nemesis --organization raid5d``, its default rules).
+        spec = NemesisSpec(duration_s=20.0, organization="raid5d")
+        outcome = run_nemesis(spec, seed, rules=RULES)
+        assert outcome.ok, outcome.violations
+
+    @pytest.mark.parametrize("organization", sorted(ORGANIZATIONS))
+    def test_injected_lbas_lie_inside_the_member(self, organization):
+        ndisks = ORGANIZATIONS[organization]
+        knobs = dict(
+            organization=organization, ndisks=ndisks, disk_failures=0.0,
+            nvram_losses=0.0, latent_errors=16.0,
+        )
+        outcome = run_nemesis(NemesisSpec(duration_s=8.0, **knobs), seed=1)
+        array = outcome.loop.array
+        injected = [
+            (event.attrs["disk"], event.attrs["lba"])
+            for event in outcome.timeline.events_of("fault.inject")
+            if event.attrs.get("fault") == "latent_error"
+        ]
+        report = run_campaign(CampaignSpec(**knobs), seed=1)
+        injected += [
+            (entry["disk"], entry["lba"])
+            for entry in report.payload["events"]
+            if entry["kind"].startswith("latent_error")
+        ]
+        assert len(injected) > 16
+        for disk, lba in injected:
+            assert 0 <= lba < array.layout.disk_sectors_used
+            assert lba < array.disks[disk].geometry.total_sectors
+            array.layout.logical_of(disk, lba)  # raises outside the striped region

@@ -579,6 +579,50 @@ class TestOneStore:
             assert json.dumps(result_to_payload(result)) == json.dumps(_asdict_payload(result))
 
 
+class TestCheckpointStoreAccounting:
+    """Without a ``cache_dir``, the checkpoint store's cell entries count as the cache."""
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_warm_sweep_simulates_nothing(self, tmp_path, jobs):
+        specs = quick_specs()
+        cold = run_cells(specs, jobs=jobs, checkpoint_dir=tmp_path)
+        assert (cold.simulated, cold.cached) == (len(specs), 0)
+        warm = run_cells(specs, jobs=jobs, checkpoint_dir=tmp_path)
+        assert (warm.simulated, warm.cached) == (0, len(specs))
+        for spec in specs:
+            assert _text(warm.results[spec.key]) == _text(cold.results[spec.key])
+
+    def test_warm_job_is_answered_from_the_store(self, tmp_path):
+        specs = quick_specs()
+        run_cells(specs, checkpoint_dir=tmp_path)
+        manager = JobManager(jobs=1, cache_dir=None, checkpoint_dir=str(tmp_path))
+        try:
+            job = manager.submit(specs)
+            assert job.wait(60) == DONE
+        finally:
+            manager.shutdown(drain=False)
+        snapshot = job.snapshot()
+        assert snapshot["cells_cached"] == snapshot["cells_total"] == len(specs)
+        assert all(record["from_cache"] for record in job.cells)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cold_pass_writes_each_cell_entry_once(self, tmp_path, monkeypatch, jobs):
+        # Logged to a file: forked pool workers inherit the patch.
+        log = tmp_path / "writes.log"
+        store = CheckpointStore.store
+
+        def logged(self, key, result):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(key + "\n")
+            store(self, key, result)
+
+        monkeypatch.setattr(CheckpointStore, "store", logged)
+        specs = quick_specs()
+        run_cells(specs, jobs=jobs, checkpoint_dir=tmp_path / "store")
+        written = log.read_text(encoding="utf-8").split()
+        assert sorted(written) == sorted(cache_key(spec) for spec in specs)
+
+
 def _full_disk(monkeypatch, root):
     """Make every rename into ``root`` fail as if the disk were full."""
     replace = os.replace
