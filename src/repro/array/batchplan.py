@@ -34,6 +34,7 @@ except ImportError:  # pragma: no cover
     _np = None
 
 from repro.layout.base import ExtentRun
+from repro.layout.raid5 import Raid5Layout
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.array.controller import DiskArray
@@ -73,19 +74,17 @@ def warm_extent_cache(layout, records) -> int:
     vectorised sweep fills the extent cache and the per-request scalar
     ``map_extent`` becomes a dict probe for the rest of the run.  This is
     purely a cache warm — mapping is memoised, never observed — so it is
-    exact for any workload.  Skipped when the layout lacks the cache
-    fields (e.g. plain RAID 0), when numpy is absent, or when the distinct
-    extents would overflow the cache (warming would churn the FIFO).
+    exact for any workload.  Skipped for every layout but RAID 5 (the
+    vector fill hard-codes its phase, ``stripe % ndisks``, and its unit
+    start, ``stripe * stripe_unit_sectors``), when numpy is absent, or
+    when the distinct extents would overflow the cache (warming would
+    churn the FIFO).
 
     Returns the number of extents filled.
     """
-    cache = getattr(layout, "_extent_cache", None)
-    if (
-        cache is None
-        or _np is None
-        or getattr(layout, "_data_disks_by_phase", None) is None
-    ):
+    if type(layout) is not Raid5Layout or _np is None:
         return 0
+    cache = layout._extent_cache
     limit = layout.total_data_sectors
     seen: set[tuple[int, int]] = set()
     missing: list[tuple[int, int]] = []

@@ -546,7 +546,7 @@ class DiskArray:
         """Reconstruct a run on the failed disk: read the same extent of
         every surviving data unit plus parity, xor on the fly."""
         stripe = run.stripe
-        in_unit = run.disk_lba - self._stripe_base_lba(run)
+        in_unit = run.disk_lba - self.layout.unit_lba(run.stripe, run.disk)
         events = []
         for unit in self.layout.data_units(stripe):
             if unit.disk in self._failed_disks:
@@ -566,12 +566,6 @@ class DiskArray:
             )
             self.stats.reconstruct_reads += 1
         return events
-
-    def _stripe_base_lba(self, run: ExtentRun) -> int:
-        """The first sector of ``run``'s unit on its disk (offset anchor)."""
-        if self.organization.declustered:
-            return self.layout.unit_lba(run.stripe, run.disk)
-        return run.stripe * self.layout.stripe_unit_sectors
 
     def _disk_alive(self, disk: int) -> bool:
         return disk not in self._failed_disks and not self.disks[disk].failed
@@ -698,7 +692,7 @@ class DiskArray:
         if bits == 1:
             return range(0, 1)
         unit_sectors = self.layout.stripe_unit_sectors
-        start_in_unit = run.disk_lba - self._stripe_base_lba(run)
+        start_in_unit = run.disk_lba - self.layout.unit_lba(run.stripe, run.disk)
         return sub_units_overlapping(start_in_unit, run.nsectors, unit_sectors, bits)
 
     def _write_degraded(self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]):
@@ -1453,8 +1447,11 @@ class _StripeWrite:
             else:
                 # The small-update path (Figure 1): old data and old
                 # parity are read in the client write's critical path.
-                lo = min(run.disk_lba - array._stripe_base_lba(run) for run in runs)
-                hi = max(run.disk_lba - array._stripe_base_lba(run) + run.nsectors for run in runs)
+                lo = min(run.disk_lba - layout.unit_lba(run.stripe, run.disk) for run in runs)
+                hi = max(
+                    run.disk_lba - layout.unit_lba(run.stripe, run.disk) + run.nsectors
+                    for run in runs
+                )
                 self.span = (parity.disk_lba + lo, hi - lo)
                 reads = []
                 for run in runs:

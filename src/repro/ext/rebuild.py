@@ -16,7 +16,7 @@ import dataclasses
 import typing
 
 from repro.array.controller import DiskArray
-from repro.disk import DiskIO, IoKind, LatentSectorError, MechanicalDisk
+from repro.disk import DiskFailedError, DiskIO, IoKind, LatentSectorError, MechanicalDisk
 from repro.sched import DiskDriver, FcfsScheduler
 from repro.sim import AllOf, Event, Simulator
 
@@ -182,12 +182,16 @@ class RebuildManager:
                         stripe * unit_sectors, unit_sectors, units=repair_units
                     )
                     continue
+                except DiskFailedError:
+                    # A survivor died mid-read (a RAID 1+5 mirror partner
+                    # may, its pair being absorbable through parity):
+                    # plan the stripe again from the members still alive.
+                    attempts += 1
+                    if attempts > 3:
+                        raise
+                    continue
                 break
-            target_lba = (
-                array.layout.unit_lba(stripe, disk_index)
-                if declustered
-                else stripe * unit_sectors
-            )
+            target_lba = array.layout.unit_lba(stripe, disk_index)
             yield spare_driver.submit(DiskIO(IoKind.WRITE, target_lba, unit_sectors))
             self.stats.stripes_rebuilt += 1
             if self.registry is not None:

@@ -221,6 +221,9 @@ class NemesisLoop:
         self.resumes = 0
         self._hold_event: TimelineEvent | None = None
         self._spare_seq = 0
+        # Members with a rebuild in flight: a later repair of the same
+        # member (its strike was skipped) must not start a second one.
+        self._rebuilding: set[int] = set()
         # Disk-failure inject events awaiting their strike's report/skip
         # (the injector strikes via a zero-delay timeout, so outcomes
         # appear one dispatch after scheduling).
@@ -347,9 +350,10 @@ class NemesisLoop:
     def _schedule_repair(self, inject: TimelineEvent, disk: int) -> None:
         def repair(_event) -> None:
             # The strike may have been skipped (some other member already
-            # down) or the disk already repaired; only a live degradation
-            # on *this* member is ours to fix.
-            if disk not in self.array.failed_disks:
+            # down, or this one), the disk already repaired, or its rebuild
+            # already under way; only a live, unclaimed degradation on
+            # *this* member is ours to fix.
+            if disk not in self.array.failed_disks or disk in self._rebuilding:
                 return
             now = self.sim.now
             if self.spares_left <= 0:
@@ -364,10 +368,12 @@ class NemesisLoop:
             )
             manager = RebuildManager(self.sim, self.array, yield_to_foreground=False)
             self.timeline.rebuild_started(now, disk, cause=inject)
+            self._rebuilding.add(disk)
             done = manager.rebuild_onto(disk, spare)
             done.defused = True
 
             def on_rebuilt(rebuild_event) -> None:
+                self._rebuilding.discard(disk)
                 if not rebuild_event.ok:
                     return
                 finished = self.sim.now

@@ -31,6 +31,7 @@ import typing
 
 from repro.array.factory import PAPER_NDISKS, PAPER_STRIPE_UNIT_SECTORS
 from repro.availability import ReliabilityParams, TABLE_1
+from repro.disk import c3325_geometry
 from repro.harness.checkpoint import CheckpointStore, code_fingerprint
 from repro.harness.experiment import ExperimentResult, run_experiment
 from repro.layout import get_organization
@@ -104,7 +105,15 @@ class CellSpec:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.duration_s) and self.duration_s > 0):
             raise ValueError(f"duration_s must be a finite number > 0, got {self.duration_s!r}")
-        get_organization(self.organization).validate(self.ndisks)
+        for name in ("idle_threshold_s", "extra_settle_s"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        # The organization's own layout constructor is the geometry rule
+        # the array will apply, so a spec it rejects never reaches a worker.
+        get_organization(self.organization).build_layout(
+            self.ndisks, self.stripe_unit_sectors, c3325_geometry().total_sectors
+        )
 
     @property
     def key(self) -> tuple[str, str]:

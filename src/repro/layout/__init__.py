@@ -13,6 +13,12 @@ RAID 1/0, and hybrid RAID 1+5 (each with a deferred-copy AFRAID variant),
 and :mod:`repro.layout.declustered` adds parity-declustered RAID 5.  The
 :class:`~repro.layout.organization.ArrayOrganization` registry declares
 them all for the controller, factory, availability models, and CLI.
+
+Every layout is a :class:`~repro.layout.base.StripedLayout`, which holds
+the one mapping algorithm (extent walk, unit lookups, caches, pickling
+and bounds checks); each class states only where its units live — its
+per-phase data-disk and parity rows, and ``unit_lba`` where a unit does
+not start at ``stripe * stripe_unit_sectors`` — plus its own extras.
 """
 
 from repro.layout.base import ExtentRun, StripeUnit, UnitKind

@@ -21,14 +21,14 @@ from __future__ import annotations
 import itertools
 import math
 
-from repro.layout.base import ExtentRun, StripeUnit, UnitKind, check_layout_args
+from repro.layout.base import StripeUnit, StripedLayout, check_layout_args
 
 #: Upper bound on stripes per period (``C(n, k)``); beyond this the
 #: per-period tables stop being "small metadata".
 _MAX_PERIOD = 65536
 
 
-class DeclusteredRaid5Layout:
+class DeclusteredRaid5Layout(StripedLayout):
     """Maps array-logical sectors with parity declustered over ``k``-of-``n`` disks.
 
     Parameters
@@ -43,10 +43,6 @@ class DeclusteredRaid5Layout:
         Units per stripe ``k`` (data + parity), ``3 <= k < ndisks``.
         Defaults to ``ndisks - 1``, the gentlest declustering.
     """
-
-    _EXTENT_CACHE_MAX = 8192
-    _LOCATE_CACHE_MAX = 8192
-    _STRIPE_CACHE_MAX = 4096
 
     mirrored = False
     has_parity = True
@@ -69,23 +65,17 @@ class DeclusteredRaid5Layout:
             raise ValueError(
                 f"block design period C({ndisks}, {k}) = {period} exceeds {_MAX_PERIOD}"
             )
-        self.ndisks = ndisks
         self.stripe_width = k
-        self.stripe_unit_sectors = stripe_unit_sectors
-        self.disk_sectors = disk_sectors
-        self.data_units_per_stripe = k - 1
-        self.stripe_data_sectors = self.data_units_per_stripe * stripe_unit_sectors
         #: Stripes per block-design period and per-disk units per period.
         self.period = period
         self.units_per_disk_per_period = math.comb(ndisks - 1, k - 1)
         disk_units = disk_sectors // stripe_unit_sectors
-        self.nstripes = (disk_units // self.units_per_disk_per_period) * period
-        if self.nstripes == 0:
+        nstripes = (disk_units // self.units_per_disk_per_period) * period
+        if nstripes == 0:
             raise ValueError(
                 f"disk too small for one block-design period: need "
                 f"{self.units_per_disk_per_period} units/disk, have {disk_units}"
             )
-        self.total_data_sectors = self.nstripes * self.stripe_data_sectors
         # One lexicographic k-subset per period stripe, plus each disk's
         # ordinal appearance within the period (its unit slot) and the
         # inverse map (disk, ordinal) -> period stripe for logical_of.
@@ -104,42 +94,17 @@ class DeclusteredRaid5Layout:
             ordinals.append(table)
         self._ordinal_by_period_stripe = tuple(ordinals)
         self._period_stripes_by_disk = tuple(tuple(rows) for rows in stripes_by_disk)
-        self._extent_cache: dict[tuple[int, int], tuple[ExtentRun, ...]] = {}
-        self._locate_cache: dict[int, StripeUnit] = {}
-        self._parity_cache: dict[int, StripeUnit] = {}
-        self._units_cache: dict[int, tuple[StripeUnit, ...]] = {}
-
-    # -- pickling ---------------------------------------------------------------
-
-    _TRANSIENT = ("_extent_cache", "_locate_cache", "_parity_cache", "_units_cache")
-
-    def __getstate__(self):
-        state = self.__dict__.copy()
-        for key in self._TRANSIENT:
-            state.pop(key, None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._extent_cache = {}
-        self._locate_cache = {}
-        self._parity_cache = {}
-        self._units_cache = {}
-
-    # -- per-stripe structure ---------------------------------------------------
-
-    @property
-    def disk_sectors_used(self) -> int:
-        """Sectors of each member the striped region occupies.
-
-        Uniform across members: the stripe count is always a whole number
-        of block-design periods, and every disk holds exactly
-        ``units_per_disk_per_period`` units per period.
-        """
-        return (
-            (self.nstripes // self.period)
-            * self.units_per_disk_per_period
-            * self.stripe_unit_sectors
+        # The placement repeats every lcm(period, k) stripes: stripe s
+        # uses the (s % period)-th subset with parity at its (s % k)-th
+        # member, and data units follow the parity, wrapping.
+        data, parity = [], []
+        for phase in range(math.lcm(period, k)):
+            members = self._members_by_period_stripe[phase % period]
+            position = phase % k
+            parity.append(members[position])
+            data.append(tuple(members[(position + 1 + index) % k] for index in range(k - 1)))
+        super().__init__(
+            ndisks, stripe_unit_sectors, disk_sectors, tuple(data), tuple(parity), nstripes
         )
 
     def stripe_members(self, stripe: int) -> tuple[int, ...]:
@@ -148,7 +113,8 @@ class DeclusteredRaid5Layout:
         return self._members_by_period_stripe[stripe % self.period]
 
     def unit_lba(self, stripe: int, disk: int) -> int:
-        """First sector of ``stripe``'s unit on member ``disk``."""
+        """First sector of ``stripe``'s unit on member ``disk``: each disk
+        packs only the stripes it participates in."""
         self._check_stripe(stripe)
         period_stripe = stripe % self.period
         ordinal = self._ordinal_by_period_stripe[period_stripe].get(disk)
@@ -157,187 +123,11 @@ class DeclusteredRaid5Layout:
         slot = (stripe // self.period) * self.units_per_disk_per_period + ordinal
         return slot * self.stripe_unit_sectors
 
-    def parity_disk(self, stripe: int) -> int:
-        """Disk holding the parity unit of ``stripe``."""
-        self._check_stripe(stripe)
-        members = self._members_by_period_stripe[stripe % self.period]
-        return members[stripe % self.stripe_width]
-
-    def parity_unit(self, stripe: int) -> StripeUnit:
-        """Placement of the parity unit of ``stripe``."""
-        cache = self._parity_cache
-        unit = cache.get(stripe)
-        if unit is not None:
-            return unit
-        disk = self.parity_disk(stripe)
-        unit = StripeUnit(
-            stripe=stripe,
-            kind=UnitKind.PARITY,
-            unit_index=0,
-            disk=disk,
-            disk_lba=self.unit_lba(stripe, disk),
-        )
-        if len(cache) >= self._STRIPE_CACHE_MAX:
-            del cache[next(iter(cache))]
-        cache[stripe] = unit
-        return unit
-
-    def data_disk(self, stripe: int, unit_index: int) -> int:
-        """Disk holding data unit ``unit_index`` of ``stripe``."""
-        if not 0 <= unit_index < self.data_units_per_stripe:
-            raise ValueError(f"unit_index {unit_index} out of range")
-        self._check_stripe(stripe)
-        members = self._members_by_period_stripe[stripe % self.period]
-        parity_pos = stripe % self.stripe_width
-        return members[(parity_pos + 1 + unit_index) % self.stripe_width]
-
-    def data_units(self, stripe: int) -> tuple[StripeUnit, ...]:
-        """All data units of ``stripe``, in logical order."""
-        cache = self._units_cache
-        units = cache.get(stripe)
-        if units is not None:
-            return units
-        self._check_stripe(stripe)
-        members = self._members_by_period_stripe[stripe % self.period]
-        parity_pos = stripe % self.stripe_width
-        built: list[StripeUnit] = []
-        for index in range(self.data_units_per_stripe):
-            disk = members[(parity_pos + 1 + index) % self.stripe_width]
-            built.append(
-                StripeUnit(
-                    stripe=stripe,
-                    kind=UnitKind.DATA,
-                    unit_index=index,
-                    disk=disk,
-                    disk_lba=self.unit_lba(stripe, disk),
-                )
-            )
-        units = tuple(built)
-        if len(cache) >= self._STRIPE_CACHE_MAX:
-            del cache[next(iter(cache))]
-        cache[stripe] = units
-        return units
-
-    # -- logical address mapping ------------------------------------------------
-
-    def stripe_of(self, logical_sector: int) -> int:
-        """The stripe containing ``logical_sector``."""
-        self._check_logical(logical_sector)
-        return logical_sector // self.stripe_data_sectors
-
-    def locate(self, logical_sector: int) -> StripeUnit:
-        """The stripe unit containing ``logical_sector``."""
-        cache = self._locate_cache
-        unit = cache.get(logical_sector)
-        if unit is not None:
-            return unit
-        self._check_logical(logical_sector)
-        stripe, within = divmod(logical_sector, self.stripe_data_sectors)
-        unit_index = within // self.stripe_unit_sectors
-        disk = self.data_disk(stripe, unit_index)
-        unit = StripeUnit(
-            stripe=stripe,
-            kind=UnitKind.DATA,
-            unit_index=unit_index,
-            disk=disk,
-            disk_lba=self.unit_lba(stripe, disk),
-        )
-        if len(cache) >= self._LOCATE_CACHE_MAX:
-            del cache[next(iter(cache))]
-        cache[logical_sector] = unit
-        return unit
-
-    def map_extent(self, logical_sector: int, nsectors: int) -> tuple[ExtentRun, ...]:
-        """Split a logical extent into per-disk runs (stripe-unit bounded)."""
-        cache = self._extent_cache
-        key = (logical_sector, nsectors)
-        cached = cache.get(key)
-        if cached is not None:
-            return cached
-        if nsectors < 1:
-            raise ValueError(f"nsectors must be >= 1, got {nsectors}")
-        self._check_logical(logical_sector)
-        if logical_sector + nsectors > self.total_data_sectors:
-            raise ValueError("extent extends past end of array")
-        stripe_data_sectors = self.stripe_data_sectors
-        unit_sectors = self.stripe_unit_sectors
-        runs: list[ExtentRun] = []
-        position = logical_sector
-        remaining = nsectors
-        while remaining > 0:
-            stripe, within = divmod(position, stripe_data_sectors)
-            unit_index, unit_offset = divmod(within, unit_sectors)
-            run = unit_sectors - unit_offset
-            if run > remaining:
-                run = remaining
-            disk = self.data_disk(stripe, unit_index)
-            runs.append(
-                ExtentRun(
-                    stripe=stripe,
-                    unit_index=unit_index,
-                    disk=disk,
-                    disk_lba=self.unit_lba(stripe, disk) + unit_offset,
-                    nsectors=run,
-                    logical_sector=position,
-                )
-            )
-            position += run
-            remaining -= run
-        frozen = tuple(runs)
-        if len(cache) >= self._EXTENT_CACHE_MAX:
-            del cache[next(iter(cache))]
-        cache[key] = frozen
-        return frozen
-
-    def stripes_touched(self, logical_sector: int, nsectors: int) -> range:
-        """The stripes a logical extent intersects."""
-        if nsectors < 1:
-            raise ValueError(f"nsectors must be >= 1, got {nsectors}")
-        first = self.stripe_of(logical_sector)
-        last = self.stripe_of(logical_sector + nsectors - 1)
-        return range(first, last + 1)
-
     def logical_of(self, disk: int, disk_lba: int) -> StripeUnit:
         """Inverse map: what does sector ``disk_lba`` of ``disk`` hold?"""
-        if not 0 <= disk < self.ndisks:
-            raise ValueError(f"disk {disk} out of range")
-        slot = disk_lba // self.stripe_unit_sectors
-        repetition, ordinal = divmod(slot, self.units_per_disk_per_period)
+        self._check_disk_lba(disk, disk_lba)
+        repetition, ordinal = divmod(
+            disk_lba // self.stripe_unit_sectors, self.units_per_disk_per_period
+        )
         stripe = repetition * self.period + self._period_stripes_by_disk[disk][ordinal]
-        if not 0 <= stripe < self.nstripes:
-            raise ValueError(f"disk_lba {disk_lba} outside striped region")
-        if disk == self.parity_disk(stripe):
-            return self.parity_unit(stripe)
-        members = self._members_by_period_stripe[stripe % self.period]
-        parity_pos = stripe % self.stripe_width
-        unit_index = (members.index(disk) - parity_pos - 1) % self.stripe_width
-        return StripeUnit(
-            stripe=stripe,
-            kind=UnitKind.DATA,
-            unit_index=unit_index,
-            disk=disk,
-            disk_lba=slot * self.stripe_unit_sectors,
-        )
-
-    def logical_sector_of_unit(self, stripe: int, unit_index: int) -> int:
-        """First logical sector stored in data unit ``unit_index`` of ``stripe``."""
-        self._check_stripe(stripe)
-        return stripe * self.stripe_data_sectors + unit_index * self.stripe_unit_sectors
-
-    # -- helpers ----------------------------------------------------------------
-
-    def _check_stripe(self, stripe: int) -> None:
-        if not 0 <= stripe < self.nstripes:
-            raise ValueError(f"stripe {stripe} out of range [0, {self.nstripes})")
-
-    def _check_logical(self, logical_sector: int) -> None:
-        if not 0 <= logical_sector < self.total_data_sectors:
-            raise ValueError(
-                f"logical sector {logical_sector} out of range [0, {self.total_data_sectors})"
-            )
-
-    def __repr__(self) -> str:
-        return (
-            f"<DeclusteredRaid5Layout {self.ndisks} disks, k={self.stripe_width}, "
-            f"unit={self.stripe_unit_sectors} sectors, {self.nstripes} stripes>"
-        )
+        return self._unit_at(stripe, disk)

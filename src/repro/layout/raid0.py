@@ -8,73 +8,12 @@ RAID 0 layout where every unit holds data.
 
 from __future__ import annotations
 
-from repro.layout.base import ExtentRun, StripeUnit, UnitKind, check_layout_args
+from repro.layout.base import StripedLayout, check_layout_args
 
 
-class Raid0Layout:
+class Raid0Layout(StripedLayout):
     """Maps array-logical sectors across ``ndisks`` with no parity."""
 
     def __init__(self, ndisks: int, stripe_unit_sectors: int, disk_sectors: int) -> None:
         check_layout_args(ndisks, stripe_unit_sectors, disk_sectors, min_disks=2)
-        self.ndisks = ndisks
-        self.stripe_unit_sectors = stripe_unit_sectors
-        self.disk_sectors = disk_sectors
-        self.data_units_per_stripe = ndisks
-        self.stripe_data_sectors = ndisks * stripe_unit_sectors
-        self.nstripes = disk_sectors // stripe_unit_sectors
-        self.total_data_sectors = self.nstripes * self.stripe_data_sectors
-
-    def stripe_of(self, logical_sector: int) -> int:
-        self._check_logical(logical_sector)
-        return logical_sector // self.stripe_data_sectors
-
-    def locate(self, logical_sector: int) -> StripeUnit:
-        self._check_logical(logical_sector)
-        stripe, within = divmod(logical_sector, self.stripe_data_sectors)
-        unit_index = within // self.stripe_unit_sectors
-        return StripeUnit(
-            stripe=stripe,
-            kind=UnitKind.DATA,
-            unit_index=unit_index,
-            disk=unit_index,
-            disk_lba=stripe * self.stripe_unit_sectors,
-        )
-
-    def map_extent(self, logical_sector: int, nsectors: int) -> list[ExtentRun]:
-        if nsectors < 1:
-            raise ValueError(f"nsectors must be >= 1, got {nsectors}")
-        self._check_logical(logical_sector)
-        if logical_sector + nsectors > self.total_data_sectors:
-            raise ValueError("extent extends past end of array")
-        runs: list[ExtentRun] = []
-        position = logical_sector
-        remaining = nsectors
-        while remaining > 0:
-            stripe, within = divmod(position, self.stripe_data_sectors)
-            unit_index, unit_offset = divmod(within, self.stripe_unit_sectors)
-            run = min(remaining, self.stripe_unit_sectors - unit_offset)
-            runs.append(
-                ExtentRun(
-                    stripe=stripe,
-                    unit_index=unit_index,
-                    disk=unit_index,
-                    disk_lba=stripe * self.stripe_unit_sectors + unit_offset,
-                    nsectors=run,
-                    logical_sector=position,
-                )
-            )
-            position += run
-            remaining -= run
-        return runs
-
-    def _check_logical(self, logical_sector: int) -> None:
-        if not 0 <= logical_sector < self.total_data_sectors:
-            raise ValueError(
-                f"logical sector {logical_sector} out of range [0, {self.total_data_sectors})"
-            )
-
-    def __repr__(self) -> str:
-        return (
-            f"<Raid0Layout {self.ndisks} disks, unit={self.stripe_unit_sectors} sectors, "
-            f"{self.nstripes} stripes>"
-        )
+        super().__init__(ndisks, stripe_unit_sectors, disk_sectors, (tuple(range(ndisks)),))

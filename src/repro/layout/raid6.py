@@ -8,129 +8,27 @@ the background rebuild.  This layout places two parity units per stripe
 
 from __future__ import annotations
 
-from repro.layout.base import ExtentRun, StripeUnit, UnitKind, check_layout_args
+from repro.layout.base import StripeUnit, StripedLayout, UnitKind, check_layout_args, rotated_rows
 
 
-class Raid6Layout:
-    """Maps array-logical sectors with two rotating parity units."""
+class Raid6Layout(StripedLayout):
+    """Maps array-logical sectors with two rotating parity units.
+
+    P rotates left one disk per stripe exactly as in RAID 5, Q sits just
+    left of P, and the data units fill the other disks starting just
+    right of P.
+    """
 
     def __init__(self, ndisks: int, stripe_unit_sectors: int, disk_sectors: int) -> None:
         check_layout_args(ndisks, stripe_unit_sectors, disk_sectors, min_disks=4)
-        self.ndisks = ndisks
-        self.stripe_unit_sectors = stripe_unit_sectors
-        self.disk_sectors = disk_sectors
-        self.data_units_per_stripe = ndisks - 2
-        self.stripe_data_sectors = self.data_units_per_stripe * stripe_unit_sectors
-        self.nstripes = disk_sectors // stripe_unit_sectors
-        self.total_data_sectors = self.nstripes * self.stripe_data_sectors
-
-    def parity_disk(self, stripe: int) -> int:
-        """Disk holding the P unit of ``stripe``."""
-        self._check_stripe(stripe)
-        return self.ndisks - 1 - (stripe % self.ndisks)
+        data, parity = rotated_rows(ndisks, ndisks - 2)
+        super().__init__(ndisks, stripe_unit_sectors, disk_sectors, data, parity)
 
     def parity_q_disk(self, stripe: int) -> int:
         """Disk holding the Q unit of ``stripe`` (immediately left of P)."""
         return (self.parity_disk(stripe) - 1) % self.ndisks
 
-    def parity_unit(self, stripe: int) -> StripeUnit:
-        return StripeUnit(
-            stripe=stripe,
-            kind=UnitKind.PARITY,
-            unit_index=0,
-            disk=self.parity_disk(stripe),
-            disk_lba=stripe * self.stripe_unit_sectors,
-        )
-
     def parity_q_unit(self, stripe: int) -> StripeUnit:
-        return StripeUnit(
-            stripe=stripe,
-            kind=UnitKind.PARITY_Q,
-            unit_index=0,
-            disk=self.parity_q_disk(stripe),
-            disk_lba=stripe * self.stripe_unit_sectors,
-        )
-
-    def data_disk(self, stripe: int, unit_index: int) -> int:
-        """Disk holding data unit ``unit_index`` of ``stripe``.
-
-        Data occupies disks in circular order starting just right of P,
-        skipping the P and Q disks.
-        """
-        if not 0 <= unit_index < self.data_units_per_stripe:
-            raise ValueError(f"unit_index {unit_index} out of range")
-        p_disk = self.parity_disk(stripe)
-        q_disk = self.parity_q_disk(stripe)
-        order = []
-        disk = (p_disk + 1) % self.ndisks
-        while len(order) < self.data_units_per_stripe:
-            if disk not in (p_disk, q_disk):
-                order.append(disk)
-            disk = (disk + 1) % self.ndisks
-        return order[unit_index]
-
-    def data_units(self, stripe: int) -> list[StripeUnit]:
-        return [
-            StripeUnit(
-                stripe=stripe,
-                kind=UnitKind.DATA,
-                unit_index=index,
-                disk=self.data_disk(stripe, index),
-                disk_lba=stripe * self.stripe_unit_sectors,
-            )
-            for index in range(self.data_units_per_stripe)
-        ]
-
-    def stripe_of(self, logical_sector: int) -> int:
-        self._check_logical(logical_sector)
-        return logical_sector // self.stripe_data_sectors
-
-    def map_extent(self, logical_sector: int, nsectors: int) -> list[ExtentRun]:
-        if nsectors < 1:
-            raise ValueError(f"nsectors must be >= 1, got {nsectors}")
-        self._check_logical(logical_sector)
-        if logical_sector + nsectors > self.total_data_sectors:
-            raise ValueError("extent extends past end of array")
-        runs: list[ExtentRun] = []
-        position = logical_sector
-        remaining = nsectors
-        while remaining > 0:
-            stripe, within = divmod(position, self.stripe_data_sectors)
-            unit_index, unit_offset = divmod(within, self.stripe_unit_sectors)
-            run = min(remaining, self.stripe_unit_sectors - unit_offset)
-            runs.append(
-                ExtentRun(
-                    stripe=stripe,
-                    unit_index=unit_index,
-                    disk=self.data_disk(stripe, unit_index),
-                    disk_lba=stripe * self.stripe_unit_sectors + unit_offset,
-                    nsectors=run,
-                    logical_sector=position,
-                )
-            )
-            position += run
-            remaining -= run
-        return runs
-
-    def stripes_touched(self, logical_sector: int, nsectors: int) -> range:
-        if nsectors < 1:
-            raise ValueError(f"nsectors must be >= 1, got {nsectors}")
-        first = self.stripe_of(logical_sector)
-        last = self.stripe_of(logical_sector + nsectors - 1)
-        return range(first, last + 1)
-
-    def _check_stripe(self, stripe: int) -> None:
-        if not 0 <= stripe < self.nstripes:
-            raise ValueError(f"stripe {stripe} out of range [0, {self.nstripes})")
-
-    def _check_logical(self, logical_sector: int) -> None:
-        if not 0 <= logical_sector < self.total_data_sectors:
-            raise ValueError(
-                f"logical sector {logical_sector} out of range [0, {self.total_data_sectors})"
-            )
-
-    def __repr__(self) -> str:
-        return (
-            f"<Raid6Layout {self.ndisks} disks, unit={self.stripe_unit_sectors} sectors, "
-            f"{self.nstripes} stripes>"
-        )
+        """Placement of the Q unit of ``stripe``."""
+        disk = self.parity_q_disk(stripe)
+        return StripeUnit(stripe, UnitKind.PARITY_Q, 0, disk, self.unit_lba(stripe, disk))

@@ -222,3 +222,21 @@ class TestLatentLbaRule:
             assert 0 <= lba < array.layout.disk_sectors_used
             assert lba < array.disks[disk].geometry.total_sectors
             array.layout.logical_of(disk, lba)  # raises outside the striped region
+
+
+class TestUngatedNemesis:
+    """Without an SLO gate, strikes land on members already failed or rebuilding."""
+
+    @pytest.mark.parametrize("organization", sorted(ORGANIZATIONS))
+    def test_every_run_finishes_and_closes_its_rebuilds(self, organization):
+        # A skipped strike on a member under rebuild once started a second,
+        # concurrent rebuild of it whose span never closed; a RAID 1+5
+        # mirror partner dying mid-read once crashed the rebuild.
+        spec = NemesisSpec(
+            duration_s=20.0, organization=organization, ndisks=ORGANIZATIONS[organization]
+        )
+        for seed in range(10):
+            outcome = run_nemesis(spec, seed)
+            assert outcome.violations == [], (seed, outcome.violations)
+            starts = outcome.timeline.events_of("rebuild.start")
+            assert len(outcome.timeline.events_of("rebuild.finish")) == len(starts), seed

@@ -84,6 +84,22 @@ class TestCellSpecValidation:
                 organization=organization,
             )
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("stripe_unit_sectors", 0, "stripe unit must be >= 1 sector"),
+            ("stripe_unit_sectors", -8, "stripe unit must be >= 1 sector"),
+            ("stripe_unit_sectors", 10**9, "smaller than one stripe unit"),
+            ("idle_threshold_s", -1.0, "idle_threshold_s"),
+            ("idle_threshold_s", float("nan"), "idle_threshold_s"),
+            ("extra_settle_s", -5.0, "extra_settle_s"),
+            ("extra_settle_s", float("inf"), "extra_settle_s"),
+        ],
+    )
+    def test_cell_no_worker_can_run_is_refused(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            CellSpec(workload="hplajw", policy=PolicySpec("afraid"), **{field: value})
+
     def test_unknown_organization_rejected(self):
         with pytest.raises(ValueError, match="unknown organization"):
             CellSpec(workload="hplajw", policy=PolicySpec("afraid"), organization="raid99")

@@ -170,6 +170,27 @@ class TestParseJobPayload:
             with pytest.raises(ProtocolError, match="disks for RAID 5"):
                 parse_job_payload(payload)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("stripe_unit_sectors", 0, "stripe unit must be >= 1 sector"),
+            ("stripe_unit_sectors", -8, "stripe unit must be >= 1 sector"),
+            ("stripe_unit_sectors", 10**9, "smaller than one stripe unit"),
+            ("idle_threshold_s", -1, "idle_threshold_s"),
+            ("idle_threshold_s", "NaN", "idle_threshold_s"),
+            ("extra_settle_s", -5, "extra_settle_s"),
+        ],
+    )
+    def test_cell_no_worker_can_run_rejected(self, field, value, message):
+        cell = {"workload": "hplajw", "policy": "afraid"}
+        for payload in (
+            {"cells": [cell], field: value, "duration_s": 2},
+            {"cells": [{**cell, field: value}], "duration_s": 2},
+            {"workloads": ["hplajw"], field: value, "duration_s": 2},
+        ):
+            with pytest.raises(ProtocolError, match=message):
+                parse_job_payload(payload)
+
 
 class TestCellLabel:
     def test_matches_sweep_grid_key(self):
