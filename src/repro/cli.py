@@ -15,22 +15,37 @@ Installed as ``afraid-sim``::
     afraid-sim serve --port 8642 --jobs 4   # simulation-as-a-service daemon
     afraid-sim submit hplajw --url http://127.0.0.1:8642 --wait  # client
     afraid-sim status --url http://127.0.0.1:8642  # job table
+
+Every simulating command builds a spec from its flags — a
+:class:`~repro.harness.runner.CellSpec`, a campaign or a nemesis spec —
+runs it and renders it.  The run flags they share are declared once, in
+:data:`_SHARED_FLAGS`; a flag's text is parsed by its spec field's declared
+type, and the spec checks the bounds.  A value the spec refuses exits 2
+as a usage error of its flag, carrying the message the service's HTTP 400
+carries for the same value.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import json
 import math
 import sys
 
 from repro.availability import (
     CONSERVATIVE_SUPPORT,
     TABLE_1,
-    afraid_mttdl,
-    loss_probability,
     combine_mttdl,
+    loss_probability,
+    organization_mttdl,
 )
-from repro.harness import DEFAULT_CACHE_DIR, format_quantity, format_table, run_experiment
+from repro.disk import c3325_geometry
+from repro.faults import CampaignSpec
+from repro.faults.nemesis import NemesisSpec
+from repro.harness import DEFAULT_CACHE_DIR, format_quantity, format_table
+from repro.harness.runner import CellSpec, PolicySpec, run_spec
+from repro.layout import ORGANIZATIONS
 from repro.metrics import PerfCounters
 from repro.obs import (
     ExposureMonitor,
@@ -40,22 +55,13 @@ from repro.obs import (
     SloRule,
     start_exposure_poller,
 )
-from repro.policy import POLICIES, MttdlTargetPolicy, ParityPolicy
+from repro.policy import POLICIES
+from repro.spec import SpecError, check_number, check_organization, coerce
 from repro.traces import CATALOG, workload_names
 
 
-def _make_policy(name: str, mttdl_target: float | None) -> ParityPolicy:
-    if name == "mttdl":
-        if mttdl_target is None:
-            raise SystemExit("--policy mttdl requires --mttdl-target HOURS")
-        return MttdlTargetPolicy(mttdl_target)
-    if name not in POLICIES:
-        raise SystemExit(f"unknown policy {name!r}")
-    return POLICIES[name]()
-
-
 def _positive_float(text: str) -> float:
-    """argparse type: a finite number > 0 (durations, periods, targets)."""
+    """argparse type: a finite number > 0 (windows, periods, timeouts)."""
     try:
         value = float(text)
     except ValueError:
@@ -84,33 +90,156 @@ _positive_int = _int_at_least(1)
 _nonnegative_int = _int_at_least(0)
 
 
-#: Redundancy schemes the CLI can build (see repro.layout.organization).
-ORGANIZATION_CHOICES = ("raid5", "raid5d", "raid1", "raid10", "raid15")
+def _field_type(cls, name: str):
+    """An argparse type reading flag text as field ``name`` of spec ``cls``.
 
-#: Disk counts used when --ndisks is omitted: the paper's 5 for the
-#: RAID 5 family, each mirrored scheme's smallest sensible array.
-_ORGANIZATION_DEFAULT_NDISKS = {
-    "raid5": 5,
-    "raid5d": 5,
-    "raid1": 2,
-    "raid10": 6,
-    "raid15": 6,
+    The field's declared type does the coercion (:func:`repro.spec.coerce`),
+    so flag text and a service JSON value fail with the same message.
+    """
+    field = {field.name: field for field in dataclasses.fields(cls)}[name]
+
+    def parse(text: str):
+        try:
+            return coerce(field, text)
+        except SpecError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
+
+
+#: The flags commands share, each declared once: flag -> (the spec field
+#: it sets, argparse options).  The first seven are the run flags of every
+#: simulating command.  A command lists the ones it takes in
+#: :func:`_command` and sets its own defaults.
+_SHARED_FLAGS = {
+    "--duration": ("duration_s", dict(
+        type=_field_type(CellSpec, "duration_s"), metavar="S",
+        help="simulated seconds of workload (default %(default)s)",
+    )),
+    "--seed": ("seed", dict(
+        type=_field_type(CellSpec, "seed"), help="workload and fault seed (default %(default)s)",
+    )),
+    "--organization": ("organization", dict(
+        default="raid5", metavar="ORG",
+        help=f"redundancy scheme: {', '.join(ORGANIZATIONS)} (default: the paper's raid5)",
+    )),
+    "--ndisks": ("ndisks", dict(
+        type=_field_type(CellSpec, "ndisks"),
+        help="member disks (default: the organization's own, "
+        + ", ".join(f"{name} {org.default_disks}" for name, org in ORGANIZATIONS.items())
+        + ")",
+    )),
+    "--policy": ("policy", dict(
+        action="append", metavar="KIND",
+        help=f"parity policy: {', '.join([*POLICIES, 'mttdl'])} (default afraid; the last "
+        "one given counts, except for submit, which sends one cell per --policy)",
+    )),
+    "--mttdl-target": ("mttdl_target", dict(
+        type=_field_type(PolicySpec, "mttdl_target"), metavar="HOURS",
+        help="hours, for --policy mttdl",
+    )),
+    "--slo": (None, dict(
+        action="append", metavar="RULE",
+        help='SLO rule like "parity_lag_bytes < 5e6"; repeatable',
+    )),
+    "--json": (None, dict(action="store_true", help="print machine-readable JSON")),
+    "--cache-dir": (None, dict(
+        default=DEFAULT_CACHE_DIR, help="result cache directory (default %(default)s)"
+    )),
+    "--no-cache": (None, dict(
+        action="store_true", help="simulate every cell, never touch the cache"
+    )),
+    "--cache-max-bytes": (None, dict(
+        type=_nonnegative_int, metavar="N",
+        help="bound the cache: prune its oldest entries past N bytes",
+    )),
+    "--checkpoint-dir": (None, dict(
+        metavar="DIR",
+        help="replay checkpoint store: a run resumes from the deepest stored quiescent "
+        "cut of a matching trace prefix",
+    )),
+    "--url": (None, dict(default="http://127.0.0.1:8642", help="daemon base URL")),
+    "--timeout": (None, dict(type=_positive_float, help="seconds (default %(default)s)")),
+}
+
+#: The nemesis knobs: flag -> (NemesisSpec field, metavar, help).  Each
+#: parses by the field's type and defaults to the spec's own default.
+_NEMESIS_FLAGS = {
+    "--disk-model": ("disk_model", "MODEL", "member disk model: toy or hp_c3325"),
+    "--disk-failures": ("disk_failures", "N", "expected member deaths over the run"),
+    "--nvram-losses": ("nvram_losses", "N", "expected marking-memory losses"),
+    "--latent-errors": ("latent_errors", "N", "expected latent sector errors"),
+    "--spares": ("spare_pool", "N", "spare-disk pool"),
+    "--repair-delay": ("repair_delay_s", "S", "technician delay before a spare rebuild starts"),
+    "--period": ("period_s", "S", "gate/telemetry tick"),
+    "--sample-period": ("sample_period_s", "S", "exposure/latency timeline sample period"),
+    "--mttdl-floor": (
+        "mttdl_floor_h", "HOURS",
+        "also hold injections while windowed achieved MTTDL is below this",
+    ),
 }
 
 
-def _resolve_organization(args: argparse.Namespace) -> tuple[str, int]:
-    """(organization, ndisks) from the common CLI knobs, validated early."""
-    from repro.layout import get_organization
+def _cell_spec(
+    args: argparse.Namespace, policy: PolicySpec | None = None, workload: str | None = None
+) -> CellSpec:
+    """The command's cell: its workload and run flags, checked by CellSpec.
 
-    organization = getattr(args, "organization", "raid5") or "raid5"
-    ndisks = getattr(args, "ndisks", None)
-    if ndisks is None:
-        ndisks = _ORGANIZATION_DEFAULT_NDISKS[organization]
-    try:
-        get_organization(organization).validate(ndisks)
-    except ValueError as exc:
-        raise SystemExit(f"--ndisks: {exc}") from None
-    return organization, ndisks
+    ``policy`` and ``workload`` stand in for the ``--policy`` and
+    ``--mttdl-target`` flags and for the workload argument.
+    """
+    if policy is None:
+        kind = args.policy[-1] if args.policy else "afraid"
+        policy = PolicySpec(kind, getattr(args, "mttdl_target", None))
+    return CellSpec(
+        args.workload if workload is None else workload,
+        policy,
+        duration_s=args.duration,
+        seed=args.seed,
+        ndisks=args.ndisks,
+        organization=args.organization,
+    )
+
+
+def _catalog_workloads(args: argparse.Namespace, names) -> list[str]:
+    """``names``, each a catalog workload; any other is a usage error."""
+    for name in names:
+        if name not in CATALOG:
+            args.parser.error(
+                f"argument workloads: unknown workload {name!r}; choose from {workload_names()}"
+            )
+    return list(names)
+
+
+def _title(spec: CellSpec, policy: str, extra: str = "") -> str:
+    """``workload under policy (duration, seed...)``, naming a non-default array."""
+    title = f"{spec.workload} under {policy} ({spec.duration_s:g}s, seed {spec.seed}{extra})"
+    if spec.organization != "raid5":
+        title += f" [{spec.organization}, {spec.ndisks} disks]"
+    return title
+
+
+def _generic_trace(spec: CellSpec):
+    """``None`` for a catalog workload; any other name synthesises a generic
+    bursty trace under that name (with a note), so ad-hoc labels work."""
+    if spec.workload in CATALOG:
+        return None
+    from repro.traces import make_trace
+
+    print(
+        f"note: {spec.workload!r} is not in the workload catalog; "
+        "synthesising a generic bursty workload under that name",
+        file=sys.stderr,
+    )
+    org, _ndisks = check_organization(spec.organization, spec.ndisks)
+    layout = org.build_layout(spec.ndisks, spec.stripe_unit_sectors, c3325_geometry().total_sectors)
+    return make_trace(
+        spec.workload,
+        duration_s=spec.duration_s,
+        address_space_sectors=layout.total_data_sectors,
+        seed=spec.seed,
+        allow_generic=True,
+    )
 
 
 def _result_rows(result) -> list[list[str]]:
@@ -128,6 +257,10 @@ def _result_rows(result) -> list[list[str]]:
     ]
 
 
+def _jsonable(value):
+    return "inf" if isinstance(value, float) and value == float("inf") else value
+
+
 def cmd_workloads(_args: argparse.Namespace) -> int:
     rows = [
         [name, f"{CATALOG[name].write_fraction:.0%}", CATALOG[name].description]
@@ -135,21 +268,6 @@ def cmd_workloads(_args: argparse.Namespace) -> int:
     ]
     print(format_table(["workload", "writes", "description"], rows))
     return 0
-
-
-def _resolve_workload(name: str, duration_s: float, seed: int):
-    """A catalog name passes through; anything else synthesises a generic
-    bursty trace under that name (with a note), so ad-hoc labels work."""
-    if name in CATALOG:
-        return name
-    from repro.traces import make_trace
-
-    print(
-        f"note: {name!r} is not in the workload catalog; "
-        "synthesising a generic bursty workload under that name",
-        file=sys.stderr,
-    )
-    return make_trace(name, duration_s=duration_s, seed=seed, allow_generic=True)
 
 
 def _parse_slo_rules(texts) -> list[SloRule]:
@@ -161,17 +279,13 @@ def _parse_slo_rules(texts) -> list[SloRule]:
 
 
 def _run_with_slo(
-    workload,
-    policy: ParityPolicy,
-    duration_s: float,
-    seed: int,
+    spec: CellSpec,
     rules: list[SloRule],
     window_s: float = 5.0,
     period_s: float = 0.050,
-    counters: PerfCounters | None = None,
-    **experiment_kwargs,
+    **run_kwargs,
 ):
-    """One experiment with live exposure telemetry and SLO evaluation.
+    """One cell with live exposure telemetry and SLO evaluation.
 
     Returns (result, registry, engine, snapshotter) — the registry holds
     the final metric values, the engine the breach/recovery history.
@@ -190,22 +304,25 @@ def _run_with_slo(
             period_s=period_s,
             engine=engine,
             snapshotter=snapshotter,
-            until=duration_s,
+            until=spec.duration_s,
         )
 
-    result = run_experiment(
-        workload,
-        policy,
-        duration_s=duration_s,
-        seed=seed,
-        counters=counters,
-        registry=registry,
-        exposure=monitor,
-        on_array=instrument,
-        **experiment_kwargs,
+    result = run_spec(
+        spec, registry=registry, exposure=monitor, on_array=instrument, **run_kwargs
     )
     engine.finish(result.horizon_s)
     return result, registry, engine, snapshotter
+
+
+def _slo_payload(engine: SloEngine, rules: list[SloRule]) -> dict:
+    return {
+        "rules": [rule.describe() for rule in rules],
+        "breached": engine.any_breached_ever,
+        "events": [
+            {"time_s": e.time_s, "kind": e.kind, "rule": e.rule.describe()}
+            for e in engine.events
+        ],
+    }
 
 
 def _slo_report(engine: SloEngine) -> str:
@@ -222,41 +339,23 @@ def _slo_report(engine: SloEngine) -> str:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    policy = _make_policy(args.policy, args.mttdl_target)
-    organization, ndisks = _resolve_organization(args)
+    spec = _cell_spec(args)
     counters = PerfCounters() if args.stats else None
-    rules = _parse_slo_rules(getattr(args, "slo", None))
+    rules = _parse_slo_rules(args.slo)
     engine = None
     if rules:
-        result, _registry, engine, _snaps = _run_with_slo(
-            args.workload, policy, args.duration, args.seed, rules, counters=counters,
-            organization=organization, ndisks=ndisks,
-        )
+        result, _registry, engine, _snaps = _run_with_slo(spec, rules, counters=counters)
     else:
-        result = run_experiment(
-            args.workload, policy, duration_s=args.duration, seed=args.seed,
-            counters=counters, organization=organization, ndisks=ndisks,
-        )
+        result = run_spec(spec, counters=counters)
     if args.json:
-        import json
-
         payload = result.to_dict()
         if counters is not None:
             payload["perf"] = counters.snapshot()
         if engine is not None:
-            payload["slo"] = {
-                "rules": [rule.describe() for rule in rules],
-                "breached": engine.any_breached_ever,
-                "events": [
-                    {"time_s": e.time_s, "kind": e.kind, "rule": e.rule.describe()}
-                    for e in engine.events
-                ],
-            }
+            payload["slo"] = _slo_payload(engine, rules)
         print(json.dumps(payload, indent=2))
         return 0
-    title = f"{args.workload} under {policy.describe()} ({args.duration:g}s, seed {args.seed})"
-    if organization != "raid5":
-        title += f" [{organization}, {ndisks} disks]"
+    title = _title(spec, result.policy)
     print(format_table(["metric", "value"], _result_rows(result), title=title))
     if engine is not None:
         print()
@@ -268,27 +367,22 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
-    rows = []
+    names = ("raid0", "afraid", "raid5")
+    specs = {name: _cell_spec(args, PolicySpec(name)) for name in names}
+    rules = _parse_slo_rules(args.slo)
     results = {}
-    organization, ndisks = _resolve_organization(args)
-    rules = _parse_slo_rules(getattr(args, "slo", None))
     engines = {}
-    for name in ("raid0", "afraid", "raid5"):
+    for name, spec in specs.items():
         if rules:
-            results[name], _reg, engines[name], _snaps = _run_with_slo(
-                args.workload, _make_policy(name, None), args.duration, args.seed, rules,
-                organization=organization, ndisks=ndisks,
-            )
+            results[name], _reg, engines[name], _snaps = _run_with_slo(spec, rules)
         else:
-            results[name] = run_experiment(
-                args.workload, _make_policy(name, None), duration_s=args.duration,
-                seed=args.seed, organization=organization, ndisks=ndisks,
-            )
+            results[name] = run_spec(spec)
     raid5_mean = results["raid5"].io_time.mean
     header = ["model", "mean I/O (ms)", "vs RAID5", "unprot time", "disk MTTDL (h)"]
     if rules:
         header.append("SLO breaches")
-    for name in ("raid0", "afraid", "raid5"):
+    rows = []
+    for name in names:
         result = results[name]
         row = [
             name,
@@ -300,15 +394,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         if rules:
             row.append(str(sum(engines[name].breach_count(rule) for rule in rules)))
         rows.append(row)
-    print(
-        format_table(
-            header,
-            rows,
-            title=f"{args.workload}, {args.duration:g}s, seed {args.seed}",
-        )
-    )
+    spec = specs["raid5"]
+    title = f"{spec.workload}, {spec.duration_s:g}s, seed {spec.seed}"
+    if spec.organization != "raid5":
+        title += f" [{spec.organization}, {spec.ndisks} disks]"
+    print(format_table(header, rows, title=title))
     if rules:
-        for name in ("raid0", "afraid", "raid5"):
+        for name in names:
             print(f"\n{name}:")
             print(_slo_report(engines[name]))
     return 0
@@ -317,6 +409,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     from repro.traces import analyze, make_trace, read_trace_csv
 
+    check_number("duration_s", args.duration, strict=True)
     if args.workload.endswith(".csv"):
         trace = read_trace_csv(args.workload)
     else:
@@ -329,14 +422,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_profile(args: argparse.Namespace) -> int:
     from repro.perf import dump_pstats, format_hot_path, profile_call
 
-    policy = _make_policy(args.policy, args.mttdl_target)
-    result, profile = profile_call(
-        run_experiment, args.workload, policy, duration_s=args.duration, seed=args.seed
-    )
-    print(
-        f"profile: {args.workload} under {policy.describe()} "
-        f"({args.duration:g}s, seed {args.seed}, {result.nrequests} requests)"
-    )
+    spec = _cell_spec(args)
+    result, profile = profile_call(run_spec, spec)
+    print("profile: " + _title(spec, result.policy, f", {result.nrequests} requests"))
     print(format_hot_path(profile, top=args.top, sort=args.sort))
     if args.dump:
         dump_pstats(profile, args.dump)
@@ -354,21 +442,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         tradeoff_curve,
     )
 
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    workloads = args.workloads or workload_names()
-    for workload in workloads:
-        if workload not in CATALOG:
-            raise SystemExit(f"unknown workload {workload!r}; choose from {workload_names()}")
+    workloads = _catalog_workloads(args, args.workloads or workload_names())
     targets = args.targets if args.targets else list(DEFAULT_MTTDL_TARGETS)
-    organization, ndisks = _resolve_organization(args)
     specs = ladder_specs(
         workloads,
         targets,
         duration_s=args.duration,
         seed=args.seed,
-        organization=organization,
-        ndisks=ndisks,
+        organization=args.organization,
+        ndisks=args.ndisks,
     )
     labels = []
     for spec in specs:
@@ -399,12 +481,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 f"cache pruned: {removed} entries, {freed / 1024:.0f} KB freed",
                 file=sys.stderr,
             )
-    baseline_label = "raid5" if organization == "raid5" else f"raid5@{organization}"
+    baseline_label = dataclasses.replace(specs[0], policy=PolicySpec("raid5")).key[1]
     points = tradeoff_curve(outcome.results, workloads, labels, baseline_label=baseline_label)
 
     if args.json:
-        import json
-
         payload = {
             "workloads": list(workloads),
             "cells": {f"{w}/{p}": r.to_dict() for (w, p), r in sorted(outcome.results.items())},
@@ -454,13 +534,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    import json
-
     from repro.obs import PeriodicSampler, Tracer, attach_array_probes
 
-    policy = _make_policy(args.policy, args.mttdl_target)
+    spec = _cell_spec(args)
     tracer = Tracer(max_records=args.max_records)
-    workload = _resolve_workload(args.workload, args.duration, args.seed)
 
     def instrument(sim, array) -> None:
         if args.kernel:
@@ -469,14 +546,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         attach_array_probes(sampler, array)
         sampler.start()
 
-    result = run_experiment(
-        workload,
-        policy,
-        duration_s=args.duration,
-        seed=args.seed,
-        tracer=tracer,
-        on_array=instrument,
-    )
+    result = run_spec(spec, _generic_trace(spec), tracer=tracer, on_array=instrument)
     tracer.write_chrome(args.out)
     if args.jsonl:
         tracer.write_jsonl(args.jsonl)
@@ -494,7 +564,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
     hists = result.histogram_set()
     assert hists is not None  # run_experiment always collects
-    title = f"{result.workload} under {result.policy} ({args.duration:g}s, seed {args.seed})"
+    title = _title(spec, result.policy)
     print(format_table(HistogramSet.table_header(), hists.rows(), title=title))
     dropped = f" ({tracer.dropped} dropped)" if tracer.dropped else ""
     print(f"\n{len(tracer)} trace records{dropped} -> {args.out}")
@@ -510,8 +580,6 @@ def _hists_from_event_log(text: str, path: str, expected: str) -> HistogramSet:
     ``event`` key.  ``cell_completed`` events contribute their
     ``latency_s`` under their cell label.
     """
-    import json
-
     hists = HistogramSet()
     hists.hists.clear()  # only the classes the log actually names
     events = 0
@@ -540,8 +608,6 @@ def _hists_from_event_log(text: str, path: str, expected: str) -> HistogramSet:
 
 def cmd_report(args: argparse.Namespace) -> int:
     if args.from_file is not None:
-        import json
-
         expected = (
             "accepted formats: histogram JSON with keys min_latency_s, "
             "buckets_per_decade, classes as written by `afraid-sim trace "
@@ -573,12 +639,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     else:
         if args.workload is None:
             raise SystemExit("report needs a workload name or --from FILE")
-        policy = _make_policy(args.policy, args.mttdl_target)
-        workload = _resolve_workload(args.workload, args.duration, args.seed)
-        result = run_experiment(workload, policy, duration_s=args.duration, seed=args.seed)
+        spec = _cell_spec(args)
+        result = run_spec(spec, _generic_trace(spec))
         hists = result.histogram_set()
         assert hists is not None
-        title = f"{result.workload} under {result.policy} ({args.duration:g}s, seed {args.seed})"
+        title = _title(spec, result.policy)
     rows = hists.rows()
     if not rows:
         print("no latencies recorded")
@@ -588,39 +653,21 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_availability(args: argparse.Namespace) -> int:
-    from repro.availability import organization_mttdl
-    from repro.layout import get_organization
-
     params = TABLE_1
-    organization = getattr(args, "organization", "raid5") or "raid5"
-    org = get_organization(organization)
-    ndisks = (
-        args.ndisks if args.ndisks is not None else _ORGANIZATION_DEFAULT_NDISKS[organization]
-    )
-    try:
-        org.validate(ndisks)
-    except ValueError as exc:
-        raise SystemExit(f"--ndisks: {exc}") from None
+    org, ndisks = check_organization(args.organization, args.ndisks)
     # Zero exposure gives the organization's catastrophic-only MTTDL
     # (for RAID 5 that is exactly eq. (1)).
-    sync = organization_mttdl(organization, ndisks, params.mttf_disk_h, params.mttr_h, 0.0)
+    sync = organization_mttdl(org.name, ndisks, params.mttf_disk_h, params.mttr_h, 0.0)
     deferred = organization_mttdl(
-        organization, ndisks, params.mttf_disk_h, params.mttr_h, args.fraction
+        org.name, ndisks, params.mttf_disk_h, params.mttr_h, args.fraction
     )
     overall = combine_mttdl(deferred, CONSERVATIVE_SUPPORT.mttdl_h)
     lifetime_h = args.years * 24 * 365.25
     p_loss = loss_probability(overall, lifetime_h)
     if args.format == "json":
-        import json
-
-        def jsonable(value):
-            if isinstance(value, float) and value == float("inf"):
-                return "inf"
-            return value
-
         payload = {
             "ndisks": ndisks,
-            "organization": organization,
+            "organization": org.name,
             "unprotected_fraction": args.fraction,
             "years": args.years,
             # Historical key names: "raid5" = the catastrophic-only term,
@@ -631,7 +678,7 @@ def cmd_availability(args: argparse.Namespace) -> int:
             "overall_mttdl_h": overall,
             "loss_probability": p_loss,
         }
-        print(json.dumps({key: jsonable(value) for key, value in payload.items()}, indent=2))
+        print(json.dumps({key: _jsonable(value) for key, value in payload.items()}, indent=2))
         return 0
     rows = [
         [f"{org.display} disk MTTDL (catastrophic)", format_quantity(sync, " h")],
@@ -641,18 +688,9 @@ def cmd_availability(args: argparse.Namespace) -> int:
         ],
         ["support MTTDL (Table 1)", format_quantity(CONSERVATIVE_SUPPORT.mttdl_h, " h")],
         ["overall MTTDL", format_quantity(overall, " h")],
-        [
-            f"P(loss in {args.years:g} years)",
-            f"{loss_probability(overall, lifetime_h):.2%}",
-        ],
+        [f"P(loss in {args.years:g} years)", f"{p_loss:.2%}"],
     ]
-    print(
-        format_table(
-            ["quantity", "value"],
-            rows,
-            title=f"{ndisks}-disk {org.display} array",
-        )
-    )
+    print(format_table(["quantity", "value"], rows, title=f"{ndisks}-disk {org.display} array"))
     return 0
 
 
@@ -666,22 +704,14 @@ def cmd_exposure(args: argparse.Namespace) -> int:
     format (``--prom``) and the full sampled time series as JSON lines
     (``--jsonl``).
     """
-    policy = _make_policy(args.policy, args.mttdl_target)
+    spec = _cell_spec(args)
     rules = _parse_slo_rules(args.slo)
-    workload = _resolve_workload(args.workload, args.duration, args.seed)
     result, registry, engine, snapshotter = _run_with_slo(
-        workload,
-        policy,
-        args.duration,
-        args.seed,
-        rules,
-        window_s=args.window,
-        period_s=args.period,
+        spec, rules, window_s=args.window, period_s=args.period, workload=_generic_trace(spec)
     )
     exposure_hists = result.exposure_histogram_set()
-
-    analytic_mttdl = afraid_mttdl(
-        result.ndisks, result.params.mttf_disk_h, result.params.mttr_h,
+    analytic_mttdl = organization_mttdl(
+        result.organization, result.ndisks, result.params.mttf_disk_h, result.params.mttr_h,
         result.unprotected_fraction,
     )
 
@@ -693,36 +723,19 @@ def cmd_exposure(args: argparse.Namespace) -> int:
         snapshotter.write_jsonl(args.jsonl)
 
     if args.json:
-        import json
-
-        def jsonable(value):
-            if isinstance(value, float) and value == float("inf"):
-                return "inf"
-            return value
-
         payload = {
             "result": result.to_dict(),
-            "metrics": {k: jsonable(v) for k, v in registry.snapshot().items()},
-            "slo": {
-                "rules": [rule.describe() for rule in rules],
-                "breached": engine.any_breached_ever,
-                "events": [
-                    {"time_s": e.time_s, "kind": e.kind, "rule": e.rule.describe()}
-                    for e in engine.events
-                ],
-            },
+            "metrics": {k: _jsonable(v) for k, v in registry.snapshot().items()},
+            "slo": _slo_payload(engine, rules),
             "snapshots": len(snapshotter.snaps),
         }
         print(json.dumps(payload, indent=2))
     else:
-        title = (
-            f"{result.workload} under {result.policy} "
-            f"({args.duration:g}s, seed {args.seed}, window {args.window:g}s)"
-        )
         metric_rows = [
             [name, format_quantity(value)]
             for name, value in sorted(registry.snapshot().items())
         ]
+        title = _title(spec, result.policy, f", window {args.window:g}s")
         print(format_table(["metric", "value"], metric_rows, title=title))
         print()
         print(
@@ -765,26 +778,28 @@ def cmd_exposure(args: argparse.Namespace) -> int:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    import json
-
     from repro.harness.sharding import run_sharded_replay
 
+    spec = _cell_spec(args)
     result, digest = run_sharded_replay(
-        args.workload,
-        policy=args.policy,
-        duration_s=args.duration,
-        seed=args.seed,
+        spec.workload,
+        policy=spec.policy.kind,
+        duration_s=spec.duration_s,
+        seed=spec.seed,
         shards=args.shards,
-        workers=args.workers,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_max_bytes=args.checkpoint_max_bytes,
+        organization=spec.organization,
+        ndisks=spec.ndisks,
     )
     if args.report_json:
         report = {
-            "workload": args.workload,
-            "policy": args.policy,
-            "duration_s": args.duration,
-            "seed": args.seed,
+            "workload": spec.workload,
+            "policy": spec.policy.label,
+            "organization": spec.organization,
+            "ndisks": spec.ndisks,
+            "duration_s": spec.duration_s,
+            "seed": spec.seed,
             "shards": args.shards,
             "digest": digest,
             "events_simulated": result.events_simulated,
@@ -808,10 +823,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
         ["horizon", f"{outcome.horizon_s:g} s"],
         ["digest", digest],
     ]
-    title = (
-        f"{args.workload} under {args.policy} "
-        f"({args.duration:g}s, seed {args.seed}, {args.shards} shard(s))"
-    )
+    title = _title(spec, spec.policy.label, f", {args.shards} shard(s)")
     print(format_table(["metric", "value"], rows, title=title))
     return 0
 
@@ -824,9 +836,6 @@ def cmd_faults(args: argparse.Namespace) -> int:
     are byte-stable for a given (spec, seed) — rerunning and diffing is
     the determinism check CI performs.
     """
-    import json
-
-    from repro.faults import CampaignSpec
     from repro.harness import run_campaign_suite, write_campaign_reports
 
     if args.campaign:
@@ -837,10 +846,9 @@ def cmd_faults(args: argparse.Namespace) -> int:
         except (ValueError, json.JSONDecodeError) as exc:
             raise SystemExit(f"--campaign: {args.campaign}: {exc}") from None
     else:
-        organization, ndisks = _resolve_organization(args)
         spec = CampaignSpec(
             disk_failures=1.0, nvram_losses=0.5, latent_errors=1.0, crashes=0.5,
-            organization=organization, ndisks=ndisks,
+            organization=args.organization, ndisks=args.ndisks,
         )
     seeds = list(range(args.seeds)) if args.seeds else [args.seed]
     outcome = run_campaign_suite(spec, seeds)
@@ -914,34 +922,17 @@ def cmd_nemesis(args: argparse.Namespace) -> int:
     Prometheus text, markdown incident report, JSON summary), all
     byte-stable for a given (spec, seed).
     """
-    import json
-
-    from repro.faults.nemesis import NemesisSpec
     from repro.harness.nemesis import run_nemesis, write_nemesis_report
 
-    rules = _parse_slo_rules(args.slo)
-    if not rules:
-        rules = [SloRule.parse(text) for text in DEFAULT_NEMESIS_SLOS]
-    organization, ndisks = _resolve_organization(args)
-    try:
-        spec = NemesisSpec(
-            workload=args.workload,
-            duration_s=args.duration,
-            ndisks=ndisks,
-            organization=organization,
-            policy=args.policy,
-            disk_model=args.disk_model,
-            disk_failures=args.disk_failures,
-            nvram_losses=args.nvram_losses,
-            latent_errors=args.latent_errors,
-            spare_pool=args.spares,
-            repair_delay_s=args.repair_delay,
-            period_s=args.period,
-            sample_period_s=args.sample_period,
-            mttdl_floor_h=args.mttdl_floor,
-        )
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    rules = _parse_slo_rules(args.slo or DEFAULT_NEMESIS_SLOS)
+    spec = NemesisSpec(
+        workload=args.workload,
+        duration_s=args.duration,
+        ndisks=args.ndisks,
+        organization=args.organization,
+        policy=args.policy[-1] if args.policy else "afraid",
+        **{field: getattr(args, field) for field, _metavar, _help in _NEMESIS_FLAGS.values()},
+    )
     outcome = run_nemesis(spec, seed=args.seed, rules=rules, window_s=args.window)
 
     if args.report:
@@ -991,10 +982,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     """Run the simulation-as-a-service daemon until SIGTERM/SIGINT."""
     from repro.service import JobManager, run_server
 
-    if args.jobs < 1:
-        raise SystemExit(f"--jobs must be >= 1, got {args.jobs}")
-    if args.queue_limit < 1:
-        raise SystemExit(f"--queue-limit must be >= 1, got {args.queue_limit}")
     manager = JobManager(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
@@ -1025,24 +1012,31 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 
 def _submit_payload(args: argparse.Namespace) -> dict:
-    payload: dict = {"duration_s": args.duration, "seed": args.seed}
+    """The job's cells, built and checked here as ``sweep`` would build them."""
+    from repro.harness import ladder_specs
+    from repro.service import spec_to_payload
+
+    workloads = _catalog_workloads(args, args.workloads)
     if args.policy:
-        payload["cells"] = [
-            {"workload": workload, "policy": policy}
-            for workload in args.workloads
-            for policy in args.policy
+        specs = [
+            _cell_spec(args, PolicySpec(kind), workload)
+            for workload in workloads
+            for kind in args.policy
         ]
     else:
-        payload["workloads"] = list(args.workloads)
-        if args.targets:
-            payload["targets"] = args.targets
-    return payload
+        specs = ladder_specs(
+            workloads,
+            args.targets or [],
+            duration_s=args.duration,
+            seed=args.seed,
+            organization=args.organization,
+            ndisks=args.ndisks,
+        )
+    return {"cells": [spec_to_payload(spec) for spec in specs]}
 
 
 def cmd_submit(args: argparse.Namespace) -> int:
     """Submit a job to a running daemon; optionally wait / stream events."""
-    import json
-
     from repro.service import ServiceClient, ServiceError
 
     client = ServiceClient(args.url, timeout=args.timeout)
@@ -1075,8 +1069,6 @@ def cmd_submit(args: argparse.Namespace) -> int:
 
 def cmd_status(args: argparse.Namespace) -> int:
     """Show one job (or the whole job table) of a running daemon."""
-    import json
-
     from repro.service import ServiceClient, ServiceError
 
     client = ServiceClient(args.url, timeout=args.timeout)
@@ -1130,6 +1122,39 @@ def _package_version() -> str:
         return __version__
 
 
+def _package_version() -> str:
+    """The installed distribution version, falling back to the source tree."""
+    try:
+        from importlib import metadata
+
+        return metadata.version("repro")
+    except Exception:
+        from repro import __version__
+
+        return __version__
+
+
+def _command(commands, name: str, handler, help: str, flags=(), fields=None, **defaults):
+    """A subcommand taking the shared run ``flags``, with its own defaults.
+
+    ``fields`` maps each further spec field the command sets to the flag
+    that sets it, so :func:`main` can blame a refused value on its flag.
+    """
+    parser = commands.add_parser(name, help=help)
+    for flag in flags:
+        parser.add_argument(flag, **_SHARED_FLAGS[flag][1])
+    parser.set_defaults(
+        handler=handler,
+        parser=parser,
+        spec_flags={
+            **{_SHARED_FLAGS[flag][0]: flag for flag in flags if _SHARED_FLAGS[flag][0]},
+            **(fields or {}),
+        },
+        **defaults,
+    )
+    return parser
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="afraid-sim",
@@ -1139,441 +1164,248 @@ def build_parser() -> argparse.ArgumentParser:
         "--version", action="version", version=f"%(prog)s {_package_version()}"
     )
     commands = parser.add_subparsers(dest="command", required=True)
+    cell = ("--duration", "--seed", "--organization", "--ndisks")
+    one_policy = (*cell, "--policy", "--mttdl-target")
+    store = ("--cache-dir", "--no-cache", "--cache-max-bytes", "--checkpoint-dir")
+    client = ("--url", "--timeout", "--json")
 
-    commands.add_parser("workloads", help="list the workload catalog").set_defaults(
-        handler=cmd_workloads
-    )
+    _command(commands, "workloads", cmd_workloads, "list the workload catalog")
 
-    run_parser = commands.add_parser("run", help="run one workload under one policy")
-    run_parser.add_argument("workload", choices=workload_names())
-    run_parser.add_argument("--policy", default="afraid", choices=[*POLICIES, "mttdl"])
-    run_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
-    run_parser.add_argument(
-        "--organization", default="raid5", choices=ORGANIZATION_CHOICES,
-        help="redundancy scheme (default: the paper's RAID 5)",
+    run = _command(
+        commands, "run", cmd_run, "run one workload under one policy",
+        (*one_policy, "--slo", "--json"), duration=30.0, seed=42,
     )
-    run_parser.add_argument(
-        "--ndisks", type=int, default=None,
-        help="member disks (default: organization-appropriate count)",
-    )
-    run_parser.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration (simulated s)")
-    run_parser.add_argument("--seed", type=int, default=42)
-    run_parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    run_parser.add_argument(
-        "--stats", action="store_true", help="also print simulator perf counters"
-    )
-    run_parser.add_argument(
-        "--slo", action="append", default=None, metavar="RULE",
-        help='SLO rule like "parity_lag_bytes < 5e6"; repeatable',
-    )
-    run_parser.set_defaults(handler=cmd_run)
+    run.add_argument("workload", choices=workload_names())
+    run.add_argument("--stats", action="store_true", help="also print simulator perf counters")
 
-    compare_parser = commands.add_parser("compare", help="RAID 0 vs AFRAID vs RAID 5 on one workload")
-    compare_parser.add_argument("workload", choices=workload_names())
-    compare_parser.add_argument(
-        "--organization", default="raid5", choices=ORGANIZATION_CHOICES,
-        help="redundancy scheme the three policies run over",
+    compare = _command(
+        commands, "compare", cmd_compare, "RAID 0 vs AFRAID vs RAID 5 on one workload",
+        (*cell, "--slo"), duration=20.0, seed=42,
     )
-    compare_parser.add_argument(
-        "--ndisks", type=int, default=None,
-        help="member disks (default: organization-appropriate count)",
-    )
-    compare_parser.add_argument("--duration", type=_positive_float, default=20.0)
-    compare_parser.add_argument("--seed", type=int, default=42)
-    compare_parser.add_argument(
-        "--slo", action="append", default=None, metavar="RULE",
-        help='SLO rule like "parity_lag_bytes < 5e6"; repeatable, checked per model',
-    )
-    compare_parser.set_defaults(handler=cmd_compare)
+    compare.add_argument("workload", choices=workload_names())
 
-    analyze_parser = commands.add_parser("analyze", help="characterise a workload (catalog name or trace CSV)")
-    analyze_parser.add_argument("workload", help="catalog name, or a path ending in .csv")
-    analyze_parser.add_argument("--duration", type=_positive_float, default=60.0)
-    analyze_parser.add_argument("--seed", type=int, default=42)
-    analyze_parser.add_argument("--gap", type=float, default=0.1, help="burst-splitting gap (s)")
-    analyze_parser.set_defaults(handler=cmd_analyze)
+    analyze = _command(
+        commands, "analyze", cmd_analyze, "characterise a workload (catalog name or trace CSV)",
+        ("--duration", "--seed"), duration=60.0, seed=42,
+    )
+    analyze.add_argument("workload", help="catalog name, or a path ending in .csv")
+    analyze.add_argument("--gap", type=float, default=0.1, help="burst-splitting gap (s)")
 
-    profile_parser = commands.add_parser(
-        "profile", help="cProfile one replay and print the hot-path table"
+    profile = _command(
+        commands, "profile", cmd_profile, "cProfile one replay and print the hot-path table",
+        one_policy, duration=10.0, seed=42,
     )
-    profile_parser.add_argument("workload", choices=workload_names())
-    profile_parser.add_argument(
-        "--policy", default="afraid", choices=[*POLICIES, "mttdl"]
-    )
-    profile_parser.add_argument(
-        "--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl"
-    )
-    profile_parser.add_argument("--duration", type=_positive_float, default=10.0)
-    profile_parser.add_argument("--seed", type=int, default=42)
-    profile_parser.add_argument("--top", type=int, default=20, help="rows in the hot-path table")
-    profile_parser.add_argument(
-        "--sort", default="cumulative", choices=["cumulative", "tottime"]
-    )
-    profile_parser.add_argument(
-        "--dump", metavar="PATH", default=None, help="also write a raw pstats dump"
-    )
-    profile_parser.set_defaults(handler=cmd_profile)
+    profile.add_argument("workload", choices=workload_names())
+    profile.add_argument("--top", type=int, default=20, help="rows in the hot-path table")
+    profile.add_argument("--sort", default="cumulative", choices=["cumulative", "tottime"])
+    profile.add_argument("--dump", metavar="PATH", help="also write a raw pstats dump")
 
-    sweep_parser = commands.add_parser(
-        "sweep", help="run the Figure 3/4 policy-ladder grid via the parallel sweep engine"
+    sweep = _command(
+        commands, "sweep", cmd_sweep,
+        "run the Figure 3/4 policy-ladder grid via the parallel sweep engine",
+        (*cell, *store, "--json"), fields={"mttdl_target": "--targets"}, duration=30.0, seed=42,
     )
-    sweep_parser.add_argument(
-        "workloads", nargs="*", help="workload names (default: the full catalog)"
+    sweep.add_argument("workloads", nargs="*", help="workload names (default: the full catalog)")
+    sweep.add_argument(
+        "--targets", type=_field_type(PolicySpec, "mttdl_target"), nargs="+", default=None,
+        help="MTTDL_x targets in hours",
     )
-    sweep_parser.add_argument(
-        "--targets", type=_positive_float, nargs="+", default=None, help="MTTDL_x targets in hours"
-    )
-    sweep_parser.add_argument("--jobs", type=int, default=1, help="worker processes")
-    sweep_parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    sweep_parser.add_argument(
-        "--no-cache", action="store_true", help="always re-simulate, never touch the cache"
-    )
-    sweep_parser.add_argument(
-        "--cache-max-bytes", type=_nonnegative_int, default=None, metavar="N",
-        help="after the sweep, evict oldest cache entries until the cache fits N bytes",
-    )
-    sweep_parser.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="replay checkpoint store: simulated cells resume from the deepest "
-        "stored quiescent cut (composes with the result cache)",
-    )
-    sweep_parser.add_argument(
-        "--organization", default="raid5", choices=ORGANIZATION_CHOICES,
-        help="redundancy scheme every cell runs over",
-    )
-    sweep_parser.add_argument(
-        "--ndisks", type=int, default=None,
-        help="member disks (default: organization-appropriate count)",
-    )
-    sweep_parser.add_argument("--duration", type=_positive_float, default=30.0)
-    sweep_parser.add_argument("--seed", type=int, default=42)
-    sweep_parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    sweep_parser.add_argument(
-        "--stats", action="store_true", help="also print sweep perf counters"
-    )
-    sweep_parser.set_defaults(handler=cmd_sweep)
+    sweep.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
+    sweep.add_argument("--stats", action="store_true", help="also print sweep perf counters")
 
-    trace_parser = commands.add_parser(
-        "trace", help="run one workload and export a Perfetto-loadable trace"
+    trace = _command(
+        commands, "trace", cmd_trace, "run one workload and export a Perfetto-loadable trace",
+        one_policy, duration=30.0, seed=42,
     )
-    trace_parser.add_argument(
+    trace.add_argument(
         "workload", help="catalog name (unknown names synthesise a generic workload)"
     )
-    trace_parser.add_argument("--policy", default="afraid", choices=[*POLICIES, "mttdl"])
-    trace_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
-    trace_parser.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration (simulated s)")
-    trace_parser.add_argument("--seed", type=int, default=42)
-    trace_parser.add_argument("--out", default="trace.json", help="Chrome trace-event JSON output path")
-    trace_parser.add_argument("--jsonl", default=None, help="also write raw records as JSON lines")
-    trace_parser.add_argument("--hist-out", default=None, help="write latency histograms as JSON")
-    trace_parser.add_argument(
+    trace.add_argument("--out", default="trace.json", help="Chrome trace-event JSON output path")
+    trace.add_argument("--jsonl", default=None, help="also write raw records as JSON lines")
+    trace.add_argument("--hist-out", default=None, help="write latency histograms as JSON")
+    trace.add_argument(
         "--sample-period", type=_positive_float, default=0.010, help="sampler period (simulated s)"
     )
-    trace_parser.add_argument(
+    trace.add_argument(
         "--max-records", type=_positive_int, default=1_000_000, help="tracer memory bound (records)"
     )
-    trace_parser.add_argument(
-        "--kernel", action="store_true", help="also record per-event kernel dispatch instants (verbose)"
+    trace.add_argument(
+        "--kernel", action="store_true",
+        help="also record per-event kernel dispatch instants (verbose)",
     )
-    trace_parser.set_defaults(handler=cmd_trace)
 
-    report_parser = commands.add_parser(
-        "report", help="per-request-class latency percentile table"
+    report = _command(
+        commands, "report", cmd_report, "per-request-class latency percentile table",
+        one_policy, duration=30.0, seed=42,
     )
-    report_parser.add_argument(
-        "workload", nargs="?", default=None, help="catalog name (or use --from)"
-    )
-    report_parser.add_argument("--policy", default="afraid", choices=[*POLICIES, "mttdl"])
-    report_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
-    report_parser.add_argument("--duration", type=_positive_float, default=30.0)
-    report_parser.add_argument("--seed", type=int, default=42)
-    report_parser.add_argument(
+    report.add_argument("workload", nargs="?", default=None, help="catalog name (or use --from)")
+    report.add_argument(
         "--from", dest="from_file", default=None, metavar="FILE",
         help="report from a histogram JSON written by `trace --hist-out`",
     )
-    report_parser.set_defaults(handler=cmd_report)
 
-    avail_parser = commands.add_parser("availability", help="Section 3 analytic calculator")
-    avail_parser.add_argument("--ndisks", type=int, default=None)
-    avail_parser.add_argument(
-        "--organization", default="raid5", choices=ORGANIZATION_CHOICES,
-        help="redundancy scheme the models describe",
+    availability = _command(
+        commands, "availability", cmd_availability, "Section 3 analytic calculator",
+        ("--organization", "--ndisks"),
     )
-    avail_parser.add_argument("--fraction", type=float, default=0.05, help="unprotected-time fraction")
-    avail_parser.add_argument("--years", type=float, default=3.0)
-    avail_parser.add_argument(
+    availability.add_argument(
+        "--fraction", type=float, default=0.05, help="unprotected-time fraction"
+    )
+    availability.add_argument("--years", type=float, default=3.0)
+    availability.add_argument(
         "--format", choices=["table", "json"], default="table", help="output format"
     )
-    avail_parser.set_defaults(handler=cmd_availability)
 
-    exposure_parser = commands.add_parser(
-        "exposure", help="live redundancy-exposure telemetry, SLO checks, and metric export"
+    exposure = _command(
+        commands, "exposure", cmd_exposure,
+        "live redundancy-exposure telemetry, SLO checks, and metric export",
+        (*one_policy, "--slo", "--json"), duration=30.0, seed=42,
     )
-    exposure_parser.add_argument(
+    exposure.add_argument(
         "workload", help="catalog name (unknown names synthesise a generic workload)"
     )
-    exposure_parser.add_argument("--policy", default="afraid", choices=[*POLICIES, "mttdl"])
-    exposure_parser.add_argument("--mttdl-target", type=_positive_float, default=None, help="hours, for --policy mttdl")
-    exposure_parser.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration (simulated s)")
-    exposure_parser.add_argument("--seed", type=int, default=42)
-    exposure_parser.add_argument(
+    exposure.add_argument(
         "--window", type=_positive_float, default=5.0, help="estimator sliding window (simulated s)"
     )
-    exposure_parser.add_argument(
+    exposure.add_argument(
         "--period", type=_positive_float, default=0.050, help="poller/snapshot period (simulated s)"
     )
-    exposure_parser.add_argument(
-        "--slo", action="append", default=None, metavar="RULE",
-        help='SLO rule like "parity_lag_bytes < 5e6"; repeatable',
-    )
-    exposure_parser.add_argument(
+    exposure.add_argument(
         "--prom", default=None, metavar="FILE",
         help="write final registry state in Prometheus text exposition format",
     )
-    exposure_parser.add_argument(
+    exposure.add_argument(
         "--jsonl", default=None, metavar="FILE",
         help="write the sampled registry time series as JSON lines",
     )
-    exposure_parser.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    exposure_parser.add_argument(
-        "--fail-on-breach", action="store_true",
-        help="exit 1 if any SLO rule was ever breached",
+    exposure.add_argument(
+        "--fail-on-breach", action="store_true", help="exit 1 if any SLO rule was ever breached",
     )
-    exposure_parser.set_defaults(handler=cmd_exposure)
 
-    replay_parser = commands.add_parser(
-        "replay",
-        help="time-sliced (sharded) trace replay with deterministic handoff",
+    replay = _command(
+        commands, "replay", cmd_replay,
+        "time-sliced (sharded) trace replay with deterministic handoff",
+        (*cell, "--policy", "--checkpoint-dir"), fields={"mttdl_target": "--policy"},
+        duration=30.0, seed=42,
     )
-    replay_parser.add_argument("workload", choices=workload_names())
-    replay_parser.add_argument(
-        "--policy", default="afraid", choices=list(POLICIES)
-    )
-    replay_parser.add_argument("--duration", type=_positive_float, default=30.0, help="trace duration (simulated s)")
-    replay_parser.add_argument("--seed", type=int, default=42)
-    replay_parser.add_argument(
+    replay.add_argument("workload", choices=workload_names())
+    replay.add_argument(
         "--shards", type=_positive_int, default=1,
-        help="number of consecutive time slices (results are byte-identical for any value)",
+        help="look for quiescent cuts at this many equal time slices; the steps run one "
+        "after another in one simulation, and results are byte-identical for any value",
     )
-    replay_parser.add_argument(
-        "--workers", type=_nonnegative_int, default=None,
-        help="run shard steps in a process pool of this size "
-        "(0 = in-process; default: min(shards, CPU count) when --shards > 1, "
-        "else in-process)",
-    )
-    replay_parser.add_argument(
+    replay.add_argument(
         "--digest", action="store_true",
         help="print only the result fingerprint (for determinism checks)",
     )
-    replay_parser.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="persist quiescent-cut checkpoints (and the final result) in DIR; "
-        "re-runs resume from the deepest matching trace prefix",
-    )
-    replay_parser.add_argument(
+    replay.add_argument(
         "--checkpoint-max-bytes", type=_nonnegative_int, default=None, metavar="N",
         help="bound checkpoint-store growth: prune oldest entries past N bytes",
     )
-    replay_parser.add_argument(
+    replay.add_argument(
         "--report-json", default=None, metavar="PATH",
         help="write digest/events-simulated run metadata as JSON",
     )
-    replay_parser.set_defaults(handler=cmd_replay)
 
-    faults_parser = commands.add_parser(
-        "faults",
-        help="run a seeded fault campaign with crash-recovery invariant checks",
+    faults = _command(
+        commands, "faults", cmd_faults,
+        "run a seeded fault campaign with crash-recovery invariant checks",
+        ("--seed", "--organization", "--ndisks", "--json"), seed=0,
     )
-    faults_parser.add_argument("--seed", type=int, default=0, help="campaign seed (default 0)")
-    faults_parser.add_argument(
+    faults.add_argument(
         "--seeds", type=_nonnegative_int, default=0, metavar="K",
         help="run seeds 0..K-1 as a suite instead of a single --seed",
     )
-    faults_parser.add_argument(
+    faults.add_argument(
         "--campaign", default=None, metavar="SPEC.json",
-        help="JSON campaign spec (defaults to a light all-fault-types campaign)",
+        help="JSON campaign spec (defaults to a light all-fault-types campaign over "
+        "--organization and --ndisks, which it ignores)",
     )
-    faults_parser.add_argument(
-        "--organization", default="raid5", choices=ORGANIZATION_CHOICES,
-        help="redundancy organization for the default campaign spec "
-        "(ignored with --campaign; default raid5)",
-    )
-    faults_parser.add_argument(
-        "--ndisks", type=int, default=None,
-        help="member disks for the default campaign spec "
-        "(default: the organization's natural size)",
-    )
-    faults_parser.add_argument(
+    faults.add_argument(
         "--out", default=None, metavar="DIR",
         help="write per-seed JSON reports (plus suite.json) into DIR",
     )
-    faults_parser.add_argument("--json", action="store_true", help="print the report as JSON")
-    faults_parser.add_argument(
+    faults.add_argument(
         "--fail-on-invariant", action="store_true",
         help="exit 1 if any loss invariant was violated",
     )
-    faults_parser.set_defaults(handler=cmd_faults)
 
-    nemesis_parser = commands.add_parser(
-        "nemesis",
-        help="continuous SLO-gated chaos with a correlated incident timeline",
+    nemesis_defaults = {field.name: field.default for field in dataclasses.fields(NemesisSpec)}
+    nemesis = _command(
+        commands, "nemesis", cmd_nemesis,
+        "continuous SLO-gated chaos with a correlated incident timeline",
+        (*cell, "--policy", "--slo", "--json"),
+        fields={field: flag for flag, (field, _metavar, _help) in _NEMESIS_FLAGS.items()},
+        duration=30.0, seed=0,
     )
-    nemesis_parser.add_argument(
+    nemesis.description = "--slo rules gate injections; without any, the gate is " + " and ".join(
+        repr(text) for text in DEFAULT_NEMESIS_SLOS
+    )
+    nemesis.add_argument(
         "workload", nargs="?", default="snake", help="catalog workload (default snake)"
     )
-    nemesis_parser.add_argument(
-        "--duration", type=_positive_float, default=30.0, help="injection window, seconds (default 30)"
-    )
-    nemesis_parser.add_argument("--seed", type=int, default=0, help="schedule seed (default 0)")
-    nemesis_parser.add_argument(
-        "--policy", default="afraid", choices=list(POLICIES)
-    )
-    nemesis_parser.add_argument(
-        "--ndisks", type=int, default=None,
-        help="member disks (default: the organization's natural size)",
-    )
-    nemesis_parser.add_argument(
-        "--organization", default="raid5", choices=ORGANIZATION_CHOICES,
-        help="redundancy organization under chaos (default raid5)",
-    )
-    nemesis_parser.add_argument("--disk-model", default="toy", choices=["toy", "hp_c3325"])
-    nemesis_parser.add_argument(
-        "--disk-failures", type=float, default=2.0, metavar="N",
-        help="expected member deaths over the run (default 2)",
-    )
-    nemesis_parser.add_argument(
-        "--nvram-losses", type=float, default=1.0, metavar="N",
-        help="expected marking-memory losses (default 1)",
-    )
-    nemesis_parser.add_argument(
-        "--latent-errors", type=float, default=2.0, metavar="N",
-        help="expected latent sector errors (default 2)",
-    )
-    nemesis_parser.add_argument(
-        "--spares", type=_nonnegative_int, default=16, help="spare-disk pool (default 16)"
-    )
-    nemesis_parser.add_argument(
-        "--repair-delay", type=float, default=0.5, metavar="S",
-        help="technician delay before a spare rebuild starts (default 0.5)",
-    )
-    nemesis_parser.add_argument(
-        "--period", type=_positive_float, default=0.05, metavar="S",
-        help="gate/telemetry tick (default 0.05)",
-    )
-    nemesis_parser.add_argument(
-        "--sample-period", type=_positive_float, default=0.5, metavar="S",
-        help="exposure/latency timeline sample period (default 0.5)",
-    )
-    nemesis_parser.add_argument(
+    for flag, (field, metavar, text) in _NEMESIS_FLAGS.items():
+        nemesis.add_argument(
+            flag, dest=field, type=_field_type(NemesisSpec, field),
+            default=nemesis_defaults[field], metavar=metavar, help=f"{text} (default %(default)s)",
+        )
+    nemesis.add_argument(
         "--window", type=_positive_float, default=2.0, metavar="S",
         help="sliding exposure window (default 2)",
     )
-    nemesis_parser.add_argument(
-        "--slo", action="append", metavar="RULE",
-        help=(
-            "gate rule, e.g. 'degraded_disks < 1' (repeatable; defaults to "
-            + " and ".join(repr(text) for text in DEFAULT_NEMESIS_SLOS)
-            + ")"
-        ),
-    )
-    nemesis_parser.add_argument(
-        "--mttdl-floor", type=float, default=None, metavar="HOURS",
-        help="also hold injections while windowed achieved MTTDL is below this",
-    )
-    nemesis_parser.add_argument(
+    nemesis.add_argument(
         "--report", default=None, metavar="DIR",
         help="write timeline.jsonl, trace.json, metrics.prom, incident.md, summary.json",
     )
-    nemesis_parser.add_argument("--json", action="store_true", help="print the JSON summary")
-    nemesis_parser.add_argument(
+    nemesis.add_argument(
         "--fail-on-violation", action="store_true",
         help="exit 1 if the timeline violates a correlation invariant",
     )
-    nemesis_parser.set_defaults(handler=cmd_nemesis)
 
-    serve_parser = commands.add_parser(
-        "serve", help="run the simulation-as-a-service daemon (HTTP/JSON API)"
+    serve = _command(
+        commands, "serve", cmd_serve, "run the simulation-as-a-service daemon (HTTP/JSON API)",
+        store,
     )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument("--port", type=int, default=8642)
-    serve_parser.add_argument("--jobs", type=int, default=2, help="worker processes")
-    serve_parser.add_argument(
-        "--queue-limit", type=int, default=1024, metavar="CELLS",
+    serve.add_argument("--host", default="127.0.0.1")
+    serve.add_argument("--port", type=int, default=8642)
+    serve.add_argument("--jobs", type=_positive_int, default=2, help="worker processes")
+    serve.add_argument(
+        "--queue-limit", type=_positive_int, default=1024, metavar="CELLS",
         help="max admitted-but-unfinished cells before submissions get 429",
     )
-    serve_parser.add_argument(
-        "--max-attempts", type=int, default=3, metavar="N",
+    serve.add_argument(
+        "--max-attempts", type=_positive_int, default=3, metavar="N",
         help="pool submissions per cell before a crashing cell fails the job",
     )
-    serve_parser.add_argument(
-        "--cache-dir",
-        default=DEFAULT_CACHE_DIR,
-        help=f"result cache directory (default: {DEFAULT_CACHE_DIR})",
-    )
-    serve_parser.add_argument(
-        "--no-cache", action="store_true", help="simulate every cell, never touch the cache"
-    )
-    serve_parser.add_argument(
-        "--cache-max-bytes", type=_nonnegative_int, default=None, metavar="N",
-        help="bound on-disk cache growth: prune oldest entries past N bytes",
-    )
-    serve_parser.add_argument(
-        "--checkpoint-dir", default=None, metavar="DIR",
-        help="replay checkpoint store: cache-miss cells resume from the deepest "
-        "stored quiescent cut instead of simulating from t=0",
-    )
-    serve_parser.add_argument(
-        "--verbose", action="store_true", help="log every HTTP request to stderr"
-    )
-    serve_parser.set_defaults(handler=cmd_serve)
+    serve.add_argument("--verbose", action="store_true", help="log every HTTP request to stderr")
 
-    submit_parser = commands.add_parser(
-        "submit", help="submit a job to a running serve daemon"
+    submit = _command(
+        commands, "submit", cmd_submit, "submit a job to a running serve daemon",
+        (*cell, "--policy", *client), fields={"mttdl_target": "--targets"},
+        duration=30.0, seed=42, timeout=600.0,
     )
-    submit_parser.add_argument(
+    submit.add_argument(
         "workloads", nargs="+", help="workload names (the ladder grid, like sweep)"
     )
-    submit_parser.add_argument(
-        "--url", default="http://127.0.0.1:8642", help="daemon base URL"
+    submit.add_argument(
+        "--targets", type=_field_type(PolicySpec, "mttdl_target"), nargs="+", default=None,
+        help="MTTDL_x targets in hours (the ladder grid, without --policy)",
     )
-    submit_parser.add_argument(
-        "--targets", type=_positive_float, nargs="+", default=None, help="MTTDL_x targets in hours"
-    )
-    submit_parser.add_argument(
-        "--policy", action="append", default=None, metavar="KIND",
-        help="submit explicit (workload x policy) cells instead of the full ladder; repeatable",
-    )
-    submit_parser.add_argument("--duration", type=_positive_float, default=30.0)
-    submit_parser.add_argument("--seed", type=int, default=42)
-    submit_parser.add_argument(
-        "--wait", action="store_true", help="block until the job is terminal"
-    )
-    submit_parser.add_argument(
+    submit.add_argument("--wait", action="store_true", help="block until the job is terminal")
+    submit.add_argument(
         "--stream", action="store_true",
         help="stream the job's NDJSON events to stdout until it finishes",
     )
-    submit_parser.add_argument("--timeout", type=_positive_float, default=600.0)
-    submit_parser.add_argument("--json", action="store_true", help="print the job snapshot as JSON")
-    submit_parser.set_defaults(handler=cmd_submit)
 
-    status_parser = commands.add_parser(
-        "status", help="job table (or one job) of a running serve daemon"
+    status = _command(
+        commands, "status", cmd_status, "job table (or one job) of a running serve daemon",
+        client, timeout=30.0,
     )
-    status_parser.add_argument("job_id", nargs="?", default=None)
-    status_parser.add_argument(
-        "--url", default="http://127.0.0.1:8642", help="daemon base URL"
-    )
-    status_parser.add_argument(
+    status.add_argument("job_id", nargs="?", default=None)
+    status.add_argument(
         "--result", action="store_true",
         help="with a job id: print the job's full per-cell result payload",
     )
-    status_parser.add_argument("--timeout", type=_positive_float, default=30.0)
-    status_parser.add_argument("--json", action="store_true", help="machine-readable output")
-    status_parser.set_defaults(handler=cmd_status)
     return parser
 
 
@@ -1581,6 +1413,11 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
+    except SpecError as exc:
+        # A value the command's spec refused: a usage error of the flag
+        # (or argument) that set it, exit 2.
+        flag = args.spec_flags.get(exc.field, exc.field)
+        args.parser.error(f"argument {flag}: {exc}")
     except BrokenPipeError:
         # Downstream pager/head closed the pipe; silence the stack trace.
         import os

@@ -43,12 +43,43 @@ from repro.nvram import sub_unit_of
 from repro.obs import HistogramSet
 from repro.policy import POLICIES
 from repro.sim import Simulator
-from repro.traces import make_trace
+from repro.spec import (
+    SpecError,
+    check_choice,
+    check_integer,
+    check_number,
+    check_organization,
+    is_number,
+)
+from repro.traces import CATALOG, make_trace
 
 _DISK_FACTORIES = {
     "toy": toy_disk,
     "hp_c3325": hp_c3325,
 }
+
+
+def check_fault_spec(spec) -> None:
+    """The bounds a :class:`CampaignSpec` and a ``NemesisSpec`` share.
+
+    Resolves ``spec.ndisks=None`` to the organization's default count;
+    each spec checks its own extra fields after this.
+    """
+    check_choice("workload", spec.workload, CATALOG)
+    check_number("duration_s", spec.duration_s, strict=True)
+    _org, ndisks = check_organization(spec.organization, spec.ndisks)
+    object.__setattr__(spec, "ndisks", ndisks)
+    for name in ("stripe_unit_sectors", "bits_per_stripe"):
+        check_integer(name, getattr(spec, name), minimum=1)
+    for name in ("spare_pool", "max_faults"):
+        check_integer(name, getattr(spec, name), minimum=0)
+    check_choice("policy", spec.policy, POLICIES)
+    check_choice("disk_model", spec.disk_model, _DISK_FACTORIES)
+    for name in (
+        "idle_threshold_s", "disk_failures", "nvram_losses", "latent_errors",
+        "repair_delay_s", "settle_s",
+    ):
+        check_number(name, getattr(spec, name))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -58,12 +89,13 @@ class CampaignSpec:
     Fault knobs are *expected counts over the run* (a fractional part is
     a probability of one more event), drawn at seeded-uniform times in
     the middle 90 % of the run; ``crash_points`` adds explicit power-loss
-    times on top of the random ``crashes`` draws.
+    times on top of the random ``crashes`` draws.  ``ndisks=None`` is the
+    organization's default disk count.
     """
 
     workload: str = "snake"
     duration_s: float = 6.0
-    ndisks: int = 5
+    ndisks: int | None = None
     organization: str = "raid5"
     stripe_unit_sectors: int = 8
     bits_per_stripe: int = 1
@@ -81,19 +113,13 @@ class CampaignSpec:
     max_faults: int = 16
 
     def __post_init__(self) -> None:
-        if self.policy not in POLICIES:
-            raise ValueError(f"policy must be one of {sorted(POLICIES)}, got {self.policy!r}")
-        if self.disk_model not in _DISK_FACTORIES:
-            raise ValueError(
-                f"disk_model must be one of {sorted(_DISK_FACTORIES)}, got {self.disk_model!r}"
+        check_fault_spec(self)
+        check_number("crashes", self.crashes)
+        inside = (is_number(t) and 0.0 < t < self.duration_s for t in self.crash_points)
+        if not all(inside):
+            raise SpecError(
+                "crash_points", "crash_points must fall strictly inside (0, duration_s)"
             )
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        from repro.layout import get_organization
-
-        get_organization(self.organization).validate(self.ndisks)
-        if any(not 0.0 < point < self.duration_s for point in self.crash_points):
-            raise ValueError("crash_points must fall strictly inside (0, duration_s)")
 
     def to_dict(self) -> dict:
         payload = dataclasses.asdict(self)
@@ -102,12 +128,16 @@ class CampaignSpec:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "CampaignSpec":
+        if not isinstance(payload, dict):
+            raise ValueError(f"a campaign spec must be a JSON object, got {payload!r}")
         known = {field.name for field in dataclasses.fields(cls)}
         unknown = sorted(set(payload) - known)
         if unknown:
             raise ValueError(f"unknown campaign spec keys: {unknown} (known: {sorted(known)})")
         cleaned = dict(payload)
         if "crash_points" in cleaned:
+            if not isinstance(cleaned["crash_points"], (list, tuple)):
+                raise SpecError("crash_points", "crash_points must be a list of seconds")
             cleaned["crash_points"] = tuple(cleaned["crash_points"])
         return cls(**cleaned)
 

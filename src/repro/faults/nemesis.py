@@ -41,9 +41,15 @@ import typing
 
 from repro.disk import DiskFailedError, DiskIO, IoKind, LatentSectorError
 from repro.ext.rebuild import RebuildManager
-from repro.faults.campaign import _DISK_FACTORIES, FaultEvent, draw_fault_schedule
+from repro.faults.campaign import (
+    _DISK_FACTORIES,
+    FaultEvent,
+    check_fault_spec,
+    draw_fault_schedule,
+)
 from repro.faults.injector import FaultInjector
 from repro.obs.timeline import Timeline, TimelineEvent
+from repro.spec import check_number
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.array.controller import DiskArray
@@ -64,11 +70,12 @@ class NemesisSpec:
     tick; ``sample_period_s`` paces the ``exposure.sample`` /
     ``latency.window`` timeline events.  ``mttdl_floor_h`` adds a second
     gate condition on the windowed achieved MTTDL next to the SLO rules.
+    ``ndisks=None`` is the organization's default disk count.
     """
 
     workload: str = "snake"
     duration_s: float = 30.0
-    ndisks: int = 5
+    ndisks: int | None = None
     organization: str = "raid5"
     stripe_unit_sectors: int = 8
     bits_per_stripe: int = 1
@@ -88,19 +95,12 @@ class NemesisSpec:
     mttdl_floor_h: float | None = None
 
     def __post_init__(self) -> None:
-        if self.disk_model not in _DISK_FACTORIES:
-            raise ValueError(
-                f"disk_model must be one of {sorted(_DISK_FACTORIES)}, got {self.disk_model!r}"
-            )
-        from repro.layout import get_organization
-
-        get_organization(self.organization).validate(self.ndisks)
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.period_s <= 0:
-            raise ValueError("period_s must be positive")
-        if self.sample_period_s <= 0:
-            raise ValueError("sample_period_s must be positive")
+        check_fault_spec(self)
+        check_number("detect_delay_s", self.detect_delay_s)
+        for name in ("period_s", "sample_period_s"):
+            check_number(name, getattr(self, name), strict=True)
+        if self.mttdl_floor_h is not None:
+            check_number("mttdl_floor_h", self.mttdl_floor_h, strict=True)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -23,21 +23,23 @@ import dataclasses
 import functools
 import hashlib
 import json
-import math
 import os
 import threading
 import time
 import typing
 
-from repro.array.factory import PAPER_NDISKS, PAPER_STRIPE_UNIT_SECTORS
+from repro.array.factory import PAPER_STRIPE_UNIT_SECTORS
 from repro.availability import ReliabilityParams, TABLE_1
 from repro.disk import c3325_geometry
 from repro.harness.checkpoint import CheckpointStore, code_fingerprint
 from repro.harness.experiment import ExperimentResult, run_experiment
-from repro.layout import get_organization
 from repro.metrics import PerfCounters
 from repro.obs import HistogramSet
 from repro.policy import POLICIES, MttdlTargetPolicy, ParityPolicy
+from repro.spec import SpecError, as_str, blame, check_integer, check_number, check_organization
+
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.traces import Trace
 
 #: Bump when the cached payload layout (not the results) changes shape.
 #: 2: results grew per-class latency histograms (``latency_hists``).
@@ -56,17 +58,22 @@ class PolicySpec:
     """A picklable, hashable description of a parity policy.
 
     ``kind`` is one of ``raid5`` / ``afraid`` / ``raid0`` / ``mttdl``;
-    ``mttdl`` additionally needs ``mttdl_target`` (hours).
+    ``mttdl`` additionally needs ``mttdl_target`` (hours, finite and > 0).
     """
 
     kind: str
     mttdl_target: float | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in POLICIES and self.kind != "mttdl":
-            raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.kind == "mttdl" and self.mttdl_target is None:
-            raise ValueError("mttdl policy needs mttdl_target")
+        if not (isinstance(self.kind, str) and (self.kind in POLICIES or self.kind == "mttdl")):
+            raise SpecError(
+                "policy",
+                f"unknown policy kind {self.kind!r} (known: {', '.join([*POLICIES, 'mttdl'])})",
+            )
+        if self.mttdl_target is not None:
+            check_number("mttdl_target", self.mttdl_target, strict=True)
+        elif self.kind == "mttdl":
+            raise SpecError("mttdl_target", "mttdl policy needs mttdl_target")
 
     def build(self, params: ReliabilityParams = TABLE_1) -> ParityPolicy:
         """A fresh policy instance (policies carry per-run state)."""
@@ -89,31 +96,38 @@ class CellSpec:
     The spec deliberately covers only the picklable subset of
     ``run_experiment``'s signature — cells always use the default disk
     model.  Two equal specs (plus equal code) produce identical results,
-    which is what makes the cache sound.
+    which is what makes the cache sound.  It is also the one declaration
+    of a run's fields: the CLI's run flags and the service's cell keys
+    coerce into these types, and ``__post_init__`` is the one check of
+    their bounds (:class:`~repro.spec.SpecError` names the refused field).
+    ``ndisks=None`` resolves to the organization's default disk count.
     """
 
     workload: str
     policy: PolicySpec
     duration_s: float = 40.0
     seed: int = 42
-    ndisks: int = PAPER_NDISKS
+    ndisks: int | None = None
     stripe_unit_sectors: int = PAPER_STRIPE_UNIT_SECTORS
     idle_threshold_s: float = 0.100
     extra_settle_s: float = 0.0
     organization: str = "raid5"
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.duration_s) and self.duration_s > 0):
-            raise ValueError(f"duration_s must be a finite number > 0, got {self.duration_s!r}")
+        as_str("workload", self.workload)
+        if not isinstance(self.policy, PolicySpec):
+            raise SpecError("policy", f"policy must be a PolicySpec, got {self.policy!r}")
+        check_number("duration_s", self.duration_s, strict=True)
+        check_integer("seed", self.seed)
         for name in ("idle_threshold_s", "extra_settle_s"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+            check_number(name, getattr(self, name))
+        org, ndisks = check_organization(self.organization, self.ndisks)
+        object.__setattr__(self, "ndisks", ndisks)
+        check_integer("stripe_unit_sectors", self.stripe_unit_sectors)
         # The organization's own layout constructor is the geometry rule
         # the array will apply, so a spec it rejects never reaches a worker.
-        get_organization(self.organization).build_layout(
-            self.ndisks, self.stripe_unit_sectors, c3325_geometry().total_sectors
-        )
+        with blame("stripe_unit_sectors"):
+            org.build_layout(ndisks, self.stripe_unit_sectors, c3325_geometry().total_sectors)
 
     @property
     def key(self) -> tuple[str, str]:
@@ -473,20 +487,26 @@ def run_cell(spec: CellSpec, checkpoint_dir: str | None = None) -> ExperimentRes
     so it crosses the process pool).
     """
     if checkpoint_dir is None:
-        return _replay_cell(spec)
+        return run_spec(spec)
     store = CheckpointStore(checkpoint_dir)
     key = cache_key(spec)
     result = store.load(key)
     if result is None:
-        result = _replay_cell(spec, checkpoint_dir)
+        result = run_spec(spec, checkpoint_dir=checkpoint_dir)
         store.store(key, result)
     return result
 
 
-def _replay_cell(spec: CellSpec, checkpoint_dir: str | None = None) -> ExperimentResult:
-    """Replay one cell, resuming from ``checkpoint_dir``'s finals and cuts."""
+def run_spec(spec: CellSpec, workload: "Trace | None" = None, **kwargs) -> ExperimentResult:
+    """Run one cell in this process, with no result store.
+
+    ``workload`` (a :class:`~repro.traces.Trace`) stands in for the trace
+    the spec names, as the CLI's generic workloads do.  ``kwargs`` go to
+    :func:`run_experiment`: observers, counters, or a ``checkpoint_dir``
+    whose finals and cuts the replay resumes from.
+    """
     return run_experiment(
-        spec.workload,
+        spec.workload if workload is None else workload,
         spec.policy.build(),
         duration_s=spec.duration_s,
         seed=spec.seed,
@@ -495,7 +515,7 @@ def _replay_cell(spec: CellSpec, checkpoint_dir: str | None = None) -> Experimen
         organization=spec.organization,
         idle_threshold_s=spec.idle_threshold_s,
         extra_settle_s=spec.extra_settle_s,
-        checkpoint_dir=checkpoint_dir,
+        **kwargs,
     )
 
 
@@ -508,7 +528,7 @@ def cell_store(
     with ``checkpoint_dir``.  Without ``cache_dir``, ``checkpoint_dir``'s
     own cell entries answer instead, so a warm cell counts as cached: it
     is one read, and a cold cell only replays through the store's finals
-    and cuts before the caller writes its one cell entry.
+    and cuts (:func:`run_spec`) before the caller writes its one cell entry.
     """
     if checkpoint_dir is None:
         return (None if cache_dir is None else CheckpointStore(cache_dir)), run_cell
@@ -516,7 +536,7 @@ def cell_store(
     if cache_dir is None:
         return (
             CheckpointStore(checkpoint_dir),
-            functools.partial(_replay_cell, checkpoint_dir=checkpoint_dir),
+            functools.partial(run_spec, checkpoint_dir=checkpoint_dir),
         )
     return CheckpointStore(cache_dir), functools.partial(run_cell, checkpoint_dir=checkpoint_dir)
 

@@ -4,13 +4,14 @@ A long trace is replayed as consecutive time slices ("shards"); the
 complete simulation state at each slice boundary — disk head positions,
 NVRAM mark memory, parity-lag integrals, caches, the event kernel itself
 — is handed to the next shard, which resumes bit-exactly where the
-previous one stopped.  In-process the handoff is the live
-``(sim, array, requests, completions)`` tuple; a ``submit`` that runs
-shard steps in worker processes (the sweep pool of
-:mod:`repro.harness.runner`) pickles it across the process boundary,
-and a checkpoint store (:mod:`repro.harness.checkpoint`) pickles it to
-disk.  A shard step runs the replay driver's two steps on that state:
-:func:`~repro.harness.replay.feed_trace` up to its cut, and
+previous one stopped.  The steps run one after another in one live
+simulation, each needing the state the previous one left, so a shard
+count only says where to look for cuts; it buys no parallelism (that
+lives across cells, in :mod:`repro.harness.runner`).  The handoff is the
+live ``(sim, array, requests, completions)`` tuple, and a checkpoint
+store (:mod:`repro.harness.checkpoint`) pickles it to disk so a later
+run resumes from it.  A shard step runs the replay driver's two steps
+on that state: :func:`~repro.harness.replay.feed_trace` up to its cut, and
 :func:`~repro.harness.replay.close_replay` once the trace is fed, so a
 one-shard replay is exactly :func:`~repro.harness.replay.replay_trace`.
 
@@ -51,17 +52,17 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import struct
 import typing
 
 from repro.array.controller import DiskArray
+from repro.array.factory import PAPER_NDISKS, build_array
 # Unused here (feed_trace warms the cache): the repo benchmark's ledger
 # wraps the name in this module.
 from repro.array.batchplan import warm_extent_cache  # noqa: F401
 from repro.harness.replay import ReplayOutcome, close_replay, feed_trace, gc_paused
-from repro.policy import POLICIES
 from repro.sim import Simulator
+from repro.spec import check_organization
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.harness.checkpoint import CheckpointScope
@@ -74,8 +75,8 @@ class ShardReplayResult:
 
     The final shard may stop at the measurement horizon with background
     machinery (the scrub generator) suspended mid-flight, so the live
-    simulator cannot cross the process boundary back to the caller —
-    the counters, latency stream, and parity-lag integrals can.
+    simulator cannot be pickled into a stored final — the counters,
+    latency stream, and parity-lag integrals can.
     """
 
     outcome: ReplayOutcome
@@ -172,11 +173,10 @@ def finish_shard(
 ) -> ShardReplayResult:
     """Replay ``records`` from ``start`` and close the books like ``replay_trace``.
 
-    ``extras_fn(sim, array)`` — a module-level (picklable) callable —
-    runs after finalisation and its return value lands in
-    ``ShardReplayResult.extras``; callers that need more than the
-    counters (histogram payloads, end-state gauges) collect them here,
-    on whichever side of the process boundary the final shard ran.
+    ``extras_fn(sim, array)`` runs after finalisation and its return
+    value lands in ``ShardReplayResult.extras``; callers that need more
+    than the counters (histogram payloads, end-state gauges) collect them
+    here.
     """
     base = state[0].events_dispatched
     with gc_paused():
@@ -191,18 +191,16 @@ def replay_trace_sharded(
     shards: int = 1,
     extra_settle_s: float = 0.0,
     finalize: bool = True,
-    submit: typing.Callable[..., typing.Any] | None = None,
     checkpoint: "CheckpointScope | None" = None,
     extras_fn: typing.Callable[..., dict] | None = None,
 ) -> ShardReplayResult:
     """Replay ``trace`` in ``shards`` consecutive time slices.
 
     ``sim``/``array`` must be freshly built (nothing scheduled, nothing
-    submitted).  ``submit(fn, *args)`` runs one shard step and returns its
-    result — pass a pool adapter (e.g. ``lambda fn, *a:
-    pool.submit(fn, *a).result()``) to execute each shard in a worker
-    process, the handoff then crossing the boundary as a pickle; the
-    default runs every step in-process on the one live simulation.
+    submitted).  Every step runs in-process on the one live simulation:
+    ``shards`` only says where to look for quiescent cuts (equal slices
+    of the nominal duration), which is where a ``checkpoint`` stores
+    them.
 
     ``checkpoint`` — a :class:`repro.harness.checkpoint.CheckpointScope`
     — turns the replay incremental: the run resumes from the deepest
@@ -219,9 +217,6 @@ def replay_trace_sharded(
     """
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
-    if submit is None:
-        def submit(fn, *args):
-            return fn(*args)
     records = list(trace)
     duration_s = trace.duration_s
     #: What closes the books, and keys a stored final result.
@@ -255,7 +250,7 @@ def replay_trace_sharded(
     for cut in cuts:
         if cut <= start:  # an earlier pause (or a resume) covered this cut
             continue
-        step = submit(advance_shard, state, records, start, cut, *closing, extras_fn)
+        step = advance_shard(state, records, start, cut, *closing, extras_fn)
         if isinstance(step, ShardReplayResult):
             # No quiescent arrival anywhere past this point: the step ran
             # the rest of the trace and closed the books.
@@ -266,7 +261,7 @@ def replay_trace_sharded(
         if checkpoint is not None:
             checkpoint.store_cut(records, start, state)
     if result is None:
-        result = submit(finish_shard, state, records, start, *closing, extras_fn)
+        result = finish_shard(state, records, start, *closing, extras_fn)
     if checkpoint is not None:
         checkpoint.store_final(records, *closing, result)
     result.events_simulated += events
@@ -279,20 +274,18 @@ def run_sharded_replay(
     duration_s: float = 30.0,
     seed: int = 42,
     shards: int = 1,
-    workers: int | None = None,
     checkpoint_dir: str | None = None,
     checkpoint_max_bytes: int | None = None,
+    organization: str = "raid5",
+    ndisks: int | None = None,
 ) -> tuple[ShardReplayResult, str]:
-    """Build a fresh paper-configuration array and replay ``workload`` sharded.
+    """Build a fresh array and replay ``workload`` in ``shards`` slices.
 
-    ``workers > 0`` runs each shard step in a process pool (the handoff
-    travels through real pickled IPC); ``workers == 0`` runs in-process
-    on one live simulation.  ``workers=None`` (the default) picks
-    ``min(shards, os.cpu_count())`` — a multi-shard replay uses the pool
-    automatically — except for the single-shard case, which stays
-    in-process.  Returns the result and its :func:`replay_digest`
-    fingerprint — byte-identical for every ``(shards, workers)``
-    combination.
+    The array is ``organization`` over ``ndisks`` disks (``None``: the
+    organization's default count), the paper's 5-disk RAID 5 by default.
+    Returns the result and its :func:`replay_digest` fingerprint —
+    byte-identical for every shard count, which only says where to look
+    for cuts.
 
     ``checkpoint_dir`` names an on-disk :class:`~repro.harness.checkpoint.
     CheckpointStore`: quiescent cuts and the final result are persisted
@@ -300,16 +293,12 @@ def run_sharded_replay(
     ``checkpoint_max_bytes`` prunes the store's oldest entries past that
     size after the run (mirroring the sweep cache's ``--cache-max-bytes``).
     """
-    from repro.array.factory import build_array
+    from repro.harness.runner import PolicySpec  # the runner imports this module
     from repro.traces.catalog import make_trace
 
-    policy_cls = POLICIES.get(policy)
-    if policy_cls is None:
-        raise ValueError(f"unknown policy {policy!r}; choose from {sorted(POLICIES)}")
-    if workers is None:
-        workers = min(shards, os.cpu_count() or 1) if shards > 1 else 0
+    _org, ndisks = check_organization(organization, ndisks)
     sim = Simulator()
-    array = build_array(sim, policy_cls())
+    array = build_array(sim, PolicySpec(policy).build(), ndisks=ndisks, organization=organization)
     trace = make_trace(
         workload,
         duration_s=duration_s,
@@ -328,20 +317,16 @@ def run_sharded_replay(
                 "workload": workload,
                 "seed": seed,
                 "policy": policy,
-                "array": "paper-default",
+                # The paper's array keeps the key it had before the
+                # organization knob, so its stores still resume.
+                "array": (
+                    "paper-default"
+                    if (organization, ndisks) == ("raid5", PAPER_NDISKS)
+                    else {"organization": organization, "ndisks": ndisks}
+                ),
             }
         )
-    if workers > 0:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            result = replay_trace_sharded(
-                sim, array, trace, shards=shards,
-                submit=lambda fn, *fnargs: pool.submit(fn, *fnargs).result(),
-                checkpoint=scope,
-            )
-    else:
-        result = replay_trace_sharded(sim, array, trace, shards=shards, checkpoint=scope)
+    result = replay_trace_sharded(sim, array, trace, shards=shards, checkpoint=scope)
     if store is not None and checkpoint_max_bytes is not None:
         store.prune(checkpoint_max_bytes)
     return result, replay_digest(result)

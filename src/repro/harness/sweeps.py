@@ -69,19 +69,12 @@ def policy_ladder(
     return ladder
 
 
-#: run_experiment kwargs a CellSpec can represent (everything else forces
-#: the serial path: e.g. a custom disk_factory can't cross a process).
-_CELL_KWARGS = frozenset(
-    {
-        "duration_s",
-        "seed",
-        "ndisks",
-        "stripe_unit_sectors",
-        "idle_threshold_s",
-        "extra_settle_s",
-        "organization",
-    }
-)
+#: run_experiment kwargs a CellSpec can represent: its fields past the
+#: workload and policy (everything else forces the serial path: e.g. a
+#: custom disk_factory can't cross a process).
+_CELL_KWARGS = frozenset(field.name for field in dataclasses.fields(CellSpec)) - {
+    "workload", "policy",
+}
 
 
 def run_policy_grid(

@@ -37,6 +37,10 @@ from repro.layout.mirror import Raid1Layout, Raid10Layout, Raid15Layout
 from repro.layout.raid5 import Raid5Layout
 
 
+#: The most member disks any organization is built over.
+MAX_DISKS = 64
+
+
 @dataclasses.dataclass(frozen=True)
 class ArrayOrganization:
     """One redundancy scheme, declared once and consumed everywhere."""
@@ -52,11 +56,21 @@ class ArrayOrganization:
     mirrored: bool
     has_parity: bool
     declustered: bool
+    #: Disk count a run uses when none is given: the paper's 5 for the
+    #: RAID 5 family, each mirrored scheme's smallest sensible array.
+    default_disks: int
     #: Layout class; called as ``(ndisks, stripe_unit_sectors, disk_sectors)``.
     layout_factory: typing.Callable = dataclasses.field(compare=False)
 
     def validate(self, ndisks: int) -> None:
-        """Reject disk counts the organization cannot be built over."""
+        """Reject disk counts the organization cannot be built over.
+
+        Past :data:`MAX_DISKS` a layout's per-phase tables stop being small
+        metadata (RAID 5's grow with the square of the width, declustered
+        RAID 5's with its cube), so larger arrays are refused up front.
+        """
+        if ndisks > MAX_DISKS:
+            raise ValueError(f"need <= {MAX_DISKS} disks for {self.display}, got {ndisks}")
         if self.exact_disks is not None and ndisks != self.exact_disks:
             raise ValueError(
                 f"need exactly {self.exact_disks} disks for {self.display}, got {ndisks}"
@@ -68,6 +82,11 @@ class ArrayOrganization:
                 f"need a multiple of {self.disks_multiple_of} disks for "
                 f"{self.display}, got {ndisks}"
             )
+
+    def __reduce__(self):
+        # A registry entry pickles by name: a stored checkpoint holds no
+        # copy of the entry's fields, and unpickles to the registry's own.
+        return get_organization, (self.name,)
 
     def build_layout(self, ndisks: int, stripe_unit_sectors: int, disk_sectors: int):
         """Construct the layout realising this organization."""
@@ -112,6 +131,7 @@ ORGANIZATIONS: dict[str, ArrayOrganization] = {
             mirrored=False,
             has_parity=True,
             declustered=False,
+            default_disks=5,
             layout_factory=Raid5Layout,
         ),
         ArrayOrganization(
@@ -123,6 +143,7 @@ ORGANIZATIONS: dict[str, ArrayOrganization] = {
             mirrored=False,
             has_parity=True,
             declustered=True,
+            default_disks=5,
             layout_factory=DeclusteredRaid5Layout,
         ),
         ArrayOrganization(
@@ -134,6 +155,7 @@ ORGANIZATIONS: dict[str, ArrayOrganization] = {
             mirrored=True,
             has_parity=False,
             declustered=False,
+            default_disks=2,
             layout_factory=Raid1Layout,
         ),
         ArrayOrganization(
@@ -145,6 +167,7 @@ ORGANIZATIONS: dict[str, ArrayOrganization] = {
             mirrored=True,
             has_parity=False,
             declustered=False,
+            default_disks=6,
             layout_factory=Raid10Layout,
         ),
         ArrayOrganization(
@@ -156,6 +179,7 @@ ORGANIZATIONS: dict[str, ArrayOrganization] = {
             mirrored=True,
             has_parity=True,
             declustered=False,
+            default_disks=6,
             layout_factory=Raid15Layout,
         ),
     )
@@ -170,7 +194,7 @@ def get_organization(name: "str | ArrayOrganization") -> ArrayOrganization:
     """Resolve an organization by name (idempotent on instances)."""
     if isinstance(name, ArrayOrganization):
         return name
-    org = ORGANIZATIONS.get(name)
+    org = ORGANIZATIONS.get(name) if isinstance(name, str) else None
     if org is None:
         known = ", ".join(sorted(ORGANIZATIONS))
         raise ValueError(f"unknown organization {name!r} (known: {known})")

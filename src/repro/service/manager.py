@@ -46,7 +46,7 @@ from repro.harness.runner import (
 )
 from repro.obs.service import ServiceMetrics
 from repro.obs.timeline import Timeline, TimelineEvent
-from repro.service.protocol import ProtocolError, cell_label, parse_job_payload
+from repro.service.protocol import ProtocolError, cell_label
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.experiment import ExperimentResult
@@ -130,7 +130,8 @@ class Job:
     def result_payload(self) -> dict:
         """The JSON view served by ``GET /jobs/<id>/result``.
 
-        ``cells`` maps ``workload/policy`` labels to the exact
+        ``cells`` maps :func:`~repro.service.protocol.cell_label` labels
+        (``workload/policy``, organization-suffixed) to the exact
         ``result_to_payload`` encoding the store's cell entries hold — the
         byte-identity contract with ``afraid-sim sweep``.
         """
@@ -239,15 +240,14 @@ class JobManager:
 
     # -- submission ----------------------------------------------------------------
 
-    def submit(self, payload: dict | list[CellSpec]) -> Job:
-        """Admit one job; raises :class:`ProtocolError` / :class:`QueueFull` /
-        :class:`ServiceClosed` instead of partially accepting anything."""
-        if isinstance(payload, list):
-            specs = list(payload)
-            if not specs:
-                raise ProtocolError("job needs at least one cell")
-        else:
-            specs = parse_job_payload(payload)
+    def submit(self, specs: list[CellSpec]) -> Job:
+        """Admit one job of checked specs (the server parses a body with
+        :func:`~repro.service.protocol.parse_job_payload` first); raises
+        :class:`ProtocolError` / :class:`QueueFull` / :class:`ServiceClosed`
+        instead of partially accepting anything."""
+        specs = list(specs)
+        if not specs:
+            raise ProtocolError("job needs at least one cell")
 
         # Probe the cache outside any lock: pure file reads, and the split
         # decides how much queue capacity this job actually needs.

@@ -4,7 +4,10 @@ A job submission is JSON speaking the exact same cell/policy vocabulary
 as :class:`~repro.harness.runner.CellSpec` / ``PolicySpec`` — the specs
 a client submits over HTTP are the specs ``afraid-sim sweep`` builds
 locally, which is what makes service results byte-identical to sweep
-results for the same configuration.
+results for the same configuration.  The accepted cell keys are
+``CellSpec``'s fields, each coerced by its declared type
+(:func:`repro.spec.coerce`) and checked by the spec itself, so a value
+the CLI refuses gets a 400 here with the same message.
 
 Two submission shapes are accepted:
 
@@ -12,11 +15,13 @@ Two submission shapes are accepted:
 
       {"cells": [{"workload": "hplajw", "policy": {"kind": "afraid"}},
                  {"workload": "ATT", "policy": {"kind": "mttdl",
-                                                "mttdl_target": 1e7}}],
+                                                "mttdl_target": 1e7},
+                  "organization": "raid10"}],
        "duration_s": 30.0, "seed": 42}
 
-  Top-level ``duration_s`` / ``seed`` / ``ndisks`` / ... act as defaults
-  each cell may override; a policy may also be the bare kind string.
+  Top-level ``duration_s`` / ``seed`` / ``organization`` / ... act as
+  defaults each cell may override; a policy may also be the bare kind
+  string.
 
 * the sweep ladder, mirroring ``afraid-sim sweep``'s arguments::
 
@@ -30,9 +35,10 @@ edge, so a worker process never sees a spec it cannot run.
 
 from __future__ import annotations
 
-import typing
+import dataclasses
 
 from repro.harness.runner import CellSpec, PolicySpec, ladder_specs
+from repro.spec import SpecError, as_bool, as_float, coerce
 from repro.traces import CATALOG, workload_names
 
 
@@ -40,19 +46,11 @@ class ProtocolError(ValueError):
     """A malformed job payload (maps to HTTP 400)."""
 
 
-#: CellSpec fields a submission may set, with their expected coercions.
-_CELL_FIELDS: dict[str, typing.Callable] = {
-    "workload": str,
-    "duration_s": float,
-    "seed": int,
-    "ndisks": int,
-    "stripe_unit_sectors": int,
-    "idle_threshold_s": float,
-    "extra_settle_s": float,
-}
+#: Every key a cell may carry: ``CellSpec``'s fields.
+_FIELDS = {field.name: field for field in dataclasses.fields(CellSpec)}
 
-#: Top-level keys shared by both submission shapes.
-_DEFAULT_KEYS = frozenset(_CELL_FIELDS) - {"workload"}
+#: The ladder-shape keys that are not cell fields.
+_LADDER_KEYS = frozenset({"workloads", "targets", "include_raid5", "include_raid0"})
 
 
 def _require_mapping(value, what: str) -> dict:
@@ -61,57 +59,52 @@ def _require_mapping(value, what: str) -> dict:
     return value
 
 
+def _refuse_unknown(keys, known, what: str) -> None:
+    unknown = set(keys) - set(known)
+    if unknown:
+        raise ProtocolError(f"unknown {what} keys: {sorted(unknown)}")
+
+
+def _workload(name) -> str:
+    if not (isinstance(name, str) and name in CATALOG):
+        raise ProtocolError(f"unknown workload {name!r}; choose from {workload_names()}")
+    return name
+
+
+def _coerced(cls, payload: dict) -> dict:
+    """``payload``'s values coerced to the declared types of ``cls``'s fields."""
+    fields = {field.name: field for field in dataclasses.fields(cls)}
+    return {name: coerce(fields[name], value) for name, value in payload.items()}
+
+
 def parse_policy(value) -> PolicySpec:
     """A policy payload — ``"afraid"`` or ``{"kind": ..., ...}`` — to a spec."""
     if isinstance(value, str):
         value = {"kind": value}
     value = _require_mapping(value, "policy")
-    unknown = set(value) - {"kind", "mttdl_target"}
-    if unknown:
-        raise ProtocolError(f"unknown policy keys: {sorted(unknown)}")
+    _refuse_unknown(value, ("kind", "mttdl_target"), "policy")
     if "kind" not in value:
         raise ProtocolError('policy needs a "kind"')
-    target = value.get("mttdl_target")
     try:
-        return PolicySpec(
-            str(value["kind"]),
-            mttdl_target=float(target) if target is not None else None,
-        )
-    except (TypeError, ValueError) as exc:
+        return PolicySpec(**_coerced(PolicySpec, value))
+    except SpecError as exc:
         raise ProtocolError(str(exc)) from None
 
 
 def parse_cell(payload, defaults: dict | None = None) -> CellSpec:
     """One cell payload to a :class:`CellSpec`, applying job-level defaults."""
     payload = _require_mapping(payload, "cell")
-    unknown = set(payload) - set(_CELL_FIELDS) - {"policy"}
-    if unknown:
-        raise ProtocolError(f"unknown cell keys: {sorted(unknown)}")
-    merged = dict(defaults or {})
-    merged.update(payload)
+    _refuse_unknown(payload, _FIELDS, "cell")
+    merged = {**(defaults or {}), **payload}
     if "workload" not in merged:
         raise ProtocolError('cell needs a "workload"')
     if "policy" not in merged:
         raise ProtocolError('cell needs a "policy"')
-    kwargs = {}
-    for field, coerce in _CELL_FIELDS.items():
-        if field in merged:
-            try:
-                kwargs[field] = coerce(merged[field])
-            except (TypeError, ValueError):
-                raise ProtocolError(
-                    f"cell field {field!r}: cannot make a {coerce.__name__} "
-                    f"of {merged[field]!r}"
-                ) from None
-    policy = parse_policy(merged["policy"])
     try:
-        spec = CellSpec(policy=policy, **kwargs)
-    except ValueError as exc:
+        spec = CellSpec(**{**_coerced(CellSpec, merged), "policy": parse_policy(merged["policy"])})
+    except SpecError as exc:
         raise ProtocolError(str(exc)) from None
-    if spec.workload not in CATALOG:
-        raise ProtocolError(
-            f"unknown workload {spec.workload!r}; choose from {workload_names()}"
-        )
+    _workload(spec.workload)
     return spec
 
 
@@ -129,57 +122,41 @@ def parse_job_payload(payload) -> list[CellSpec]:
         raise ProtocolError('job needs exactly one of "cells" or "workloads"')
 
     if has_cells:
-        unknown = set(payload) - _DEFAULT_KEYS - {"cells", "policy"}
-        if unknown:
-            raise ProtocolError(f"unknown job keys: {sorted(unknown)}")
+        _refuse_unknown(payload, {*_FIELDS, "cells"} - {"workload"}, "job")
         cells = payload["cells"]
         if not isinstance(cells, list) or not cells:
             raise ProtocolError('"cells" must be a non-empty list')
         defaults = {key: payload[key] for key in payload if key != "cells"}
         return [parse_cell(cell, defaults) for cell in cells]
 
-    unknown = set(payload) - _DEFAULT_KEYS - {
-        "workloads", "targets", "include_raid5", "include_raid0",
-    }
-    if unknown:
-        raise ProtocolError(f"unknown job keys: {sorted(unknown)}")
+    _refuse_unknown(payload, {*_FIELDS, *_LADDER_KEYS} - {"workload", "policy"}, "job")
     workloads = payload["workloads"]
     if not isinstance(workloads, list) or not workloads:
         raise ProtocolError('"workloads" must be a non-empty list')
-    for workload in workloads:
-        if workload not in CATALOG:
-            raise ProtocolError(
-                f"unknown workload {workload!r}; choose from {workload_names()}"
-            )
     targets = payload.get("targets", [])
     if not isinstance(targets, list):
         raise ProtocolError('"targets" must be a list of hours')
-    cell_kwargs = {}
-    for key in _DEFAULT_KEYS:
-        if key in payload:
-            try:
-                cell_kwargs[key] = _CELL_FIELDS[key](payload[key])
-            except (TypeError, ValueError):
-                raise ProtocolError(f"job field {key!r}: bad value {payload[key]!r}") from None
-    try:
-        targets = [float(target) for target in targets]
-    except (TypeError, ValueError):
-        raise ProtocolError('"targets" must be a list of hours') from None
     try:
         return ladder_specs(
-            [str(w) for w in workloads],
-            targets,
-            include_raid5=bool(payload.get("include_raid5", True)),
-            include_raid0=bool(payload.get("include_raid0", True)),
-            **cell_kwargs,
+            [_workload(workload) for workload in workloads],
+            [as_float("targets", target) for target in targets],
+            include_raid5=as_bool("include_raid5", payload.get("include_raid5", True)),
+            include_raid0=as_bool("include_raid0", payload.get("include_raid0", True)),
+            **_coerced(CellSpec, {key: payload[key] for key in payload if key in _FIELDS}),
         )
-    except ValueError as exc:
+    except SpecError as exc:
         raise ProtocolError(str(exc)) from None
 
 
 def cell_label(spec: CellSpec) -> str:
-    """The ``workload/policy`` label a cell's results are keyed under."""
-    return f"{spec.workload}/{spec.policy.label}"
+    """The ``workload/policy`` label a cell's results are keyed under.
+
+    It is :attr:`CellSpec.key` joined, so a non-default organization
+    suffixes the policy (``hplajw/afraid@raid10``) exactly as in
+    ``afraid-sim sweep --json``'s cells, and one policy over two
+    organizations is two cells.
+    """
+    return "/".join(spec.key)
 
 
 def spec_to_payload(spec: CellSpec) -> dict:

@@ -33,7 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.obs.export import prometheus_text
 from repro.service.manager import JobManager, QueueFull, ServiceClosed
-from repro.service.protocol import ProtocolError
+from repro.service.protocol import ProtocolError, parse_job_payload
 
 _JOB_PATH = re.compile(r"^/jobs/(?P<id>[^/]+)(?P<rest>/result|/events)?$")
 
@@ -98,16 +98,22 @@ class ServiceHandler(BaseHTTPRequestHandler):
     def _error(self, status: int, message: str, headers: dict | None = None) -> None:
         self._reply(status, {"error": message}, headers)
 
-    def _read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
+    def _read_body(self):
+        """The request's JSON body; a bad length or body is a :class:`ProtocolError`."""
+        header = self.headers.get("Content-Length") or "0"
+        length = int(header) if header.isdigit() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The unread body would be parsed as the next request.
+            self.close_connection = True
+            if length < 0:
+                raise ProtocolError(f"bad Content-Length {header!r}")
             raise ProtocolError(f"request body over {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise ProtocolError("empty request body; expected a JSON job payload")
         try:
             return json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8, deep nesting
             raise ProtocolError(f"request body is not valid JSON: {exc}") from None
 
     # -- routes -----------------------------------------------------------------
@@ -156,8 +162,7 @@ class ServiceHandler(BaseHTTPRequestHandler):
             self._error(404, f"no such route: {self.path}")
             return
         try:
-            payload = self._read_body()
-            job = self.manager.submit(payload)
+            job = self.manager.submit(parse_job_payload(self._read_body()))
         except ProtocolError as exc:
             self._error(400, str(exc))
         except QueueFull as exc:

@@ -23,6 +23,22 @@ class TestSpec:
         with pytest.raises(ValueError, match="unknown campaign spec keys"):
             CampaignSpec.from_dict({"workload": "snake", "disc_failures": 1.0})
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ([{}], "must be a JSON object"),
+            ({"crash_points": 5}, "crash_points must be a list"),
+            ({"duration_s": "abc"}, "duration_s must be a finite number > 0"),
+            ({"ndisks": 2.5}, "ndisks must be an integer"),
+            ({"workload": "nosuch"}, "workload must be one of"),
+            ({"spare_pool": -1}, "spare_pool must be >= 0"),
+            ({"disk_failures": float("nan")}, "disk_failures must be a finite number >= 0"),
+        ],
+    )
+    def test_malformed_spec_file_is_a_value_error(self, payload, message):
+        with pytest.raises(ValueError, match=message):
+            CampaignSpec.from_dict(payload)
+
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError, match="policy"):
             CampaignSpec(policy="raid6")

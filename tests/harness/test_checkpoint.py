@@ -138,15 +138,44 @@ def test_duration_extension_resumes_from_cuts(tmp_path):
 def test_run_sharded_replay_checkpoint_round_trip(tmp_path):
     store_dir = str(tmp_path / "store")
     cold, cold_digest = run_sharded_replay(
-        "snake", duration_s=10.0, shards=2, workers=0, checkpoint_dir=store_dir
+        "snake", duration_s=10.0, shards=2, checkpoint_dir=store_dir
     )
     warm, warm_digest = run_sharded_replay(
-        "snake", duration_s=10.0, shards=2, workers=0, checkpoint_dir=store_dir
+        "snake", duration_s=10.0, shards=2, checkpoint_dir=store_dir
     )
-    _, plain_digest = run_sharded_replay("snake", duration_s=10.0, shards=2, workers=0)
+    _, plain_digest = run_sharded_replay("snake", duration_s=10.0, shards=2)
     assert cold_digest == warm_digest == plain_digest
     assert cold.events_simulated > 0
     assert warm.events_simulated == 0
+
+
+def _replay_scope_configs(monkeypatch, tmp_path, **kwargs) -> list[dict]:
+    configs = []
+    scope = CheckpointStore.scope
+    monkeypatch.setattr(
+        CheckpointStore, "scope", lambda self, config: configs.append(config) or scope(self, config)
+    )
+    run_sharded_replay("snake", duration_s=2.0, checkpoint_dir=str(tmp_path), **kwargs)
+    return configs
+
+
+def test_run_sharded_replay_scope_key_of_the_paper_array_is_unchanged(monkeypatch, tmp_path):
+    """A store written before replays took an organization still resumes."""
+    expected = {
+        "surface": "run_sharded_replay", "workload": "snake", "seed": 42,
+        "policy": "afraid", "array": "paper-default",
+    }
+    assert _replay_scope_configs(monkeypatch, tmp_path) == [expected]
+    assert _replay_scope_configs(monkeypatch, tmp_path, ndisks=5) == [expected]
+
+
+def test_run_sharded_replay_builds_the_organization(monkeypatch, tmp_path):
+    (config,) = _replay_scope_configs(monkeypatch, tmp_path, organization="raid10")
+    assert config["array"] == {"organization": "raid10", "ndisks": 6}
+    _, one = run_sharded_replay("snake", duration_s=6.0, organization="raid10")
+    _, three = run_sharded_replay("snake", duration_s=6.0, shards=3, organization="raid10")
+    _, paper = run_sharded_replay("snake", duration_s=6.0)
+    assert one == three != paper
 
 
 # -- every organization, with no re-simulation -------------------------------------------

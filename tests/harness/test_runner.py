@@ -59,6 +59,11 @@ class TestPolicySpec:
         with pytest.raises(ValueError):
             PolicySpec("mttdl")
 
+    @pytest.mark.parametrize("target", [float("nan"), float("inf"), -1.0, 0.0, True, "1e7"])
+    def test_target_must_be_a_finite_positive_number(self, target):
+        with pytest.raises(ValueError, match="mttdl_target must be a finite number > 0"):
+            PolicySpec("mttdl", mttdl_target=target)
+
     def test_labels_match_ladder_labels(self):
         ladder = policy_ladder(targets=(1e7, 1e6))
         for entry in ladder:
@@ -100,6 +105,25 @@ class TestCellSpecValidation:
         with pytest.raises(ValueError, match=message):
             CellSpec(workload="hplajw", policy=PolicySpec("afraid"), **{field: value})
 
+    @pytest.mark.parametrize("field", ["seed", "ndisks", "stripe_unit_sectors"])
+    @pytest.mark.parametrize("value", [1.7, True, "8"])
+    def test_integer_fields_refuse_non_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            CellSpec(workload="hplajw", policy=PolicySpec("afraid"), **{field: value})
+
+    @pytest.mark.parametrize(
+        "organization, ndisks",
+        [("raid5", 5), ("raid5d", 5), ("raid1", 2), ("raid10", 6), ("raid15", 6)],
+    )
+    def test_disk_count_defaults_to_the_organization_s(self, organization, ndisks):
+        spec = CellSpec(workload="hplajw", policy=PolicySpec("afraid"), organization=organization)
+        assert spec.ndisks == ndisks
+        assert spec == dataclasses.replace(spec, ndisks=ndisks)
+
+    def test_huge_disk_counts_are_refused_before_any_layout_is_built(self):
+        with pytest.raises(ValueError, match="need <= 64 disks for RAID 5"):
+            CellSpec(workload="hplajw", policy=PolicySpec("afraid"), ndisks=10**6)
+
     def test_unknown_organization_rejected(self):
         with pytest.raises(ValueError, match="unknown organization"):
             CellSpec(workload="hplajw", policy=PolicySpec("afraid"), organization="raid99")
@@ -132,6 +156,65 @@ class TestCacheKey:
 
     def test_code_fingerprint_is_stable_within_process(self):
         assert code_fingerprint() == code_fingerprint()
+
+    #: ``cache_key`` of specs valid before the spec checks moved into the
+    #: specs, under a pinned code fingerprint: their config bytes, and so
+    #: their keys, must not move.
+    PINNED_KEYS = {
+        "94a390412f0fba05f6bc31e16aa4d135009426cdf19a9cbc7518ee0fad699733": dict(
+            workload="hplajw", policy=PolicySpec("afraid")
+        ),
+        "6238f7d70cf8aaaa49bbaa019b1cf139a71f5334ee409c751560af37f45b0cd5": dict(
+            workload="ATT", policy=PolicySpec("mttdl", mttdl_target=1e6), duration_s=30.0, seed=7
+        ),
+        "ff2cfb01dbd22bf8c46558651ad2f91bdadd06d277d0ec67eeab5a1fa5eb08fc": dict(
+            workload="cello-usr", policy=PolicySpec("raid5"), ndisks=6, organization="raid10"
+        ),
+        "231f059712e30bc11989e3747b194f5472bcf8a8313c12eef3df138d6d406bdd": dict(
+            workload="snake", policy=PolicySpec("raid0"), ndisks=8, stripe_unit_sectors=16,
+            organization="raid15",
+        ),
+        "4620e2b45ab22a69c3eaf1a2789ae7f30460dca9a71269b0e93605d74c52a500": dict(
+            workload="netware", policy=PolicySpec("afraid"), ndisks=5, organization="raid5d"
+        ),
+        "047729dcb49e4e111a155fd093b76dd7c457291a1fa2ce687262cf2d54b32ff7": dict(
+            workload="hplajw", policy=PolicySpec("afraid"), ndisks=2, organization="raid1",
+            idle_threshold_s=0.05, extra_settle_s=1.0,
+        ),
+        "54b6ceb6f49eaab395ceba4a09bc1be2cb46f473bb3a4e80d15c92bcfb8c3dee": dict(
+            workload="hplajw", policy=PolicySpec("raid5"), duration_s=30, seed=0
+        ),
+    }
+
+    @pytest.mark.parametrize("key", sorted(PINNED_KEYS))
+    def test_pinned_keys(self, monkeypatch, key):
+        import repro.harness.runner as runner
+
+        monkeypatch.setattr(runner, "code_fingerprint", lambda: "pinned-fingerprint")
+        assert cache_key(CellSpec(**self.PINNED_KEYS[key])) == key
+
+    def test_default_disk_count_keys_like_the_explicit_one(self):
+        implicit = CellSpec(workload="hplajw", policy=PolicySpec("afraid"), organization="raid10")
+        explicit = dataclasses.replace(implicit, ndisks=6)
+        assert cache_key(implicit) == cache_key(explicit)
+
+
+def test_benchmark_import_chain_stays_off_the_cli_and_service():
+    """The sweep engine and sharded replay import neither the CLI, the
+    service nor argparse: perfbench times their fresh imports."""
+    import subprocess
+    import sys
+
+    code = (
+        "import sys, repro.harness.runner, repro.harness.sharding; "
+        "print(sorted(m for m in sys.modules if m == 'argparse' "
+        "or m.startswith(('repro.cli', 'repro.service'))))"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 class TestResultCache:

@@ -4,21 +4,23 @@ The contract under test (repro.harness.sharding): replaying a trace in N
 consecutive time slices with pickled boundary-state handoff produces the
 exact observable results — per-request latency doubles in completion
 order, every counter, the parity-lag integrals — as one continuous
-replay, for any N, whether the shard steps run in-process or in worker
-processes.
+replay, for any N, and a handoff resumed from its pickle (the checkpoint
+store's form) does too.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
+import pickle
 
 import pytest
 
 from repro.array.factory import build_array
+from repro.harness.checkpoint import PICKLE_PROTOCOL
 from repro.harness.replay import replay_trace
 from repro.harness.sharding import (
     ShardHandoff,
     ShardReplayResult,
     advance_shard,
+    finish_shard,
     replay_digest,
     replay_trace_sharded,
     run_sharded_replay,
@@ -96,16 +98,21 @@ class TestShardCountInvariance:
         assert replay_digest(result) == replay_digest(reference)
 
 
-class TestProcessPoolHandoff:
-    def test_pool_matches_in_process(self):
+class TestPickledHandoff:
+    def test_pickled_state_resumes_to_the_same_digest(self):
+        """A paused step's state survives a pickle round trip, the form the
+        checkpoint store keeps it in, and resumes to the unsharded digest."""
         reference = _direct("cello-usr", "afraid", 12.0, 7)
         sim, array = _fresh("afraid")
         trace = _trace_for(array, "cello-usr", 12.0, 7)
-        with ProcessPoolExecutor(max_workers=2) as pool:
-            result = replay_trace_sharded(
-                sim, array, trace, shards=4,
-                submit=lambda fn, *args: pool.submit(fn, *args).result(),
-            )
+        records = list(trace)
+        handoff = advance_shard(
+            (sim, array, [], []), records, 0, len(records) // 2, trace.duration_s, 0.0, True
+        )
+        assert isinstance(handoff, ShardHandoff)
+        state = pickle.loads(pickle.dumps(handoff.state, protocol=PICKLE_PROTOCOL))
+        assert state[0] is not sim
+        result = finish_shard(state, records, handoff.consumed, trace.duration_s, 0.0, True)
         assert replay_digest(result) == replay_digest(reference)
 
 

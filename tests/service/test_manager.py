@@ -67,7 +67,7 @@ def manager(tmp_path):
 
 class TestLifecycle:
     def test_submit_runs_to_done(self, manager):
-        job = manager.submit(quick_payload(kinds=("afraid", "raid0")))
+        job = manager.submit(quick_specs(kinds=("afraid", "raid0")))
         assert job.state == RUNNING
         assert job.wait(WAIT_S) == DONE
         snapshot = job.snapshot()
@@ -86,7 +86,7 @@ class TestLifecycle:
 
     def test_bad_payload_creates_no_job(self, manager):
         with pytest.raises(ProtocolError):
-            manager.submit({"cells": []})
+            manager.submit([])
         assert manager.list_jobs() == []
         assert manager.metrics.jobs_submitted.value == 0
 
@@ -94,10 +94,10 @@ class TestLifecycle:
         mgr = JobManager(jobs=1, cache_dir=tmp_path / "cache")
         mgr.shutdown(drain=True)
         with pytest.raises(ServiceClosed):
-            mgr.submit(quick_payload())
+            mgr.submit(quick_specs())
 
     def test_events_are_ordered_and_bracketed(self, manager):
-        job = manager.submit(quick_payload(kinds=("afraid", "raid0")))
+        job = manager.submit(quick_specs(kinds=("afraid", "raid0")))
         assert job.wait(WAIT_S) == DONE
         events = job.wait_events(0, timeout=5.0)
         assert [e["seq"] for e in events] == list(range(len(events)))
@@ -122,7 +122,7 @@ class TestByteIdentityWithSweep:
         specs = quick_specs(kinds=("afraid", "raid0"))
         sweep = run_cells(specs, cache_dir=tmp_path / "sweep-cache")
 
-        job = manager.submit(quick_payload(kinds=("afraid", "raid0")))
+        job = manager.submit(quick_specs(kinds=("afraid", "raid0")))
         assert job.wait(WAIT_S) == DONE
         payload = job.result_payload()
         for spec in specs:
@@ -135,7 +135,7 @@ class TestByteIdentityWithSweep:
     def test_service_cache_entries_readable_by_sweep(self, manager):
         """Cells simulated by the service land in the shared cache, so a
         later ``afraid-sim sweep`` over the same grid is a pure warm read."""
-        job = manager.submit(quick_payload())
+        job = manager.submit(quick_specs())
         assert job.wait(WAIT_S) == DONE
         warm = run_cells(quick_specs(), cache_dir=manager.cache.root)
         assert (warm.cached, warm.simulated) == (1, 0)
@@ -151,7 +151,7 @@ class TestWarmPath:
 
         mgr = JobManager(jobs=1, cache_dir=cache_dir, cell_fn=_explode)
         try:
-            job = mgr.submit(quick_payload(kinds=("afraid", "raid0")))
+            job = mgr.submit(quick_specs(kinds=("afraid", "raid0")))
             # No wait: cache hits complete synchronously in the submitting
             # thread, so the job is already terminal.
             assert job.state == DONE
@@ -167,9 +167,9 @@ class TestWarmPath:
             mgr.shutdown(drain=False)
 
     def test_mixed_job_counts_hits_and_misses(self, manager):
-        first = manager.submit(quick_payload())
+        first = manager.submit(quick_specs())
         assert first.wait(WAIT_S) == DONE
-        mixed = manager.submit(quick_payload(kinds=("afraid", "raid0")))
+        mixed = manager.submit(quick_specs(kinds=("afraid", "raid0")))
         assert mixed.wait(WAIT_S) == DONE
         assert (mixed.cached, mixed.simulated) == (1, 1)
         assert manager.metrics.cache_hit_ratio.value == pytest.approx(1 / 3)
@@ -198,11 +198,11 @@ class TestBackpressure:
         run_cells(quick_specs(), cache_dir=cache_dir)
         mgr = JobManager(jobs=1, cache_dir=cache_dir, queue_limit=0, cell_fn=_explode)
         try:
-            job = mgr.submit(quick_payload())
+            job = mgr.submit(quick_specs())
             assert job.state == DONE
             assert job.cached == 1
             with pytest.raises(QueueFull):
-                mgr.submit(quick_payload(workloads=("ATT",)))
+                mgr.submit(quick_specs(workloads=("ATT",)))
         finally:
             mgr.shutdown(drain=False)
 
@@ -211,7 +211,7 @@ class TestCancelAndFailure:
     def test_cancel_releases_queue_capacity(self, tmp_path):
         mgr = JobManager(jobs=1, cache_dir=None, queue_limit=2, cell_fn=_sleepy)
         try:
-            job = mgr.submit(quick_payload(kinds=("afraid", "raid0")))
+            job = mgr.submit(quick_specs(kinds=("afraid", "raid0")))
             assert mgr.pending_cells == 2
             cancelled = mgr.cancel(job.id)
             assert cancelled is job
@@ -227,7 +227,7 @@ class TestCancelAndFailure:
         assert manager.cancel("job-999999") is None
 
     def test_cancel_terminal_job_is_a_no_op(self, manager):
-        job = manager.submit(quick_payload())
+        job = manager.submit(quick_specs())
         assert job.wait(WAIT_S) == DONE
         assert manager.cancel(job.id) is job
         assert job.state == DONE
@@ -235,7 +235,7 @@ class TestCancelAndFailure:
     def test_cell_exception_fails_the_job(self, tmp_path):
         mgr = JobManager(jobs=1, cache_dir=None, cell_fn=_explode)
         try:
-            job = mgr.submit(quick_payload())
+            job = mgr.submit(quick_specs())
             assert job.wait(WAIT_S) == FAILED
             assert "hplajw/afraid" in job.error
             assert "RuntimeError" in job.error
@@ -280,7 +280,7 @@ class TestHealthAndPrune:
             # byte cap evicts it (oldest first) once the next job finishes.
             victim = mgr.cache.root / ("f" * 64 + ".json")
             victim.write_text("{}" + " " * (1 << 20))
-            job = mgr.submit(quick_payload())
+            job = mgr.submit(quick_specs())
             assert job.wait(WAIT_S) == DONE
             # The prune runs on the dispatcher thread just after the DONE
             # notification, so give it a beat.

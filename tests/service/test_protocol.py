@@ -1,8 +1,14 @@
 """The serve daemon's wire vocabulary: payload parsing and validation."""
 
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.harness.runner import CellSpec, PolicySpec, ladder_specs
+from repro.layout import ORGANIZATIONS
+from repro.policy import POLICIES
 from repro.service import (
     ProtocolError,
     cell_label,
@@ -11,6 +17,7 @@ from repro.service import (
     parse_policy,
     spec_to_payload,
 )
+from repro.traces import workload_names
 
 
 class TestParsePolicy:
@@ -200,3 +207,82 @@ class TestCellLabel:
     def test_mttdl_label_carries_target(self):
         spec = CellSpec(workload="ATT", policy=PolicySpec("mttdl", mttdl_target=1e7))
         assert cell_label(spec) == "ATT/MTTDL_1e+07"
+
+
+#: Keys and words the payload fuzz draws from, so generated jobs reach the
+#: cell and policy parsers rather than stopping at "unknown keys".
+_KEYS = [
+    "cells", "workloads", "targets", "include_raid5", "include_raid0", "kind",
+    *(field.name for field in dataclasses.fields(CellSpec)),
+    *(field.name for field in dataclasses.fields(PolicySpec)),
+]
+_WORDS = [*workload_names(), *POLICIES, "mttdl", *ORGANIZATIONS, "nan", "-inf", "1e7", "5"]
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=6)
+    | st.sampled_from(_WORDS)
+)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(_KEYS) | st.text(max_size=4), inner, max_size=6),
+    max_leaves=24,
+)
+_CELL = st.dictionaries(st.sampled_from(_KEYS), _SCALARS | _JSON, max_size=6)
+_JOBS = st.one_of(
+    _JSON,
+    st.fixed_dictionaries({"cells": st.lists(_CELL, max_size=3)}, optional={"seed": _SCALARS}),
+    st.fixed_dictionaries(
+        {"workloads": st.lists(_SCALARS | _JSON, max_size=3)},
+        optional={key: _JSON for key in ("targets", "include_raid5", "ndisks", "organization")},
+    ),
+)
+
+
+def _mttdl(target) -> dict:
+    return {"kind": "mttdl", "mttdl_target": target}
+
+
+class TestPayloadFuzz:
+    """Any JSON value is a job or a ProtocolError (a 400), never a crash."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(_JOBS)
+    def test_specs_or_protocol_error(self, payload):
+        try:
+            specs = parse_job_payload(payload)
+        except ProtocolError:
+            return
+        assert specs and all(isinstance(spec, CellSpec) for spec in specs)
+        for spec in specs:
+            assert parse_cell(spec_to_payload(spec)) == spec
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [
+            ({"workloads": [["a"]]}, "unknown workload"),
+            ({"workloads": [{}]}, "unknown workload"),
+            ({"workloads": ["hplajw"], "include_raid5": "false"}, "include_raid5"),
+            ({"workloads": ["hplajw"], "seed": 1.7}, "seed must be an integer, got 1.7"),
+            ({"workloads": ["hplajw"], "seed": True}, "seed must be an integer, got True"),
+            ({"workloads": ["hplajw"], "targets": [-1]}, "mttdl_target must be a finite"),
+            (
+                {"cells": [{"workload": "hplajw", "policy": _mttdl("nan")}]},
+                r"mttdl_target must be a finite number > 0, got nan",
+            ),
+            (
+                {"cells": [{"workload": "hplajw", "policy": _mttdl(-1)}]},
+                r"mttdl_target must be a finite number > 0, got -1.0",
+            ),
+        ],
+    )
+    def test_parent_counterexamples(self, payload, message):
+        """Payloads that raised ``TypeError`` or were silently misread before
+        (``seed: 1.7`` ran as seed 1, ``"false"`` read as true, a NaN or
+        negative MTTDL target reached the workers)."""
+        with pytest.raises(ProtocolError, match=message):
+            parse_job_payload(payload)

@@ -1,6 +1,7 @@
 """The HTTP front end: routes, status codes, NDJSON streaming, metrics."""
 
 import contextlib
+import http.client
 import json
 import threading
 import time
@@ -120,10 +121,45 @@ class TestJobRoutes:
         assert excinfo.value.status == 400
         assert "duration_s" in str(excinfo.value)
 
+    def test_non_object_body_400_keeps_the_executor_alive(self, client):
+        """A JSON array is not a job: it gets a 400, and the next job runs
+        (it used to reach the pool and kill the dispatcher thread)."""
+        with pytest.raises(ServiceError) as excinfo:
+            client._request("POST", "/jobs", [1])
+        assert excinfo.value.status == 400
+        assert "JSON object" in str(excinfo.value)
+        job_id = client.submit(quick_payload())["id"]
+        assert client.wait(job_id)["state"] == "done"
+
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_malformed_content_length_400(self, client, length):
+        host, port = client.base_url.removeprefix("http://").split(":")
+        connection = http.client.HTTPConnection(host, int(port), timeout=10)
+        try:
+            connection.putrequest("POST", "/jobs")
+            connection.putheader("Content-Length", length)
+            connection.endheaders()
+            response = connection.getresponse()
+            assert response.status == 400
+            assert "Content-Length" in json.loads(response.read())["error"]
+        finally:
+            connection.close()
+
     def test_non_json_body_400(self, client):
         request = urllib.request.Request(
             f"{client.base_url}/jobs", data=b"not json", method="POST"
         )
+        with pytest.raises(urllib.error.HTTPError) as excinfo:
+            urllib.request.urlopen(request, timeout=10)
+        assert excinfo.value.code == 400
+
+    @pytest.mark.parametrize(
+        "body", [b'{"cells": "\xff"}', b"[" * 100_000], ids=["not-utf8", "nested-too-deep"]
+    )
+    def test_undecodable_body_400(self, client, body):
+        """Bytes that are not UTF-8, or JSON nested past the parser's
+        recursion limit, get a 400 rather than a dropped connection."""
+        request = urllib.request.Request(f"{client.base_url}/jobs", data=body, method="POST")
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(request, timeout=10)
         assert excinfo.value.code == 400

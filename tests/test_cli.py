@@ -528,13 +528,6 @@ class TestNumericFlags:
             capsys, ["replay", "snake", "--duration", "1", "--shards", value], "--shards"
         )
 
-    def test_workers_must_not_be_negative(self, capsys):
-        self._assert_usage_error(
-            capsys,
-            ["replay", "snake", "--duration", "1", "--shards", "2", "--workers", "-1"],
-            "--workers",
-        )
-
     def test_store_byte_caps_must_not_be_negative(self, tmp_path, capsys):
         self._assert_usage_error(
             capsys,
@@ -572,3 +565,31 @@ class TestNumericFlags:
     )
     def test_counts_must_be_in_range(self, capsys, argv, flag):
         self._assert_usage_error(capsys, argv, flag)
+
+
+class TestOrganizationFlags:
+    """Every run command takes --organization/--ndisks, as the service does."""
+
+    def test_replay_digest_matches_the_library(self, capsys):
+        from repro.harness.sharding import run_sharded_replay
+
+        assert main(["replay", "snake", "--duration", "2", "--organization", "raid10",
+                     "--shards", "3", "--digest"]) == 0
+        _, digest = run_sharded_replay("snake", duration_s=2.0, organization="raid10")
+        assert capsys.readouterr().out.strip() == digest
+
+    def test_exposure_runs_the_organization(self, capsys):
+        import json
+
+        assert main(["exposure", "hplajw", "--duration", "2", "--organization", "raid1",
+                     "--json"]) == 0
+        result = json.loads(capsys.readouterr().out)["result"]
+        assert (result["organization"], result["ndisks"]) == ("raid1", 2)
+
+    @pytest.mark.parametrize("command", ["report", "profile", "trace"])
+    def test_titles_name_the_array(self, tmp_path, capsys, command):
+        argv = [command, "hplajw", "--duration", "2", "--organization", "raid15"]
+        if command == "trace":
+            argv += ["--out", str(tmp_path / "t.json")]
+        assert main(argv) == 0
+        assert "[raid15, 6 disks]" in capsys.readouterr().out
