@@ -204,6 +204,8 @@ class DiskArray:
         self._zero_payloads: dict[int, bytes] = {}
         self._scrub_running = False
         self._force_scrub = False
+        #: ``drain()`` events waiting for the next idle period.
+        self._drains: list[Event] = []
         self._finished = False
         self._degraded_disk: int | None = None
         #: Every currently-failed member, in failure order; the first is
@@ -362,7 +364,7 @@ class DiskArray:
         if self.detector.is_idle and not self._host_queue:
             done.succeed()
         else:
-            self.detector.on_idle.append(lambda: done.succeed() if not done.triggered else None)
+            self._drains.append(done)  # fired by the next _on_idle
         return done
 
     # -- host-side dispatch --------------------------------------------------------------------
@@ -545,27 +547,20 @@ class DiskArray:
     def _submit_degraded_read(self, run: ExtentRun) -> list[Event]:
         """Reconstruct a run on the failed disk: read the same extent of
         every surviving data unit plus parity, xor on the fly."""
-        stripe = run.stripe
         in_unit = run.disk_lba - self.layout.unit_lba(run.stripe, run.disk)
-        events = []
-        for unit in self.layout.data_units(stripe):
-            if unit.disk in self._failed_disks:
-                continue
-            events.append(
-                self.drivers[unit.disk].submit(
-                    DiskIO(IoKind.READ, unit.disk_lba + in_unit, run.nsectors)
-                )
-            )
-            self.stats.reconstruct_reads += 1
-        parity = self.layout.parity_unit(stripe)
-        if parity.disk not in self._failed_disks:
-            events.append(
-                self.drivers[parity.disk].submit(
-                    DiskIO(IoKind.READ, parity.disk_lba + in_unit, run.nsectors)
-                )
-            )
-            self.stats.reconstruct_reads += 1
-        return events
+        return self._survivor_reads(run.stripe, in_unit, run.nsectors)
+
+    def _survivor_reads(self, stripe: int, offset: int, nsectors: int) -> list[Event]:
+        """Read rows ``[offset, +nsectors)`` of every surviving data and parity unit."""
+        layout = self.layout
+        failed = self._failed_disks
+        reads = [
+            self.drivers[unit.disk].submit(DiskIO(IoKind.READ, unit.disk_lba + offset, nsectors))
+            for unit in (*layout.data_units(stripe), layout.parity_unit(stripe))
+            if unit.disk not in failed
+        ]
+        self.stats.reconstruct_reads += len(reads)
+        return reads
 
     def _disk_alive(self, disk: int) -> bool:
         return disk not in self._failed_disks and not self.disks[disk].failed
@@ -695,57 +690,6 @@ class DiskArray:
         start_in_unit = run.disk_lba - self.layout.unit_lba(run.stripe, run.disk)
         return sub_units_overlapping(start_in_unit, run.nsectors, unit_sectors, bits)
 
-    def _write_degraded(self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]):
-        """Writes while a member disk is missing.
-
-        Parity must absorb the write immediately (there is no disk to
-        defer to), so every stripe takes a reconstruct-style update: read
-        the surviving data units, then write the surviving data runs and
-        — when the parity disk is alive — a freshly computed parity unit.
-        Data destined for the failed disk is represented only by parity
-        until the rebuild completes.
-        """
-        unit_sectors = self.layout.stripe_unit_sectors
-        failed = self._failed_disks
-        for stripe, runs in runs_by_stripe.items():
-            parity = self.layout.parity_unit(stripe)
-            reads = []
-            for unit in self.layout.data_units(stripe):
-                if unit.disk in failed:
-                    continue
-                reads.append(
-                    self.drivers[unit.disk].submit(DiskIO(IoKind.READ, unit.disk_lba, unit_sectors))
-                )
-                self.stats.reconstruct_reads += 1
-            if parity.disk not in failed:
-                reads.append(
-                    self.drivers[parity.disk].submit(
-                        DiskIO(IoKind.READ, parity.disk_lba, unit_sectors)
-                    )
-                )
-                self.stats.reconstruct_reads += 1
-            if reads:
-                yield AllOf(self.sim, reads)
-            writes = self._submit_data_writes([run for run in runs if run.disk not in failed])
-            if parity.disk not in failed:
-                writes.append(
-                    self.drivers[parity.disk].submit(
-                        DiskIO(IoKind.WRITE, parity.disk_lba, unit_sectors)
-                    )
-                )
-                self.stats.foreground_parity_writes += 1
-            if writes:
-                yield AllOf(self.sim, writes)
-            if self.marks.is_marked(stripe) and parity.disk not in failed:
-                self.marks.clear_stripe(stripe)
-                self._lag_changed()
-                if self.exposure is not None:
-                    self.exposure.stripe_cleaned(stripe, self.sim.now, cause="write")
-        if self.functional is not None:
-            self.functional.write_degraded(
-                request.offset_sectors, self._payload(request), self._degraded_disk
-            )
-
     def _submit_data_writes(self, runs: list[ExtentRun]) -> list[Event]:
         drivers = self.drivers
         events = [
@@ -755,164 +699,74 @@ class DiskArray:
         self.stats.foreground_data_writes += len(events)
         return events
 
-    # -- mirrored-organization writes ----------------------------------------------------
-
-    def _write_mirror(self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]):
-        """Writes on a mirrored organization (RAID 1, 1/0, or 1+5).
-
-        The AFRAID deferral writes only the primary copy and marks the
-        stripe (the scrubber copies primary → mirror in idle time); the
-        synchronous mode writes both copies inline.  RAID 1+5 defers the
-        *parity* instead — both mirror copies of the data always land, so
-        dirty stripes stay mirror-protected.
-        """
-        if self.layout.has_parity:
-            yield from self._write_mirror_raid15(request, runs_by_stripe)
-        else:
-            yield from self._write_mirror_plain(request, runs_by_stripe)
-        if self.functional is not None:
-            self.functional.write(
-                request.offset_sectors, self._payload(request), update_parity=False
-            )
-
-    def _write_mirror_plain(
-        self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]
-    ):
-        """RAID 1 / RAID 1/0 write: deferred or synchronous mirror copy."""
-        mode = self.policy.write_mode(tuple(runs_by_stripe))
+    def _slice_reads(self, stripe: int, offset: int, nsectors: int) -> list[Event]:
+        """Read rows ``[offset, +nsectors)`` of every data unit of ``stripe``."""
         drivers = self.drivers
-        if mode is WriteMode.AFRAID and not self._failed_disks:
-            # Deferred copy: mark, write primaries only.
-            self._mark_runs(runs_by_stripe.items())
-            events = []
-            for runs in runs_by_stripe.values():
-                for run in runs:
-                    events.append(
-                        drivers[run.disk].submit(DiskIO(IoKind.WRITE, run.disk_lba, run.nsectors))
-                    )
-            self.stats.foreground_data_writes += len(events)
-            yield AllOf(self.sim, events)
-            self.policy.on_stripes_marked()
-            return
-        # Synchronous (or degraded) mirroring: both alive copies inline.
-        events = []
-        for runs in runs_by_stripe.values():
-            for run in runs:
-                for disk in (run.disk, self.layout.mirror_disk(run.disk)):
-                    if self._disk_alive(disk):
-                        events.append(
-                            drivers[disk].submit(DiskIO(IoKind.WRITE, run.disk_lba, run.nsectors))
-                        )
-                        self.stats.foreground_data_writes += 1
-        if events:
-            yield AllOf(self.sim, events)
-        # A synchronous write to a dirty stripe leaves the rest of the
-        # stripe's mirror copy stale: catch the whole stripe up inline
-        # (the mirrored analogue of the RAID 5 reconstruct-on-dirty path).
-        if not self._failed_disks:
-            for stripe in runs_by_stripe:
-                if self.marks.is_marked(stripe):
-                    yield from self._copy_stripe_inline(stripe)
+        return [
+            drivers[unit.disk].submit(DiskIO(IoKind.READ, unit.disk_lba + offset, nsectors))
+            for unit in self.layout.data_units(stripe)
+        ]
 
-    def _copy_stripe_inline(self, stripe: int):
-        """Foreground primary → mirror copy of one dirty stripe."""
+    def _redundancy_writes(self, stripe: int, offset: int, nsectors: int) -> list[Event]:
+        """Write rows ``[offset, +nsectors)`` of the redundancy of ``stripe``.
+
+        That is the parity unit (RAID 5 and declustered RAID 5), both
+        copies of the RAID 1+5 parity pair, or every RAID 1 / RAID 1/0
+        mirror copy.
+        """
+        layout = self.layout
+        if self.organization.has_parity:
+            parity = layout.parity_unit(stripe)
+            copies = [(parity.disk, parity.disk_lba)]
+            if self._mirrored:  # RAID 1+5 mirrors its parity unit too
+                copies.append((layout.mirror_disk(parity.disk), parity.disk_lba))
+        else:
+            copies = []
+            for index in range(layout.data_units_per_stripe):
+                mirror = layout.mirror_unit(stripe, index)
+                copies.append((mirror.disk, mirror.disk_lba))
+        return [
+            self.drivers[disk].submit(DiskIO(IoKind.WRITE, lba + offset, nsectors))
+            for disk, lba in copies
+        ]
+
+    def _uncovered_units(self, stripe: int, runs: list[ExtentRun]) -> list:
+        """The data units of ``stripe`` that ``runs`` do not overwrite whole."""
         unit_sectors = self.layout.stripe_unit_sectors
-        reads = []
-        for unit in self.layout.data_units(stripe):
-            reads.append(
-                self.drivers[unit.disk].submit(DiskIO(IoKind.READ, unit.disk_lba, unit_sectors))
-            )
-            self.stats.reconstruct_reads += 1
-        yield AllOf(self.sim, reads)
-        writes = []
-        for index in range(self.layout.data_units_per_stripe):
-            mirror = self.layout.mirror_unit(stripe, index)
-            writes.append(
-                self.drivers[mirror.disk].submit(
-                    DiskIO(IoKind.WRITE, mirror.disk_lba, unit_sectors)
-                )
-            )
-            self.stats.foreground_data_writes += 1
-        yield AllOf(self.sim, writes)
+        covered = {run.unit_index for run in runs if run.nsectors == unit_sectors}
+        return [unit for unit in self.layout.data_units(stripe) if unit.unit_index not in covered]
+
+    def _write_alive_copies(self, extents) -> list[Event]:
+        """Write each ``(disk, lba, nsectors)`` extent to both alive copies of its pair."""
+        mirror_disk = self.layout.mirror_disk
+        drivers = self.drivers
+        return [
+            drivers[disk].submit(DiskIO(IoKind.WRITE, lba, nsectors))
+            for primary, lba, nsectors in extents
+            for disk in (primary, mirror_disk(primary))
+            if self._disk_alive(disk)
+        ]
+
+    def _clean_stripe(self, stripe: int) -> None:
+        """A foreground write made ``stripe`` redundant: clear its marks."""
         self.marks.clear_stripe(stripe)
         self._lag_changed()
         if self.exposure is not None:
             self.exposure.stripe_cleaned(stripe, self.sim.now, cause="write")
-
-    def _write_mirror_raid15(
-        self, request: ArrayRequest, runs_by_stripe: dict[int, list[ExtentRun]]
-    ):
-        """RAID 1+5 write: mirror copies inline, parity deferred or inline."""
-        mode = self.policy.write_mode(tuple(runs_by_stripe))
-        drivers = self.drivers
-        unit_sectors = self.layout.stripe_unit_sectors
-        if mode is WriteMode.AFRAID and not self._failed_disks:
-            # Deferred parity: mark, write both copies of every data run.
-            self._mark_runs(runs_by_stripe.items())
-            events = []
-            for runs in runs_by_stripe.values():
-                for run in runs:
-                    for disk in (run.disk, self.layout.mirror_disk(run.disk)):
-                        events.append(
-                            drivers[disk].submit(DiskIO(IoKind.WRITE, run.disk_lba, run.nsectors))
-                        )
-                        self.stats.foreground_data_writes += 1
-            yield AllOf(self.sim, events)
-            self.policy.on_stripes_marked()
-            return
-        # Synchronous (or degraded): reconstruct-style parity update.
-        for stripe, runs in runs_by_stripe.items():
-            parity = self.layout.parity_unit(stripe)
-            covered_units = {
-                run.unit_index for run in runs if run.nsectors == unit_sectors
-            }
-            reads = []
-            for unit in self.layout.data_units(stripe):
-                if unit.unit_index in covered_units:
-                    continue
-                disk = self._alive_copy(unit.disk)
-                if disk is None:
-                    continue
-                reads.append(
-                    drivers[disk].submit(DiskIO(IoKind.READ, unit.disk_lba, unit_sectors))
-                )
-                self.stats.reconstruct_reads += 1
-            if reads:
-                yield AllOf(self.sim, reads)
-            writes = []
-            for run in runs:
-                for disk in (run.disk, self.layout.mirror_disk(run.disk)):
-                    if self._disk_alive(disk):
-                        writes.append(
-                            drivers[disk].submit(DiskIO(IoKind.WRITE, run.disk_lba, run.nsectors))
-                        )
-                        self.stats.foreground_data_writes += 1
-            for disk in (parity.disk, self.layout.mirror_disk(parity.disk)):
-                if self._disk_alive(disk):
-                    writes.append(
-                        drivers[disk].submit(
-                            DiskIO(IoKind.WRITE, parity.disk_lba, unit_sectors)
-                        )
-                    )
-                    self.stats.foreground_parity_writes += 1
-            if writes:
-                yield AllOf(self.sim, writes)
-            if self.marks.is_marked(stripe) and self._alive_copy(parity.disk) is not None:
-                self.marks.clear_stripe(stripe)
-                self._lag_changed()
-                if self.exposure is not None:
-                    self.exposure.stripe_cleaned(stripe, self.sim.now, cause="write")
 
     # -- background parity scrubbing --------------------------------------------------------------------
 
     def _on_idle(self) -> None:
         if self.marks.count and self.policy.may_scrub_now():
             self._ensure_scrubber()
+        drains, self._drains = self._drains, []
+        for done in drains:
+            done.succeed()
 
     def _ensure_scrubber(self) -> None:
         if not self._scrub_running and self.marks.count:
             self._scrub_running = True
-            self.sim.process(self._scrub_loop(), name=f"{self.name}.scrubber")
+            self.sim.call_soon(self._scrub_next)
 
     def _may_scrub_more(self) -> bool:
         if self._degraded_disk is not None:
@@ -930,133 +784,62 @@ class DiskArray:
                 return stripe, sub_unit
         return None
 
-    def _scrub_loop(self):
+    def _scrub_next(self, _event: Event | None = None) -> None:
+        """The scrubber's one state: scrub the oldest eligible mark, or stop.
+
+        It runs at the scrubber's kick and again whenever its scrub
+        settles, so the scrubber is preemptible between stripes but not
+        within one (§4.1).
+        """
+        exc = None
         try:
-            while self.marks.count and self._may_scrub_more():
+            if self.marks.count and self._may_scrub_more():
                 target = self._next_scrub_target()
-                if target is None:
-                    break  # only policy-excluded (e.g. RAID 0 region) debt left
-                stripe, sub_unit = target
-                try:
-                    yield from self._scrub(
-                        stripe, sub_unit if self.marks.bits_per_stripe > 1 else None
-                    )
-                except DiskFailedError:
-                    # A member died with scrub I/O in flight; the array is
-                    # degraded now, so stop — the rebuild manager (not the
-                    # scrubber) restores redundancy.
-                    break
-        finally:
-            self._scrub_running = False
+                # None: only policy-excluded (e.g. RAID 0 region) debt is left.
+                if target is not None:
+                    stripe, sub_unit = target
+                    if self.marks.bits_per_stripe == 1:
+                        sub_unit = None
+                    self._scrub(stripe, sub_unit, self._scrub_next, self._scrub_settled)
+                    return
+        except BaseException as raised:
+            exc = raised
+        self._scrub_stop(exc)
+
+    def _scrub_settled(self, exc: BaseException | None) -> None:
+        if exc is None:
+            self._scrub_next()
+        else:
+            # A member died with scrub I/O in flight: the array is degraded
+            # now, so stop quietly — the rebuild manager (not the scrubber)
+            # restores redundancy.  Any other error is not ours to catch.
+            self._scrub_stop(None if isinstance(exc, DiskFailedError) else exc)
+
+    def _scrub_stop(self, exc: BaseException | None) -> None:
+        self._scrub_running = False
+        try:
             if self._next_scrub_target() is None:
                 self._force_scrub = False
+        except BaseException as raised:
+            exc = raised
+        if exc is not None:
+            # Escape the run loop as a failed event, as a failed process would.
+            Event(self.sim, name=f"{self.name}.scrubber").fail(exc)
 
-    def _scrub(self, stripe: int, sub_unit: int | None = None):
-        """Make one marked slice of a stripe redundant again (§4.1, §5).
+    def _scrub(self, stripe: int, sub_unit: int | None, resume, settled) -> None:
+        """Make one marked slice of a stripe redundant (see :class:`_Scrub`).
 
-        Reads the slice of every data unit — ``sub_unit``'s rows, or the
-        whole unit when ``sub_unit`` is None — then writes the same slice
-        of the organization's redundancy: the parity unit (RAID 5 and
-        declustered RAID 5), both copies of the RAID 1+5 parity pair, or
-        every RAID 1 / RAID 1/0 mirror copy.  Not preemptible once started
-        (§4.1: requests run to completion); client writes to this stripe
-        wait on the barrier event.
+        Where another scrub (the scrubber's or a commit's) holds the
+        stripe, wait for it instead: ``resume(barrier)`` runs when it
+        settles.  Otherwise ``settled(exc)`` runs when this scrub does.
         """
-        if stripe in self._rebuilding:
-            # Someone else (scrubber vs. commit) is already rebuilding it.
-            yield self._rebuilding[stripe]
-            return
-        if not self.marks.is_marked(stripe, sub_unit):
-            return  # already clean
-        barrier = self.sim.event(name=self._ev_rebuild)
-        self._rebuilding[stripe] = barrier
-        started = self.sim.now
-        layout = self.layout
-        unit_sectors = layout.stripe_unit_sectors
-        if sub_unit is None:
-            start, nsectors = 0, unit_sectors
+        barrier = self._rebuilding.get(stripe)
+        if barrier is not None:
+            barrier.callbacks.append(resume)
         else:
-            start, nsectors = sub_unit_extent(sub_unit, unit_sectors, self.marks.bits_per_stripe)
-        try:
-            attempts = 0
-            while True:
-                reads = []
-                for unit in layout.data_units(stripe):
-                    reads.append(
-                        self.drivers[unit.disk].submit(
-                            DiskIO(IoKind.READ, unit.disk_lba + start, nsectors)
-                        )
-                    )
-                    self.stats.scrub_data_reads += 1
-                try:
-                    yield AllOf(self.sim, reads)
-                except LatentSectorError:
-                    attempts += 1
-                    if attempts > 3:
-                        raise
-                    units = None
-                    if self.organization.declustered:
-                        # Member units live at per-disk offsets, not at the
-                        # common ``stripe * unit`` lba of the rotated layouts.
-                        units = [*layout.data_units(stripe), layout.parity_unit(stripe)]
-                    yield from self._repair_latent_extent(
-                        stripe * unit_sectors + start, nsectors, units=units
-                    )
-                    continue
-                break
-            if self._failed_disks:
-                # A member died while we were reading: the stripe cannot
-                # be made redundant any more.  Leave the mark set (it is
-                # what the loss accounting is based on) and give up.
-                return
-            if self.organization.has_parity:
-                parity = layout.parity_unit(stripe)
-                copies = [(parity.disk, parity.disk_lba)]
-                if self._mirrored:  # RAID 1+5 mirrors its parity unit too
-                    copies.append((layout.mirror_disk(parity.disk), parity.disk_lba))
-            else:  # RAID 1 / RAID 1/0: every mirror copy
-                copies = []
-                for index in range(layout.data_units_per_stripe):
-                    mirror = layout.mirror_unit(stripe, index)
-                    copies.append((mirror.disk, mirror.disk_lba))
-            writes = [
-                self.drivers[disk].submit(DiskIO(IoKind.WRITE, lba + start, nsectors))
-                for disk, lba in copies
-            ]
-            # Committed results pin both counting points (see ArrayStats).
-            if self._mirrored:
-                self.stats.scrub_parity_writes += len(writes)
-                yield AllOf(self.sim, writes)
-            else:
-                yield writes[0]
-                self.stats.scrub_parity_writes += 1
-            if self._failed_disks:
-                return  # died during the redundancy write: same story
-            if sub_unit is None:
-                self.marks.clear_stripe(stripe)
-            else:
-                self.marks.clear(stripe, sub_unit)
-            self._lag_changed()
-            if not self.marks.is_marked(stripe):
-                if self.exposure is not None:
-                    self.exposure.stripe_cleaned(stripe, self.sim.now, cause="scrub")
-                self.stats.stripes_scrubbed += 1
-            if self.hists is not None or self.tracer is not None:
-                if self._mirrored:
-                    name = "scrub_stripe_mirror"
-                else:
-                    name = "scrub_stripe" if sub_unit is None else "scrub_sub_unit"
-                self._observe_scrub(name, started, stripe)
-            if self.functional is not None and not self._mirrored:
-                if sub_unit is None:
-                    self.functional.scrub_stripe(stripe)
-                else:
-                    self.functional.scrub_sub_unit(stripe, sub_unit)
-        finally:
-            del self._rebuilding[stripe]
-            barrier.succeed()
+            _Scrub(self, stripe, sub_unit, settled)._start()
 
-    def _repair_latent_extent(self, base_lba: int, nsectors: int, units=None):
+    def _repair_latent_extent(self, base_lba: int, nsectors: int, units=None) -> AllOf | None:
         """Rewrite latent sectors any member reports in [base_lba, +nsectors).
 
         A write over a latent sector heals it (the drive remaps); content
@@ -1067,6 +850,9 @@ class DiskArray:
         per-disk lbas), scan each unit's own extent instead of one common
         lba span; ``base_lba`` is then interpreted as an in-unit offset
         relative to ``stripe * stripe_unit_sectors``.
+
+        Returns the event the rewrites join on (the healed sectors are
+        counted when it fires), or None when no member reports one.
         """
         if units is not None:
             in_unit = base_lba % self.layout.stripe_unit_sectors
@@ -1074,7 +860,6 @@ class DiskArray:
         else:
             spans = [(index, base_lba) for index in range(len(self.disks))]
         writes = []
-        repaired = 0
         for index, span_lba in spans:
             disk = self.disks[index]
             if disk.failed:
@@ -1084,19 +869,25 @@ class DiskArray:
                 continue
             for lba in bad:
                 writes.append(self.drivers[index].submit(DiskIO(IoKind.WRITE, lba, 1)))
-            repaired += len(bad)
             if self.tracer is not None:
                 self.tracer.instant(
                     "latent_repair", track="faults", category="fault",
                     disk=index, sectors=len(bad),
                 )
-        if writes:
-            yield AllOf(self.sim, writes)
-        self.latent_sectors_repaired += repaired
-        if repaired and self.registry is not None:
-            self.registry.counter(
-                "latent_sectors_repaired_total", "latent sectors healed by rewrite"
-            ).inc(repaired)
+        if not writes:
+            return None
+        join = AllOf(self.sim, writes)
+        join.callbacks.append(self._latent_repaired)
+        return join
+
+    def _latent_repaired(self, join: AllOf) -> None:
+        if join.ok:
+            repaired = len(join.events)  # one single-sector rewrite each
+            self.latent_sectors_repaired += repaired
+            if self.registry is not None:
+                self.registry.counter(
+                    "latent_sectors_repaired_total", "latent sectors healed by rewrite"
+                ).inc(repaired)
 
     def _observe_scrub(self, name: str, started: float, stripe: int) -> None:
         """Record one finished parity rebuild into the attached sinks."""
@@ -1124,30 +915,7 @@ class DiskArray:
             raise RuntimeError("cannot commit while degraded: rebuild the failed disk first")
         stripes = list(self.layout.stripes_touched(offset_sectors, nsectors))
         done = self.sim.event(name=self._ev_commit)
-        started = self.sim.now
-
-        def committer():
-            for stripe in stripes:
-                if stripe in self._rebuilding:
-                    yield self._rebuilding[stripe]  # scrubber already on it
-                if not self.marks.is_marked(stripe):
-                    continue
-                if self._mirrored and self.marks.bits_per_stripe > 1:
-                    # Mirrored arrays restore the marked slices one by one.
-                    for sub_unit in range(self.marks.bits_per_stripe):
-                        if self.marks.is_marked(stripe, sub_unit):
-                            yield from self._scrub(stripe, sub_unit)
-                else:
-                    yield from self._scrub(stripe)
-            if self.tracer is not None:
-                self.tracer.complete(
-                    "commit", start_s=started, duration_s=self.sim.now - started,
-                    track="scrubber", category="commit", stripes=len(stripes),
-                )
-            return len(stripes)
-
-        proc = self.sim.process(committer(), name=self._ev_commit)
-        proc.add_callback(lambda event: done.succeed(event.value) if event.ok else done.fail(event.exception))
+        _Commit(self, stripes, done)
         return done
 
     # -- NVRAM failure recovery (§3.1) --------------------------------------------------------------------
@@ -1309,80 +1077,40 @@ class _Barrier:
         self.handler(hop._exception)
 
 
-class _Tail:
-    """Drive a generator to exhaustion with ``Process._resume`` hop semantics.
-
-    Lets the service machine run its rare write protocols — degraded
-    writes and mirrored writes (``_write_degraded``, ``_write_mirror``) —
-    as plain generator bodies, with the event pattern of a ``yield from``
-    inside a process but no process: the first ``send`` runs inline at the
-    delegation point, each yielded event gets one callback at the position
-    a process would re-arm at, an already-processed event resumes
-    synchronously, and exhaustion calls ``on_done`` where the enclosing
-    body continues.
-    """
-
-    __slots__ = ("generator", "on_done")
-
-    def __init__(self, generator, on_done) -> None:
-        self.generator = generator
-        self.on_done = on_done
-
-    def start(self) -> None:
-        self._advance(None, None)
-
-    def _advance(self, value, exc) -> None:
-        generator = self.generator
-        while True:
-            try:
-                if exc is not None:
-                    target = generator.throw(exc)
-                else:
-                    target = generator.send(value)
-            except StopIteration:
-                self.on_done(None)
-                return
-            except BaseException as raised:
-                self.on_done(raised)
-                return
-            callbacks = target.callbacks
-            if callbacks is not None:
-                callbacks.append(self._fired)
-                return
-            # Already processed: resume immediately (Process._resume parity).
-            if target._exception is not None:
-                value, exc = None, target._exception
-            else:
-                value, exc = target._value, None
-
-    def _fired(self, event: Event) -> None:
-        if event._exception is not None:
-            self._advance(None, event._exception)
-        else:
-            self._advance(event._value, None)
-
-
 class _StripeWrite:
-    """One stripe of a RAID 5 write, as a callback machine.
+    """One stripe's redundancy update, as callback states.
 
-    Three protocols, chosen by coverage and the stripe's mark: a
-    full-stripe write computes parity from the new data alone (no
-    pre-reads); a partial write to a dirty stripe reconstructs (reads the
-    units it does not overwrite, then writes data and a fresh parity
-    unit); any other partial write is the classic read-modify-write of
-    Figure 1 (pre-read old data and parity, then write both).  ``event``
-    fires when the stripe is done; the request's :class:`_Barrier` waits
-    on the events of all its stripes.  The body runs at a kick's dispatch,
-    or in its place under a quiet kernel (see :meth:`start`).
+    Every protocol that updates a stripe's redundancy runs this one
+    machine: submit a read set, join it, submit a write set, join it,
+    then settle the stripe's mark.  The case — a subclass — chooses the
+    two sets and the settle rule:
+
+    * :class:`_Raid5Stripe`: RAID 5 full-stripe, reconstruct-write or
+      read-modify-write;
+    * :class:`_DegradedStripe`: a parity write with a member missing;
+    * :class:`_Raid15Stripe`: a RAID 1+5 synchronous parity update;
+    * :class:`_CatchUp`: an inline primary → mirror copy of a dirty stripe;
+    * :class:`_Scrub`: a scrub of one marked slice, with its latent-sector
+      retry.
+
+    A join is a :class:`_Barrier` (where a process would ``yield
+    AllOf(...)``), or nothing for an empty set.  A set of None ends the
+    update there, unsettled.  When the stripe is done,
+    ``on_done(exc)`` runs in place: the owner runs its stripes one after
+    another.  Without an ``on_done``, ``event`` fires instead: the RAID 5
+    stripes of one request run concurrently, joined by the request's
+    barrier.
     """
 
-    __slots__ = ("array", "stripe", "runs", "event", "was_dirty", "parity", "span")
+    __slots__ = ("array", "stripe", "runs", "on_done", "event")
 
-    def __init__(self, array: DiskArray, stripe: int, runs: list[ExtentRun]) -> None:
+    def __init__(self, array: DiskArray, stripe: int, runs, on_done=None) -> None:
         self.array = array
         self.stripe = stripe
         self.runs = runs
-        self.event = Event(array.sim, name=array._ev_r5w)
+        self.on_done = on_done
+        if on_done is None:
+            self.event = Event(array.sim, name=array._ev_r5w)
 
     def start(self) -> None:
         """Run the body — inline under a quiet kernel, else at a kick.
@@ -1399,145 +1127,414 @@ class _StripeWrite:
         else:
             sim.call_soon(self._start)
 
-    def _start(self, _kick: Event) -> None:
-        array = self.array
-        stripe = self.stripe
-        runs = self.runs
+    def _start(self, _kick: Event | None = None) -> None:
         try:
-            layout = array.layout
-            unit_sectors = layout.stripe_unit_sectors
-            covered = sum(run.nsectors for run in runs)
-            full_stripe = covered == layout.stripe_data_sectors
-            parity = layout.parity_unit(stripe)
-            self.parity = parity
-            self.was_dirty = array.marks.is_marked(stripe)
-
-            if full_stripe:
-                # Large-write optimisation: no pre-reads.
-                writes = array._submit_data_writes(runs)
-                writes.append(
-                    array.drivers[parity.disk].submit(
-                        DiskIO(IoKind.WRITE, parity.disk_lba, unit_sectors)
-                    )
-                )
-                array.stats.foreground_parity_writes += 1
-                self.span = None
-                _Barrier(array.sim, writes, self._writes_done)
-            elif self.was_dirty:
-                # Parity is stale: a read-modify-write would seal in
-                # garbage, so reconstruct from the units not overwritten.
-                covered_units = {
-                    run.unit_index for run in runs if run.nsectors == unit_sectors
-                }
-                reads = []
-                for unit in layout.data_units(stripe):
-                    if unit.unit_index in covered_units:
-                        continue
-                    reads.append(
-                        array.drivers[unit.disk].submit(
-                            DiskIO(IoKind.READ, unit.disk_lba, unit_sectors)
-                        )
-                    )
-                    array.stats.reconstruct_reads += 1
-                self.span = None
-                if reads:
-                    _Barrier(array.sim, reads, self._prereads_done)
-                else:
-                    self._submit_writes()
-            else:
-                # The small-update path (Figure 1): old data and old
-                # parity are read in the client write's critical path.
-                lo = min(run.disk_lba - layout.unit_lba(run.stripe, run.disk) for run in runs)
-                hi = max(
-                    run.disk_lba - layout.unit_lba(run.stripe, run.disk) + run.nsectors
-                    for run in runs
-                )
-                self.span = (parity.disk_lba + lo, hi - lo)
-                reads = []
-                for run in runs:
-                    reads.append(
-                        array.drivers[run.disk].submit(
-                            DiskIO(IoKind.READ, run.disk_lba, run.nsectors)
-                        )
-                    )
-                    array.stats.preread_ios += 1
-                reads.append(
-                    array.drivers[parity.disk].submit(
-                        DiskIO(IoKind.READ, self.span[0], self.span[1])
-                    )
-                )
-                array.stats.preread_ios += 1
-                _Barrier(array.sim, reads, self._prereads_done)
+            reads = self.read_set()
         except BaseException as exc:
-            self.event.fail(exc)
-
-    def _prereads_done(self, exc: BaseException | None) -> None:
-        if exc is not None:
-            self.event.fail(exc)
+            self._finish(exc)
             return
-        self._submit_writes()
+        if reads is None:
+            self._finish(None)
+        else:
+            self._join(reads, self._reads_done)
 
-    def _submit_writes(self) -> None:
-        array = self.array
-        try:
-            writes = array._submit_data_writes(self.runs)
-            if self.span is not None:
-                parity_lba, parity_span = self.span
-                writes.append(
-                    array.drivers[self.parity.disk].submit(
-                        DiskIO(IoKind.WRITE, parity_lba, parity_span)
-                    )
-                )
+    def _reads_done(self, exc: BaseException | None) -> None:
+        if exc is None:
+            try:
+                writes = self.write_set()
+            except BaseException as raised:
+                exc = raised
             else:
-                writes.append(
-                    array.drivers[self.parity.disk].submit(
-                        DiskIO(
-                            IoKind.WRITE,
-                            self.parity.disk_lba,
-                            array.layout.stripe_unit_sectors,
-                        )
-                    )
-                )
-            array.stats.foreground_parity_writes += 1
-            _Barrier(array.sim, writes, self._writes_done)
-        except BaseException as exc:
-            self.event.fail(exc)
+                if writes is not None:
+                    self._join_writes(writes)
+                    return
+        self._finish(exc)
+
+    def _join_writes(self, writes: list[Event]) -> None:
+        self._join(writes, self._writes_done)
 
     def _writes_done(self, exc: BaseException | None) -> None:
-        if exc is not None:
-            self.event.fail(exc)
-            return
-        array = self.array
-        try:
-            if self.was_dirty:
-                stripe = self.stripe
-                array.marks.clear_stripe(stripe)
-                array._lag_changed()
-                if array.exposure is not None:
-                    array.exposure.stripe_cleaned(stripe, array.sim.now, cause="write")
-        except BaseException as raised:
-            self.event.fail(raised)
-            return
-        # Trigger ``event`` — scheduled only when someone is listening
-        # (the request's barrier always is).
-        done = self.event
-        callbacks = done.callbacks
-        if callbacks:
-            if array.sim.quiet():
-                # Quiet kernel: succeed() would schedule the dispatch as
-                # the very next one — settle the event and run its
-                # listeners in place, exactly as the kernel would.
-                done._value = None
-                done._scheduled = True
-                done._handled = True
-                done.callbacks = None
-                for callback in callbacks:
-                    callback(done)
-            else:
-                done.succeed(None)
+        if exc is None:
+            try:
+                self.settle()
+            except BaseException as raised:
+                exc = raised
+        self._finish(exc)
+
+    def _join(self, events: list[Event], handler) -> None:
+        if events:
+            _Barrier(self.array.sim, events, handler)
         else:
-            done._value = None
-            done.callbacks = None
+            handler(None)
+
+    def _finish(self, exc: BaseException | None) -> None:
+        if self.on_done is not None:
+            self.on_done(exc)
+        elif exc is not None:
+            self.event.fail(exc)
+        else:
+            # The last act of this dispatch: under a quiet kernel the
+            # request's barrier runs in place (see Event.complete_inline).
+            self.event.complete_inline()
+
+
+class _Raid5Stripe(_StripeWrite):
+    """RAID 5, chosen by coverage and the stripe's mark.
+
+    A full-stripe write computes parity from the new data alone (no read
+    set).  A partial write to a dirty stripe reconstructs: it reads the
+    units it does not overwrite, then writes data and a fresh parity
+    unit.  Any other partial write is the read-modify-write of Figure 1:
+    old data and old parity are read in the client write's critical path,
+    then both are written.
+    """
+
+    __slots__ = ("parity", "span", "was_dirty")
+
+    def read_set(self) -> list[Event]:
+        array = self.array
+        layout = array.layout
+        stripe = self.stripe
+        runs = self.runs
+        unit_sectors = layout.stripe_unit_sectors
+        parity = self.parity = layout.parity_unit(stripe)
+        self.was_dirty = array.marks.is_marked(stripe)
+        self.span = None
+        if sum(run.nsectors for run in runs) == layout.stripe_data_sectors:
+            return []  # large-write optimisation: no pre-reads
+        drivers = array.drivers
+        if self.was_dirty:
+            # Parity is stale: a read-modify-write would seal in garbage.
+            reads = [
+                drivers[unit.disk].submit(DiskIO(IoKind.READ, unit.disk_lba, unit_sectors))
+                for unit in array._uncovered_units(stripe, runs)
+            ]
+            array.stats.reconstruct_reads += len(reads)
+            return reads
+        lo = min(run.disk_lba - layout.unit_lba(run.stripe, run.disk) for run in runs)
+        hi = max(
+            run.disk_lba - layout.unit_lba(run.stripe, run.disk) + run.nsectors for run in runs
+        )
+        self.span = (parity.disk_lba + lo, hi - lo)
+        reads = [
+            drivers[run.disk].submit(DiskIO(IoKind.READ, run.disk_lba, run.nsectors))
+            for run in runs
+        ]
+        reads.append(drivers[parity.disk].submit(DiskIO(IoKind.READ, *self.span)))
+        array.stats.preread_ios += len(reads)
+        return reads
+
+    def write_set(self) -> list[Event]:
+        array = self.array
+        writes = array._submit_data_writes(self.runs)
+        lba, nsectors = self.span or (self.parity.disk_lba, array.layout.stripe_unit_sectors)
+        writes.append(array.drivers[self.parity.disk].submit(DiskIO(IoKind.WRITE, lba, nsectors)))
+        array.stats.foreground_parity_writes += 1
+        return writes
+
+    def settle(self) -> None:
+        if self.was_dirty:
+            self.array._clean_stripe(self.stripe)
+
+
+class _DegradedStripe(_StripeWrite):
+    """A parity write while a member disk is missing.
+
+    Parity must absorb the write now (there is no disk to defer to): read
+    every surviving data unit and the parity unit, then write the
+    surviving data runs and — when its disk is alive — a freshly computed
+    parity unit.  Data destined for the failed disk is represented only
+    by parity until the rebuild completes.
+    """
+
+    __slots__ = ("parity",)
+
+    def read_set(self) -> list[Event]:
+        layout = self.array.layout
+        self.parity = layout.parity_unit(self.stripe)
+        return self.array._survivor_reads(self.stripe, 0, layout.stripe_unit_sectors)
+
+    def write_set(self) -> list[Event]:
+        array = self.array
+        failed = array._failed_disks
+        parity = self.parity
+        writes = array._submit_data_writes([run for run in self.runs if run.disk not in failed])
+        if parity.disk not in failed:
+            writes.append(
+                array.drivers[parity.disk].submit(
+                    DiskIO(IoKind.WRITE, parity.disk_lba, array.layout.stripe_unit_sectors)
+                )
+            )
+            array.stats.foreground_parity_writes += 1
+        return writes
+
+    def settle(self) -> None:
+        array = self.array
+        if array.marks.is_marked(self.stripe) and self.parity.disk not in array._failed_disks:
+            array._clean_stripe(self.stripe)
+
+
+class _Raid15Stripe(_StripeWrite):
+    """A RAID 1+5 synchronous (or degraded) parity update.
+
+    A reconstruct-style update over mirrored pairs: read the units the
+    write does not cover from an alive copy, then write both alive copies
+    of the data runs and of a fresh parity unit.
+    """
+
+    __slots__ = ("parity",)
+
+    def read_set(self) -> list[Event]:
+        array = self.array
+        layout = array.layout
+        self.parity = layout.parity_unit(self.stripe)
+        reads = []
+        for unit in array._uncovered_units(self.stripe, self.runs):
+            disk = array._alive_copy(unit.disk)
+            if disk is not None:
+                reads.append(
+                    array.drivers[disk].submit(
+                        DiskIO(IoKind.READ, unit.disk_lba, layout.stripe_unit_sectors)
+                    )
+                )
+        array.stats.reconstruct_reads += len(reads)
+        return reads
+
+    def write_set(self) -> list[Event]:
+        array = self.array
+        parity = self.parity
+        writes = array._write_alive_copies(
+            [(run.disk, run.disk_lba, run.nsectors) for run in self.runs]
+        )
+        array.stats.foreground_data_writes += len(writes)
+        parity_writes = array._write_alive_copies(
+            [(parity.disk, parity.disk_lba, array.layout.stripe_unit_sectors)]
+        )
+        array.stats.foreground_parity_writes += len(parity_writes)
+        return writes + parity_writes
+
+    def settle(self) -> None:
+        array = self.array
+        if array.marks.is_marked(self.stripe) and array._alive_copy(self.parity.disk) is not None:
+            array._clean_stripe(self.stripe)
+
+
+class _CatchUp(_StripeWrite):
+    """An inline primary → mirror copy of a dirty stripe.
+
+    A synchronous write to a dirty stripe of RAID 1 or RAID 1/0 leaves the
+    rest of the stripe's mirror copy stale, so the whole stripe is caught
+    up in the foreground: the mirrored analogue of the RAID 5
+    reconstruct-write.
+    """
+
+    __slots__ = ()
+
+    def read_set(self) -> list[Event] | None:
+        array = self.array
+        if not array.marks.is_marked(self.stripe):
+            return None  # clean by its turn: nothing to catch up
+        reads = array._slice_reads(self.stripe, 0, array.layout.stripe_unit_sectors)
+        array.stats.reconstruct_reads += len(reads)
+        return reads
+
+    def write_set(self) -> list[Event]:
+        array = self.array
+        writes = array._redundancy_writes(self.stripe, 0, array.layout.stripe_unit_sectors)
+        array.stats.foreground_data_writes += len(writes)
+        return writes
+
+    def settle(self) -> None:
+        self.array._clean_stripe(self.stripe)
+
+
+class _Scrub(_StripeWrite):
+    """Make one marked slice of a stripe redundant again (§4.1, §5).
+
+    Reads the slice of every data unit — ``sub_unit``'s rows, or the whole
+    unit when ``sub_unit`` is None — then writes the same slice of the
+    organization's redundancy (:meth:`DiskArray._redundancy_writes`).  A
+    latent sector error on the reads rewrites the bad sectors and reads
+    again, three times at most.  Not preemptible once started (§4.1:
+    requests run to completion); client writes to this stripe wait on
+    ``barrier``, which fires when the scrub settles.  A member that dies
+    under the scrub leaves the mark set: the stripe cannot be made
+    redundant any more, and the loss accounting is based on the mark.
+    """
+
+    __slots__ = ("sub_unit", "offset", "nsectors", "barrier", "started", "attempts")
+
+    def __init__(self, array: DiskArray, stripe: int, sub_unit: int | None, on_done) -> None:
+        super().__init__(array, stripe, None, on_done)
+        self.sub_unit = sub_unit
+        self.barrier = array._rebuilding[stripe] = array.sim.event(name=array._ev_rebuild)
+        self.started = array.sim.now
+        unit_sectors = array.layout.stripe_unit_sectors
+        self.offset, self.nsectors = (
+            (0, unit_sectors) if sub_unit is None
+            else sub_unit_extent(sub_unit, unit_sectors, array.marks.bits_per_stripe)
+        )
+        self.attempts = 0
+
+    def read_set(self) -> list[Event]:
+        array = self.array
+        reads = array._slice_reads(self.stripe, self.offset, self.nsectors)
+        array.stats.scrub_data_reads += len(reads)
+        return reads
+
+    def _reads_done(self, exc: BaseException | None) -> None:
+        if not isinstance(exc, LatentSectorError) or self.attempts == 3:
+            super()._reads_done(exc)
+            return
+        self.attempts += 1
+        array = self.array
+        layout = array.layout
+        units = None
+        if array.organization.declustered:
+            # Member units live at per-disk offsets, not at the common
+            # ``stripe * unit`` lba of the rotated layouts.
+            units = [*layout.data_units(self.stripe), layout.parity_unit(self.stripe)]
+        try:
+            join = array._repair_latent_extent(
+                self.stripe * layout.stripe_unit_sectors + self.offset, self.nsectors, units
+            )
+        except BaseException as raised:
+            self._finish(raised)
+            return
+        if join is None:
+            self._start()
+        else:
+            join.callbacks.append(self._repaired)
+
+    def _repaired(self, join: Event) -> None:
+        if join.exception is None:
+            self._start()
+        else:
+            self._finish(join.exception)
+
+    def write_set(self) -> list[Event] | None:
+        array = self.array
+        if array._failed_disks:
+            return None  # a member died while we were reading
+        writes = array._redundancy_writes(self.stripe, self.offset, self.nsectors)
+        if array._mirrored:
+            # Committed results pin both counting points (see ArrayStats).
+            array.stats.scrub_parity_writes += len(writes)
+        return writes
+
+    def _join_writes(self, writes: list[Event]) -> None:
+        if self.array._mirrored:
+            super()._join_writes(writes)
+        else:
+            # The lone parity write is joined directly, with no barrier hop.
+            writes[0].callbacks.append(self._parity_written)
+
+    def _parity_written(self, write: Event) -> None:
+        self._writes_done(write.exception)
+
+    def settle(self) -> None:
+        array = self.array
+        marks = array.marks
+        stripe = self.stripe
+        sub_unit = self.sub_unit
+        if not array._mirrored:
+            array.stats.scrub_parity_writes += 1
+        if array._failed_disks:
+            return  # died during the redundancy write: same story
+        if sub_unit is None:
+            marks.clear_stripe(stripe)
+        else:
+            marks.clear(stripe, sub_unit)
+        array._lag_changed()
+        if not marks.is_marked(stripe):
+            if array.exposure is not None:
+                array.exposure.stripe_cleaned(stripe, array.sim.now, cause="scrub")
+            array.stats.stripes_scrubbed += 1
+        if array.hists is not None or array.tracer is not None:
+            if array._mirrored:
+                name = "scrub_stripe_mirror"
+            else:
+                name = "scrub_stripe" if sub_unit is None else "scrub_sub_unit"
+            array._observe_scrub(name, self.started, stripe)
+        if array.functional is not None and not array._mirrored:
+            if sub_unit is None:
+                array.functional.scrub_stripe(stripe)
+            else:
+                array.functional.scrub_sub_unit(stripe, sub_unit)
+
+    def _finish(self, exc: BaseException | None) -> None:
+        del self.array._rebuilding[self.stripe]
+        self.barrier.succeed()
+        self.on_done(exc)
+
+
+class _Commit:
+    """One paritypoint (:meth:`DiskArray.commit`), as callback states.
+
+    Each touched stripe in turn: wait out a scrub already on it, skip it
+    if clean, else scrub it — one marked slice at a time on a mirrored
+    array with several marker bits, the whole stripe otherwise.  ``done``
+    fires with the stripe count two hops after the last scrub settles:
+    the committer's finish, then ``done`` itself.
+    """
+
+    __slots__ = ("array", "stripes", "done", "started", "index", "slot")
+
+    def __init__(self, array: DiskArray, stripes: list[int], done: Event) -> None:
+        self.array = array
+        self.stripes = stripes
+        self.done = done
+        self.started = array.sim.now
+        self.index = 0
+        #: Within stripe ``index``: -1 waits out a scrub already on it, 0
+        #: checks its mark, 1.. scrub its slices, past them moves on.
+        self.slot = -1
+        array.sim.call_soon(self._next)
+
+    def _next(self, _event: Event | None = None) -> None:
+        array = self.array
+        marks = array.marks
+        stripes = self.stripes
+        slices = marks.bits_per_stripe if array._mirrored else 1
+        try:
+            while self.index < len(stripes):
+                stripe = stripes[self.index]
+                slot = self.slot
+                self.slot += 1
+                if slot < 0:
+                    barrier = array._rebuilding.get(stripe)
+                    if barrier is not None:
+                        barrier.callbacks.append(self._next)
+                        return
+                elif slot > slices or (slot == 0 and not marks.is_marked(stripe)):
+                    self.index += 1
+                    self.slot = -1
+                elif slot > 0:
+                    sub_unit = slot - 1 if slices > 1 else None
+                    if sub_unit is None or marks.is_marked(stripe, sub_unit):
+                        array._scrub(stripe, sub_unit, self._next, self._settled)
+                        return
+        except BaseException as exc:
+            self._settled(exc)
+            return
+        if array.tracer is not None:
+            array.tracer.complete(
+                "commit", start_s=self.started, duration_s=array.sim.now - self.started,
+                track="scrubber", category="commit", stripes=len(stripes),
+            )
+        array.sim.call_soon(self._finish)
+
+    def _settled(self, exc: BaseException | None) -> None:
+        if exc is None:
+            self._next()
+        else:
+            self.array.sim.call_soon(self._finish, exc)
+
+    def _finish(self, hop: Event) -> None:
+        if hop.exception is None:
+            self.done.succeed(len(self.stripes))
+        else:
+            self.done.fail(hop.exception)
 
 
 class _ServiceCall:
@@ -1552,9 +1549,10 @@ class _ServiceCall:
     * A write reserves staging bytes.  Under write-back it then marks the
       bytes NVRAM-dirty and acks the client after the NVRAM latency
       (``_acked``).  It waits out any parity rebuild on its stripes and
-      dispatches by mode: AFRAID marks and data writes, one
-      :class:`_StripeWrite` per stripe for RAID 5, or the rare mirrored
-      and degraded protocols, run as generator bodies by :class:`_Tail`.
+      dispatches by mode: the deferred write every organization shares
+      (:meth:`_write_afraid`), or the stripe machine — RAID 5 stripes
+      concurrently; degraded, RAID 1+5 and mirror catch-up stripes one
+      after another (:class:`_StripeWrite`).
 
     Each state registers one callback where a process would wait, so
     same-instant tie-breaks are those of a process.  Where the kernel is
@@ -1564,14 +1562,13 @@ class _ServiceCall:
 
     __slots__ = (
         "array", "request", "done", "nbytes",
-        "stripe_items", "stripe_list", "stripe_index",
+        "stripe_items", "stripe_list", "stripe_index", "case",
     )
 
     def __init__(self, array: DiskArray, request: ArrayRequest, done: Event) -> None:
         self.array = array
         self.request = request
         self.done = done
-
     def start(self) -> None:
         """Arm the kick; the body runs at its dispatch."""
         self.array.sim.call_soon(self._start)
@@ -1739,20 +1736,38 @@ class _ServiceCall:
         except BaseException as exc:
             self._write_finish(exc)
 
+
     def _dispatch_mode(self) -> None:
+        """Start the write's protocol: the policy's one decision (§4.1)."""
         array = self.array
-        if array._mirrored:
-            body = array._write_mirror(self.request, dict(self.stripe_items))
-            _Tail(body, self._write_finish).start()
-        elif array._degraded_disk is not None:
-            body = array._write_degraded(self.request, dict(self.stripe_items))
-            _Tail(body, self._write_finish).start()
-        elif array.policy.write_mode(tuple(self.stripe_list)) is WriteMode.AFRAID:
+        self.stripe_index = 0
+        if array._degraded_disk is not None and not array._mirrored:
+            self.case = _DegradedStripe
+            self._next_stripe()
+        elif (
+            array.policy.write_mode(tuple(self.stripe_list)) is WriteMode.AFRAID
+            and not array._failed_disks
+        ):
+            self.case = None
             self._write_afraid()
-        else:
+        elif not array._mirrored:
+            self.case = _Raid5Stripe
             self._write_raid5()
+        elif array.organization.has_parity:
+            self.case = _Raid15Stripe
+            self._next_stripe()
+        else:
+            self.case = _CatchUp
+            self._write_mirrors()
 
     def _write_afraid(self) -> None:
+        """Mark the runs, then write the copies the organization writes now.
+
+        That is the data runs — the primaries on RAID 1 and RAID 1/0 (the
+        scrubber copies them to the mirror in idle time) — or, on RAID 1+5,
+        which defers only its parity, both mirror copies, so a dirty stripe
+        stays mirror-protected.
+        """
         array = self.array
         stripe_items = self.stripe_items
         plan = self.request.plan
@@ -1761,38 +1776,20 @@ class _ServiceCall:
         append = events.append
         drivers = array.drivers
         write = IoKind.WRITE
+        both = array._mirrored and array.organization.has_parity
         for _stripe, runs in stripe_items:
             for run in runs:
-                append(
-                    drivers[run.disk].submit(
-                        DiskIO(write, run.disk_lba, run.nsectors)
-                    )
-                )
+                append(drivers[run.disk].submit(DiskIO(write, run.disk_lba, run.nsectors)))
+                if both:
+                    twin = array.layout.mirror_disk(run.disk)
+                    append(drivers[twin].submit(DiskIO(write, run.disk_lba, run.nsectors)))
         array.stats.foreground_data_writes += len(events)
-        _Barrier(array.sim, events, self._afraid_done)
-
-    def _afraid_done(self, exc: BaseException | None) -> None:
-        if exc is not None:
-            self._write_finish(exc)
-            return
-        array = self.array
-        try:
-            if array.functional is not None:
-                array.functional.write(
-                    self.request.offset_sectors,
-                    array._payload(self.request),
-                    update_parity=False,
-                )
-            array.policy.on_stripes_marked()
-        except BaseException as raised:
-            self._write_finish(raised)
-            return
-        self._write_finish(None)
+        _Barrier(array.sim, events, self._written)
 
     def _write_raid5(self) -> None:
         array = self.array
         stripe_writes = [
-            _StripeWrite(array, stripe, runs) for stripe, runs in self.stripe_items
+            _Raid5Stripe(array, stripe, runs) for stripe, runs in self.stripe_items
         ]
         # tail=True: the per-stripe events have no listener but us.  The
         # barrier attaches before the bodies run so a body failure always
@@ -1800,29 +1797,66 @@ class _ServiceCall:
         _Barrier(
             array.sim,
             [write.event for write in stripe_writes],
-            self._raid5_done,
+            self._written,
             tail=True,
         )
         for write in stripe_writes:
             write.start()
 
-    def _raid5_done(self, exc: BaseException | None) -> None:
-        if exc is not None:
-            self._write_finish(exc)
-            return
+    def _write_mirrors(self) -> None:
+        """RAID 1 / RAID 1/0 synchronous (or degraded) write: every alive copy."""
         array = self.array
-        request = self.request
-        try:
-            if array.functional is not None:
-                array.functional.write(
-                    request.offset_sectors, array._payload(request), update_parity=False
-                )
-                for stripe in self.stripe_list:
-                    array.functional.scrub_stripe(stripe)
-        except BaseException as exc:
-            self._write_finish(exc)
-            return
-        self._write_finish(None)
+        events = array._write_alive_copies(
+            [
+                (run.disk, run.disk_lba, run.nsectors)
+                for _stripe, runs in self.stripe_items
+                for run in runs
+            ]
+        )
+        array.stats.foreground_data_writes += len(events)
+        if events:
+            _Barrier(array.sim, events, self._mirrors_written)
+        else:
+            self._mirrors_written(None)
+
+    def _mirrors_written(self, exc: BaseException | None) -> None:
+        if self.array._failed_disks:
+            self.stripe_index = len(self.stripe_items)  # no catch-up without both copies
+        self._next_stripe(exc)
+
+    def _next_stripe(self, exc: BaseException | None = None) -> None:
+        """Run the request's stripes through the ``case`` machine, one after another."""
+        if exc is None and self.stripe_index < len(self.stripe_items):
+            stripe, runs = self.stripe_items[self.stripe_index]
+            self.stripe_index += 1
+            self.case(self.array, stripe, runs, self._next_stripe)._start()
+        else:
+            self._written(exc)
+
+    def _written(self, exc: BaseException | None) -> None:
+        """The write's protocol is done: update the functional twin, then finish."""
+        array = self.array
+        case = self.case
+        if exc is None:
+            request = self.request
+            try:
+                functional = array.functional
+                if functional is not None:
+                    payload = array._payload(request)
+                    if case is _DegradedStripe:
+                        functional.write_degraded(
+                            request.offset_sectors, payload, array._degraded_disk
+                        )
+                    else:
+                        functional.write(request.offset_sectors, payload, update_parity=False)
+                        if case is _Raid5Stripe:
+                            for stripe in self.stripe_list:
+                                functional.scrub_stripe(stripe)
+                if case is None:
+                    array.policy.on_stripes_marked()
+            except BaseException as raised:
+                exc = raised
+        self._write_finish(exc)
 
     def _write_finish(self, exc: BaseException | None) -> None:
         array = self.array
@@ -1874,14 +1908,6 @@ class _ServiceCall:
         stats.io_times.append(now - request.submit_time)
         if array.hists is not None or array.tracer is not None:
             array._observe_client(request)
-        done = self.done
-        if done.callbacks:
-            done.succeed(request)
-        else:
-            # Nobody is listening yet (the replay feeder collects its
-            # completions after the fact): complete the event in place,
-            # skipping the no-op dispatch.  Late add_callback listeners
-            # fire immediately on the processed event, and pollers see
-            # triggered/processed exactly as after a real dispatch.
-            done._value = request
-            done.callbacks = None
+        # Nobody may be listening yet (the replay feeder collects its
+        # completions after the fact): then the event completes in place.
+        self.done.complete(request)

@@ -1018,10 +1018,12 @@ def _submit_payload(args: argparse.Namespace) -> dict:
 
     workloads = _catalog_workloads(args, args.workloads)
     if args.policy:
+        # ``--targets`` gives an mttdl policy its targets: one cell each.
         specs = [
-            _cell_spec(args, PolicySpec(kind), workload)
+            _cell_spec(args, PolicySpec(kind, target), workload)
             for workload in workloads
             for kind in args.policy
+            for target in ((args.targets or [None]) if kind == "mttdl" else [None])
         ]
     else:
         specs = ladder_specs(
@@ -1389,7 +1391,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     submit.add_argument(
         "--targets", type=_field_type(PolicySpec, "mttdl_target"), nargs="+", default=None,
-        help="MTTDL_x targets in hours (the ladder grid, without --policy)",
+        help="MTTDL_x targets in hours: the ladder grid, or the cells of --policy mttdl",
     )
     submit.add_argument("--wait", action="store_true", help="block until the job is terminal")
     submit.add_argument(

@@ -286,8 +286,7 @@ class MechanicalDisk:
         inflight = self._inflight
         if inflight is not None:
             self._inflight = None
-            if inflight.callbacks is not None:  # not yet dispatched
-                inflight._exception = DiskFailedError(f"{self.name} failed mid-flight")
+            inflight.fail_scheduled(DiskFailedError(f"{self.name} failed mid-flight"))
 
     def repair(self) -> None:
         """Return a failed disk to service (contents are NOT restored)."""

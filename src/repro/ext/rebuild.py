@@ -178,9 +178,11 @@ class RebuildManager:
                     attempts += 1
                     if attempts > 3:
                         raise
-                    yield from array._repair_latent_extent(
+                    repaired = array._repair_latent_extent(
                         stripe * unit_sectors, unit_sectors, units=repair_units
                     )
+                    if repaired is not None:
+                        yield repaired
                     continue
                 except DiskFailedError:
                     # A survivor died mid-read (a RAID 1+5 mirror partner

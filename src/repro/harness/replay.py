@@ -108,8 +108,8 @@ class _Feeder:
         self.requests = requests
         self.completions = completions
         #: Triggers when the last record has been submitted, or at a pause.
-        #: Completed by hand exactly the way a listener-free process
-        #: finishes: value set, callbacks cleared, nothing scheduled.
+        #: Nobody listens (the driver polls it), so :meth:`Event.complete`
+        #: settles it in place, as a listener-free process finishes.
         self.done = Event(sim, name="trace_feeder")
 
     def start(self) -> Event:
@@ -163,9 +163,7 @@ class _Feeder:
             completions.append(completion)
             index += 1
         self.index = index
-        done = self.done
-        done._value = None
-        done.callbacks = None
+        self.done.complete()
 
 
 @dataclasses.dataclass

@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import logging
 import os
 import threading
 import time
@@ -37,6 +38,8 @@ from repro.metrics import PerfCounters
 from repro.obs import HistogramSet
 from repro.policy import POLICIES, MttdlTargetPolicy, ParityPolicy
 from repro.spec import SpecError, as_str, blame, check_integer, check_number, check_organization
+
+_log = logging.getLogger(__name__)
 
 if typing.TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.traces import Trace
@@ -235,6 +238,8 @@ class CellExecutor:
     * **Ordinary exceptions stay fatal** — a cell that *raises* is
       deterministic (fresh simulator, explicit seed) and would fail again,
       so it is reported immediately rather than retried.
+    * **A raising callback stops nothing** — it is logged, and the
+      dispatcher goes on serving every later cell.
 
     Callbacks run on the dispatcher thread; keep them short.
     """
@@ -373,9 +378,21 @@ class CellExecutor:
         if outcome.result is not None and self.cache is not None and ticket.key is not None:
             self.cache.store(ticket.key, outcome.result)
         if not ticket.cancelled:
-            ticket.callback(outcome)
+            try:
+                ticket.callback(outcome)
+            except Exception:
+                # The dispatcher serves every later cell: a raising
+                # callback is reported, not fatal.
+                _log.exception("callback for cell %s raised", ticket.spec.key)
 
     def _dispatch_loop(self) -> None:
+        try:
+            self._dispatch()
+        finally:
+            with self._wake:
+                self._thread = None  # start() may revive the dispatcher
+
+    def _dispatch(self) -> None:
         inflight: dict[concurrent.futures.Future, _CellTicket] = {}
         while True:
             with self._wake:
@@ -454,8 +471,6 @@ class CellExecutor:
                 if requeue and not self._discard:
                     self._queue.extendleft(reversed(requeue))
                 self._wake.notify_all()
-        with self._wake:
-            self._thread = None
 
 
 @dataclasses.dataclass

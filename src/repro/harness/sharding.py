@@ -39,9 +39,10 @@ shard count.  Three properties make that hold:
   tie-break is unchanged.
 * **Snapshot fidelity.**  The pickle round-trip preserves value state
   bit-for-bit (floats, dict/deque order, the pending-value sentinel —
-  see ``_PendingType.__reduce__`` in :mod:`repro.sim.events`).  At a
-  quiescent cut no generator frames are live, so the graph contains no
-  unpicklable objects.
+  see ``_PendingType.__reduce__`` in :mod:`repro.sim.events`).  The
+  array's protocols are callback states — no generator frame or
+  closure holds its state — so the graph contains no unpicklable
+  objects.
 
 Sharding assumes a healthy run (no fault injection mid-trace) and no
 attached observability sinks holding OS handles; ``replay_digest``
@@ -74,9 +75,9 @@ class ShardReplayResult:
     """Everything a sharded replay reports, as plain picklable values.
 
     The final shard may stop at the measurement horizon with background
-    machinery (the scrub generator) suspended mid-flight, so the live
-    simulator cannot be pickled into a stored final — the counters,
-    latency stream, and parity-lag integrals can.
+    work (a scrub) still in flight; a stored final keeps what consumers
+    read — the counters, latency stream, and parity-lag integrals — not
+    the live simulator.
     """
 
     outcome: ReplayOutcome

@@ -32,6 +32,9 @@ Code outside the kernel schedules only through the public calls —
 :meth:`Event.succeed` / :meth:`Event.fail`, :meth:`Simulator.timeout`,
 :meth:`Simulator.call_soon` and :meth:`Simulator.trigger_at` — each of
 which takes the next sequence number and places the event by rule 2.
+It settles an event in place only through :meth:`Event.complete`,
+:meth:`Event.complete_inline` and :meth:`Event.fail_scheduled`, which
+keep the dispatch order a scheduled event would have had.
 """
 
 from __future__ import annotations

@@ -151,6 +151,58 @@ class Event:
         sim._bucket.append(self)
         return self
 
+    def complete(self, value: typing.Any = None) -> "Event":
+        """Trigger with ``value``; skip the dispatch when nobody listens.
+
+        With listeners this is :meth:`succeed`.  Without any, the event is
+        completed in place — value set, processed, nothing scheduled —
+        which is all a dispatch of an empty callback list would do: a late
+        :meth:`add_callback` runs at once, and pollers see ``triggered``
+        and ``processed`` as after a real dispatch.
+        """
+        if self.callbacks:
+            return self.succeed(value)
+        self._settle(value)
+        self.callbacks = None
+        return self
+
+    def complete_inline(self, value: typing.Any = None) -> "Event":
+        """As :meth:`complete`, but listeners run in place under a quiet kernel.
+
+        Only for a trigger that is the last act of the current dispatch:
+        when nothing else is due now (:meth:`Simulator.quiet`), the
+        scheduled dispatch would be the very next one, so running the
+        listeners here instead is dispatch-for-dispatch identical and
+        elides the event.
+        """
+        callbacks = self.callbacks
+        if not callbacks or not self.sim.quiet():
+            return self.complete(value)
+        self._settle(value)
+        self._scheduled = self._handled = True
+        self.callbacks = None
+        for callback in callbacks:
+            callback(self)
+        return self
+
+    def _settle(self, value: typing.Any) -> None:
+        if self._value is not _PENDING or self._exception is not None or self._scheduled:
+            raise RuntimeError(f"{self!r} already triggered")
+        self._value = value
+
+    def fail_scheduled(self, exception: BaseException) -> bool:
+        """Turn a triggered event that has not dispatched yet into a failure.
+
+        The event keeps its place in the schedule and fails with
+        ``exception`` when it dispatches — for a command whose completion
+        was scheduled before the device behind it died.  Returns False,
+        changing nothing, once the event has been dispatched.
+        """
+        if self.callbacks is None:
+            return False
+        self._exception = exception
+        return True
+
     # -- callback plumbing ----------------------------------------------------
 
     def add_callback(self, callback: typing.Callable[["Event"], None]) -> None:

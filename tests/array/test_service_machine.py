@@ -1,20 +1,24 @@
 """The request-service machine serves every organization and write policy.
 
-Client requests never spawn simulation processes: reads, writes,
-write-back early acks, mirrored and degraded protocols all run as one
-callback state machine (``_ServiceCall``).  These tests pin that, plus
-the write-back contract of the early ack: the client completes at NVRAM
+The array never spawns a simulation process: reads, writes, write-back
+early acks, the mirrored and degraded protocols, the idle scrubber and
+paritypoints all run as callback states (``_ServiceCall``, the stripe
+machine ``_StripeWrite``, ``_Commit``).  These tests pin that, plus the
+write-back contract of the early ack: the client completes at NVRAM
 time, and a flush that fails afterwards escapes the run loop rather
 than failing a request that already succeeded.
 """
 
+import ast
+import pathlib
+
 import pytest
 
-from repro.array import toy_array
+from repro.array import controller, toy_array
 from repro.array.controller import DiskArray
 from repro.array.request import ArrayRequest
 from repro.disk import DiskFailedError, IoKind
-from repro.policy import AlwaysRaid5Policy
+from repro.policy import AlwaysRaid5Policy, BaselineAfraidPolicy
 from repro.sim import AllOf, Simulator
 
 ORGANIZATIONS = {"raid5": 5, "raid5d": 6, "raid1": 2, "raid10": 6, "raid15": 6}
@@ -34,19 +38,6 @@ def _traffic(array: DiskArray) -> list[ArrayRequest]:
 @pytest.mark.parametrize("degraded", [False, True])
 @pytest.mark.parametrize("organization", sorted(ORGANIZATIONS))
 def test_no_request_spawns_a_process(monkeypatch, organization, degraded, write_policy):
-    sim = Simulator()
-    # The RAID 5 policy never marks a stripe, so no scrubber runs either.
-    array = toy_array(
-        sim,
-        policy=AlwaysRaid5Policy(),
-        ndisks=ORGANIZATIONS[organization],
-        organization=organization,
-        write_policy=write_policy,
-        with_functional=False,
-    )
-    if degraded:
-        array.disks[1].fail()
-        array.enter_degraded(1)
     spawned = []
     original = Simulator.process
 
@@ -55,11 +46,53 @@ def test_no_request_spawns_a_process(monkeypatch, organization, degraded, write_
         return original(self, generator, name=name)
 
     monkeypatch.setattr(Simulator, "process", counting)
-    requests = _traffic(array)
-    sim.run_until_triggered(AllOf(sim, [array.submit(request) for request in requests]))
-    sim.run()
-    assert all(request.complete_time is not None for request in requests)
+    # RAID 5 updates redundancy inline; AFRAID marks, and its scrubber
+    # and a paritypoint make the marked stripes redundant again.
+    for policy in (AlwaysRaid5Policy, BaselineAfraidPolicy):
+        sim = Simulator()
+        array = toy_array(
+            sim,
+            policy=policy(),
+            ndisks=ORGANIZATIONS[organization],
+            organization=organization,
+            write_policy=write_policy,
+            with_functional=False,
+        )
+        if degraded:
+            array.disks[1].fail()
+            array.enter_degraded(1)
+        requests = _traffic(array)
+        sim.run_until_triggered(AllOf(sim, [array.submit(request) for request in requests]))
+        if not degraded:
+            # A paritypoint over the whole array, racing the idle scrubber.
+            committed = array.commit(0, array.layout.total_data_sectors)
+            sim.run_until_triggered(committed)
+            assert committed.value == array.layout.nstripes
+        sim.run()
+        assert all(request.complete_time is not None for request in requests)
+        if policy is BaselineAfraidPolicy and not degraded:
+            assert array.stats.stripes_scrubbed > 0
+            assert array.dirty_stripe_count == 0
     assert spawned == []
+
+
+def test_the_controller_has_no_generators_and_starts_no_process():
+    tree = ast.parse(pathlib.Path(controller.__file__).read_text(encoding="utf-8"))
+    generators = sorted(
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(isinstance(inner, (ast.Yield, ast.YieldFrom)) for inner in ast.walk(node))
+    )
+    assert generators == []
+    processes = [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "process"
+    ]
+    assert processes == []
 
 
 @pytest.mark.parametrize("organization", sorted(ORGANIZATIONS))

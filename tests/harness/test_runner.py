@@ -392,6 +392,32 @@ class TestCellExecutor:
         finally:
             executor.shutdown(drain=True)
 
+    def test_a_raising_callback_does_not_stop_the_dispatcher(self):
+        first, second = quick_specs()
+        seen = []
+
+        def explode(outcome):
+            seen.append(outcome.spec.key)
+            raise RuntimeError("callback bug")
+
+        executor = CellExecutor(jobs=1).start()
+        try:
+            executor.submit(first, explode)
+            executor.submit(second, lambda outcome: seen.append(outcome.spec.key))
+            deadline = time.monotonic() + 120
+            while len(seen) < 2 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert seen == [first.key, second.key]
+            assert executor._thread is not None and executor._thread.is_alive()
+        finally:
+            executor.shutdown(drain=True, timeout=30)
+        assert executor._thread is None
+        executor.start()  # a stopped dispatcher can be started again
+        try:
+            assert executor._thread is not None and executor._thread.is_alive()
+        finally:
+            executor.shutdown(drain=True, timeout=30)
+
     def test_submit_after_shutdown_is_an_error(self, tmp_path):
         executor = CellExecutor(jobs=1).start()
         executor.shutdown(drain=True)

@@ -37,6 +37,27 @@ class TestServiceParsers:
         assert args.url == "http://127.0.0.1:8642"
         assert args.wait
 
+    def test_submit_mttdl_policy_takes_its_targets(self):
+        from repro.cli import _submit_payload, build_parser
+        from repro.harness import PolicySpec
+        from repro.service import parse_cell
+
+        args = build_parser().parse_args(
+            ["submit", "hplajw", "--policy", "mttdl", "--targets", "1e6", "1e7"]
+        )
+        cells = [parse_cell(cell) for cell in _submit_payload(args)["cells"]]
+        assert [cell.policy for cell in cells] == [
+            PolicySpec("mttdl", 1e6), PolicySpec("mttdl", 1e7)
+        ]
+
+    def test_submit_mttdl_policy_without_targets_exits_2(self, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["submit", "hplajw", "--policy", "mttdl"])
+        assert excinfo.value.code == 2
+        assert "argument --targets: mttdl policy needs mttdl_target" in capsys.readouterr().err
+
     def test_status_accepts_optional_job_id(self):
         from repro.cli import build_parser
 
