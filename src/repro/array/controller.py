@@ -544,77 +544,44 @@ class DiskArray:
 
     # -- reads ---------------------------------------------------------------------------------------
 
-    def _submit_degraded_read(self, run: ExtentRun) -> list[Event]:
-        """Reconstruct a run on the failed disk: read the same extent of
-        every surviving data unit plus parity, xor on the fly."""
-        in_unit = run.disk_lba - self.layout.unit_lba(run.stripe, run.disk)
-        return self._survivor_reads(run.stripe, in_unit, run.nsectors)
+    def _survivors(self, stripe: int) -> list[tuple[int, int]]:
+        """``(disk, lba)`` of an alive copy of each unit of ``stripe``.
 
-    def _survivor_reads(self, stripe: int, offset: int, nsectors: int) -> list[Event]:
-        """Read rows ``[offset, +nsectors)`` of every surviving data and parity unit."""
+        Read together, they rebuild a lost unit through parity: every
+        other data unit and the parity unit, from whichever copy of a
+        RAID 1+5 pair is alive.  A pure mirror has no parity, so a unit
+        whose pair is gone has no survivors; the loss was recorded at
+        failure time.
+        """
+        if not self.organization.has_parity:
+            return []
         layout = self.layout
-        failed = self._failed_disks
-        reads = [
-            self.drivers[unit.disk].submit(DiskIO(IoKind.READ, unit.disk_lba + offset, nsectors))
+        return [
+            (disk, unit.disk_lba)
             for unit in (*layout.data_units(stripe), layout.parity_unit(stripe))
-            if unit.disk not in failed
+            if (disk := self._alive_copy(unit.disk)) is not None
         ]
-        self.stats.reconstruct_reads += len(reads)
-        return reads
+
+    def _read_rows(self, extents, offset: int, nsectors: int) -> list[Event]:
+        """Read rows ``[offset, +nsectors)`` of each ``(disk, lba)`` unit extent."""
+        drivers = self.drivers
+        return [
+            drivers[disk].submit(DiskIO(IoKind.READ, lba + offset, nsectors))
+            for disk, lba in extents
+        ]
 
     def _disk_alive(self, disk: int) -> bool:
         return disk not in self._failed_disks and not self.disks[disk].failed
 
-    def _alive_copy(self, primary: int) -> int | None:
-        """The alive member of ``primary``'s mirror pair, preferring it."""
-        if self._disk_alive(primary):
-            return primary
-        twin = self.layout.mirror_disk(primary)
-        if self._disk_alive(twin):
-            return twin
+    def _alive_copy(self, disk: int) -> int | None:
+        """``disk`` when alive, else its alive mirror twin, else None."""
+        if self._disk_alive(disk):
+            return disk
+        if self._mirrored:
+            twin = self.layout.mirror_disk(disk)
+            if self._disk_alive(twin):
+                return twin
         return None
-
-    def _submit_mirror_read(self, run: ExtentRun) -> list[Event]:
-        """Serve a run on a failed member from its mirror partner.
-
-        When the whole pair is down, a parity organization (RAID 1+5)
-        reconstructs through the surviving pairs; a pure mirror has no
-        further redundancy — the loss was recorded at failure time and
-        the read completes without disk work.
-        """
-        twin = self.layout.mirror_disk(run.disk)
-        if self._disk_alive(twin):
-            self.stats.foreground_data_reads += 1
-            return [
-                self.drivers[twin].submit(DiskIO(IoKind.READ, run.disk_lba, run.nsectors))
-            ]
-        if not self.layout.has_parity:
-            return []
-        stripe = run.stripe
-        in_unit = run.disk_lba - stripe * self.layout.stripe_unit_sectors
-        events = []
-        for unit in self.layout.data_units(stripe):
-            if unit.unit_index == run.unit_index:
-                continue
-            disk = self._alive_copy(unit.disk)
-            if disk is None:
-                continue
-            events.append(
-                self.drivers[disk].submit(
-                    DiskIO(IoKind.READ, unit.disk_lba + in_unit, run.nsectors)
-                )
-            )
-            self.stats.reconstruct_reads += 1
-        parity = self.layout.parity_unit(stripe)
-        disk = self._alive_copy(parity.disk)
-        if disk is not None:
-            events.append(
-                self.drivers[disk].submit(
-                    DiskIO(IoKind.READ, parity.disk_lba + in_unit, run.nsectors)
-                )
-            )
-            self.stats.reconstruct_reads += 1
-        return events
 
     # -- writes -----------------------------------------------------------------------------------------
 
@@ -839,25 +806,25 @@ class DiskArray:
         else:
             _Scrub(self, stripe, sub_unit, settled)._start()
 
-    def _repair_latent_extent(self, base_lba: int, nsectors: int, units=None) -> AllOf | None:
-        """Rewrite latent sectors any member reports in [base_lba, +nsectors).
+    def _repair_latent_extent(self, stripe: int, offset: int, nsectors: int) -> AllOf | None:
+        """Rewrite latent sectors any member reports in ``stripe``'s rows ``[offset, +nsectors)``.
 
         A write over a latent sector heals it (the drive remaps); content
         comes from parity reconstruction — possible exactly when the rows
-        are clean, which the scrubber is about to make true anyway.
-
-        With ``units`` (declustered layouts, where stripe members sit at
-        per-disk lbas), scan each unit's own extent instead of one common
-        lba span; ``base_lba`` is then interpreted as an in-unit offset
-        relative to ``stripe * stripe_unit_sectors``.
+        are clean, which the scrubber is about to make true anyway.  The
+        rows sit at one common lba span on every member, except on a
+        declustered layout, whose stripe members hold their units at
+        per-disk lbas.
 
         Returns the event the rewrites join on (the healed sectors are
         counted when it fires), or None when no member reports one.
         """
-        if units is not None:
-            in_unit = base_lba % self.layout.stripe_unit_sectors
-            spans = [(unit.disk, unit.disk_lba + in_unit) for unit in units]
+        layout = self.layout
+        if self.organization.declustered:
+            units = (*layout.data_units(stripe), layout.parity_unit(stripe))
+            spans = [(unit.disk, unit.disk_lba + offset) for unit in units]
         else:
+            base_lba = stripe * layout.stripe_unit_sectors + offset
             spans = [(index, base_lba) for index in range(len(self.disks))]
         writes = []
         for index, span_lba in spans:
@@ -1090,8 +1057,11 @@ class _StripeWrite:
     * :class:`_DegradedStripe`: a parity write with a member missing;
     * :class:`_Raid15Stripe`: a RAID 1+5 synchronous parity update;
     * :class:`_CatchUp`: an inline primary → mirror copy of a dirty stripe;
-    * :class:`_Scrub`: a scrub of one marked slice, with its latent-sector
-      retry.
+    * :class:`_Scrub`: a scrub of one marked slice;
+    * ``_RebuildStripe`` (:mod:`repro.ext.rebuild`): one lost unit onto a
+      spare.
+
+    The last two are repairs (:class:`_Repair`), which share a read retry.
 
     A join is a :class:`_Barrier` (where a process would ``yield
     AllOf(...)``), or nothing for an empty set.  A set of None ends the
@@ -1250,9 +1220,13 @@ class _DegradedStripe(_StripeWrite):
     __slots__ = ("parity",)
 
     def read_set(self) -> list[Event]:
-        layout = self.array.layout
-        self.parity = layout.parity_unit(self.stripe)
-        return self.array._survivor_reads(self.stripe, 0, layout.stripe_unit_sectors)
+        array = self.array
+        self.parity = array.layout.parity_unit(self.stripe)
+        reads = array._read_rows(
+            array._survivors(self.stripe), 0, array.layout.stripe_unit_sectors
+        )
+        array.stats.reconstruct_reads += len(reads)
+        return reads
 
     def write_set(self) -> list[Event]:
         array = self.array
@@ -1348,56 +1322,40 @@ class _CatchUp(_StripeWrite):
         self.array._clean_stripe(self.stripe)
 
 
-class _Scrub(_StripeWrite):
-    """Make one marked slice of a stripe redundant again (§4.1, §5).
+class _Repair(_StripeWrite):
+    """A case that makes one slice of a stripe whole from what survives.
 
-    Reads the slice of every data unit — ``sub_unit``'s rows, or the whole
-    unit when ``sub_unit`` is None — then writes the same slice of the
-    organization's redundancy (:meth:`DiskArray._redundancy_writes`).  A
-    latent sector error on the reads rewrites the bad sectors and reads
-    again, three times at most.  Not preemptible once started (§4.1:
-    requests run to completion); client writes to this stripe wait on
-    ``barrier``, which fires when the scrub settles.  A member that dies
-    under the scrub leaves the mark set: the stripe cannot be made
-    redundant any more, and the loss accounting is based on the mark.
+    The scrub and the spare rebuild (:mod:`repro.ext.rebuild`) share its
+    read retry.  A latent sector error on the reads rewrites the bad
+    sectors in the slice's rows and reads again; a read error in
+    ``retried`` plans the reads again at once.  Three retries are
+    allowed; the fourth error ends the repair with it.  The slice is rows
+    ``[offset, +nsectors)`` of each unit; ``started`` times it.
     """
 
-    __slots__ = ("sub_unit", "offset", "nsectors", "barrier", "started", "attempts")
+    __slots__ = ("offset", "nsectors", "started", "attempts")
 
-    def __init__(self, array: DiskArray, stripe: int, sub_unit: int | None, on_done) -> None:
+    #: Read errors that re-plan the reads (besides latent sector errors).
+    retried: tuple[type[BaseException], ...] = ()
+
+    def __init__(self, array: DiskArray, stripe: int, offset: int, nsectors: int, on_done) -> None:
         super().__init__(array, stripe, None, on_done)
-        self.sub_unit = sub_unit
-        self.barrier = array._rebuilding[stripe] = array.sim.event(name=array._ev_rebuild)
+        self.offset = offset
+        self.nsectors = nsectors
         self.started = array.sim.now
-        unit_sectors = array.layout.stripe_unit_sectors
-        self.offset, self.nsectors = (
-            (0, unit_sectors) if sub_unit is None
-            else sub_unit_extent(sub_unit, unit_sectors, array.marks.bits_per_stripe)
-        )
         self.attempts = 0
 
-    def read_set(self) -> list[Event]:
-        array = self.array
-        reads = array._slice_reads(self.stripe, self.offset, self.nsectors)
-        array.stats.scrub_data_reads += len(reads)
-        return reads
-
     def _reads_done(self, exc: BaseException | None) -> None:
-        if not isinstance(exc, LatentSectorError) or self.attempts == 3:
+        latent = isinstance(exc, LatentSectorError)
+        if not (latent or isinstance(exc, self.retried)) or self.attempts == 3:
             super()._reads_done(exc)
             return
         self.attempts += 1
-        array = self.array
-        layout = array.layout
-        units = None
-        if array.organization.declustered:
-            # Member units live at per-disk offsets, not at the common
-            # ``stripe * unit`` lba of the rotated layouts.
-            units = [*layout.data_units(self.stripe), layout.parity_unit(self.stripe)]
+        if not latent:
+            self._start()
+            return
         try:
-            join = array._repair_latent_extent(
-                self.stripe * layout.stripe_unit_sectors + self.offset, self.nsectors, units
-            )
+            join = self.array._repair_latent_extent(self.stripe, self.offset, self.nsectors)
         except BaseException as raised:
             self._finish(raised)
             return
@@ -1412,6 +1370,46 @@ class _Scrub(_StripeWrite):
         else:
             self._finish(join.exception)
 
+    def _join_writes(self, writes: list[Event]) -> None:
+        # The lone write is joined directly, with no barrier hop.
+        writes[0].callbacks.append(self._written)
+
+    def _written(self, write: Event) -> None:
+        self._writes_done(write.exception)
+
+
+class _Scrub(_Repair):
+    """Make one marked slice of a stripe redundant again (§4.1, §5).
+
+    Reads the slice of every data unit — ``sub_unit``'s rows, or the whole
+    unit when ``sub_unit`` is None — then writes the same slice of the
+    organization's redundancy (:meth:`DiskArray._redundancy_writes`),
+    retrying latent sector errors as every repair does.  Not preemptible
+    once started (§4.1: requests run to completion); client writes to
+    this stripe wait on ``barrier``, which fires when the scrub settles.
+    A member that dies under the scrub leaves the mark set: the stripe
+    cannot be made redundant any more, and the loss accounting is based
+    on the mark.
+    """
+
+    __slots__ = ("sub_unit", "barrier")
+
+    def __init__(self, array: DiskArray, stripe: int, sub_unit: int | None, on_done) -> None:
+        unit_sectors = array.layout.stripe_unit_sectors
+        offset, nsectors = (
+            (0, unit_sectors) if sub_unit is None
+            else sub_unit_extent(sub_unit, unit_sectors, array.marks.bits_per_stripe)
+        )
+        super().__init__(array, stripe, offset, nsectors, on_done)
+        self.sub_unit = sub_unit
+        self.barrier = array._rebuilding[stripe] = array.sim.event(name=array._ev_rebuild)
+
+    def read_set(self) -> list[Event]:
+        array = self.array
+        reads = array._slice_reads(self.stripe, self.offset, self.nsectors)
+        array.stats.scrub_data_reads += len(reads)
+        return reads
+
     def write_set(self) -> list[Event] | None:
         array = self.array
         if array._failed_disks:
@@ -1424,13 +1422,9 @@ class _Scrub(_StripeWrite):
 
     def _join_writes(self, writes: list[Event]) -> None:
         if self.array._mirrored:
-            super()._join_writes(writes)
+            _StripeWrite._join_writes(self, writes)
         else:
-            # The lone parity write is joined directly, with no barrier hop.
-            writes[0].callbacks.append(self._parity_written)
-
-    def _parity_written(self, write: Event) -> None:
-        self._writes_done(write.exception)
+            super()._join_writes(writes)  # the lone parity write
 
     def settle(self) -> None:
         array = self.array
@@ -1608,20 +1602,22 @@ class _ServiceCall:
             ]
             array.stats.foreground_data_reads += len(events)
         else:
+            # A run on a failed member reads its alive mirror copy, or is
+            # rebuilt through parity from the stripe's survivors.
             events = []
+            stats = array.stats
             for run in runs:
-                if run.disk in array._failed_disks:
-                    if array._mirrored:
-                        events.extend(array._submit_mirror_read(run))
-                    else:
-                        events.extend(array._submit_degraded_read(run))
-                else:
+                disk = array._alive_copy(run.disk)
+                if disk is not None:
                     events.append(
-                        drivers[run.disk].submit(
-                            DiskIO(IoKind.READ, run.disk_lba, run.nsectors)
-                        )
+                        drivers[disk].submit(DiskIO(IoKind.READ, run.disk_lba, run.nsectors))
                     )
-                    array.stats.foreground_data_reads += 1
+                    stats.foreground_data_reads += 1
+                else:
+                    in_unit = run.disk_lba - array.layout.unit_lba(run.stripe, run.disk)
+                    reads = array._read_rows(array._survivors(run.stripe), in_unit, run.nsectors)
+                    stats.reconstruct_reads += len(reads)
+                    events.extend(reads)
         _Barrier(array.sim, events, self._read_miss_done)
 
     def _read_hit_done(self, _timeout: Event) -> None:

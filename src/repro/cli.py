@@ -71,6 +71,22 @@ def _positive_float(text: str) -> float:
     return value
 
 
+def _finite_float(low: float, high: float | None = None):
+    """An argparse type accepting finite numbers in ``[low, high]``."""
+    bounds = f">= {low:g}" if high is None else f"in [{low:g}, {high:g}]"
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+        if not (math.isfinite(value) and value >= low and (high is None or value <= high)):
+            raise argparse.ArgumentTypeError(f"must be a finite number {bounds}, got {text!r}")
+        return value
+
+    return parse
+
+
 def _int_at_least(minimum: int):
     """An argparse type accepting integers >= ``minimum``."""
 
@@ -1124,18 +1140,6 @@ def _package_version() -> str:
         return __version__
 
 
-def _package_version() -> str:
-    """The installed distribution version, falling back to the source tree."""
-    try:
-        from importlib import metadata
-
-        return metadata.version("repro")
-    except Exception:
-        from repro import __version__
-
-        return __version__
-
-
 def _command(commands, name: str, handler, help: str, flags=(), fields=None, **defaults):
     """A subcommand taking the shared run ``flags``, with its own defaults.
 
@@ -1191,14 +1195,18 @@ def build_parser() -> argparse.ArgumentParser:
         ("--duration", "--seed"), duration=60.0, seed=42,
     )
     analyze.add_argument("workload", help="catalog name, or a path ending in .csv")
-    analyze.add_argument("--gap", type=float, default=0.1, help="burst-splitting gap (s)")
+    analyze.add_argument(
+        "--gap", type=_finite_float(0.0), default=0.1, help="burst-splitting gap (s)"
+    )
 
     profile = _command(
         commands, "profile", cmd_profile, "cProfile one replay and print the hot-path table",
         one_policy, duration=10.0, seed=42,
     )
     profile.add_argument("workload", choices=workload_names())
-    profile.add_argument("--top", type=int, default=20, help="rows in the hot-path table")
+    profile.add_argument(
+        "--top", type=_positive_int, default=20, help="rows in the hot-path table"
+    )
     profile.add_argument("--sort", default="cumulative", choices=["cumulative", "tottime"])
     profile.add_argument("--dump", metavar="PATH", help="also write a raw pstats dump")
 
@@ -1251,9 +1259,10 @@ def build_parser() -> argparse.ArgumentParser:
         ("--organization", "--ndisks"),
     )
     availability.add_argument(
-        "--fraction", type=float, default=0.05, help="unprotected-time fraction"
+        "--fraction", type=_finite_float(0.0, 1.0), default=0.05,
+        help="unprotected-time fraction",
     )
-    availability.add_argument("--years", type=float, default=3.0)
+    availability.add_argument("--years", type=_finite_float(0.0), default=3.0)
     availability.add_argument(
         "--format", choices=["table", "json"], default="table", help="output format"
     )

@@ -27,6 +27,7 @@ identical JSON reports.  That is the determinism gate CI enforces.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import random
 import typing
@@ -34,9 +35,9 @@ import typing
 from repro.array.controller import DiskArray
 from repro.array.factory import build_array
 from repro.blocks import FunctionalArray
-from repro.disk import DiskFailedError, DiskIO, IoKind, LatentSectorError, hp_c3325, toy_disk
+from repro.disk import hp_c3325, toy_disk
 from repro.ext.rebuild import RebuildManager
-from repro.faults.injector import DiskFailureReport, FaultInjector
+from repro.faults.injector import DiskFailureReport, FaultInjector, LatentProbe
 from repro.faults.invariants import InvariantChecker, InvariantResult
 from repro.layout.base import UnitKind
 from repro.nvram import sub_unit_of
@@ -310,344 +311,352 @@ class FaultCampaign:
 
     def run(self) -> CampaignReport:
         # Deferred: repro.harness imports this package.
-        from repro.harness.replay import close_replay, feed_trace
+        from repro.harness.replay import feed_trace
 
-        spec = self.spec
-        rng = random.Random(self.seed)
-        events, crash_times = self._draw_schedule(rng)
-        boundaries = (
+        run = _CampaignRun(self)
+        for index in range(run.nsegments):
+            records = run.begin(index)
+            feed_trace(run.replay, records)
+            run.end()
+        return run.report()
+
+
+class _CampaignRun:
+    """One campaign run: the state it carries across crash segments.
+
+    :meth:`begin` builds a segment's simulator and array, restores what
+    the crash must not destroy, arms the segment's faults and returns its
+    slice of the trace; the caller feeds it through the replay driver.
+    :meth:`end` closes the segment, at a crash or at the horizon, and
+    :meth:`report` reduces the run.  Every handler a segment arms is a
+    bound method, so a run pickles mid-flight.
+    """
+
+    def __init__(self, campaign: FaultCampaign) -> None:
+        spec = self.spec = campaign.spec
+        self.campaign = campaign
+        self.events, crash_times = campaign._draw_schedule(random.Random(campaign.seed))
+        self.boundaries = (
             [0.0]
             + [time_s for time_s in crash_times if 0.0 < time_s < spec.duration_s]
             + [spec.duration_s]
         )
+        self.nsegments = len(self.boundaries) - 1
+        self.twin: FunctionalArray | None = None
+        self.trace = None
+        self.hists = HistogramSet()
+        # Non-volatile across crashes: the NVRAM marks, the failed members
+        # (mirrored organizations survive several) and the media defects.
+        self.marks: list = []
+        self.failed_disks: list[int] = []
+        self.latent: dict[int, list[int]] = {}
+        self.spares_left = spec.spare_pool
+        self.conservative = False
+        self.event_log: list[dict] = []
+        self.invariant_results: list[InvariantResult] = []
+        self.all_reports: list[DiskFailureReport] = []
+        self.skipped_strikes = 0
+        self.requests = {"submitted": 0, "completed": 0, "failed": 0, "in_flight_at_crash": 0}
+        self.failure_kinds: dict[str, int] = {}
+        self.latent_repaired = 0
+        self.index = -1
 
-        # Campaign-level state threaded across crash segments.
-        twin: FunctionalArray | None = None
-        trace = None
-        hists = HistogramSet()
-        state = {
-            "marks": [],  # NVRAM snapshot (non-volatile across crashes)
-            "failed_disks": [],  # mirrored organizations survive several
-            "latent": {},  # disk index -> bad LBAs (media defects persist)
-            "spares_left": spec.spare_pool,
-            "conservative": False,
-        }
-        event_log: list[dict] = []
-        invariant_results: list[InvariantResult] = []
-        all_reports: list[DiskFailureReport] = []
-        skipped_strikes = 0
-        requests = {"submitted": 0, "completed": 0, "failed": 0, "in_flight_at_crash": 0}
-        failure_kinds: dict[str, int] = {}
-        latent_repaired = 0
+    # -- segments ------------------------------------------------------------------
 
-        nsegments = len(boundaries) - 1
-        for index in range(nsegments):
-            seg_start, seg_end = boundaries[index], boundaries[index + 1]
-            final = index == nsegments - 1
-            sim = Simulator(start_time=seg_start)
-            array = self._build_array(sim)
-            organization = array.organization
-            # The functional twin's offset arithmetic assumes rotated
-            # stripe units; mirrored and declustered organizations run
-            # without it (and hence without byte-exact invariant checks).
-            supports_twin = not (organization.mirrored or organization.declustered)
-            if twin is None and supports_twin:
-                twin = FunctionalArray(
-                    array.layout,
-                    sector_bytes=array.sector_bytes,
-                    sub_units=spec.bits_per_stripe,
-                )
-            array.functional = twin
-            array.attach_observability(histograms=hists)
-            if trace is None:
-                trace = make_trace(
-                    spec.workload,
-                    duration_s=spec.duration_s,
-                    address_space_sectors=array.layout.total_data_sectors,
-                    seed=self.seed,
-                    allow_generic=True,
-                )
-            checker = InvariantChecker(array) if supports_twin else None
-            injector = FaultInjector(sim, array)
-            unit_sectors = array.layout.stripe_unit_sectors
-
-            # ---- restore carried state (this is the crash-restart path) ----
-            if state["marks"]:
-                array.marks.restore(state["marks"])
-            for failed_disk in state["failed_disks"]:
-                array.disks[failed_disk].fail()
-                array.enter_degraded(failed_disk)
-            for disk_index, lbas in state["latent"].items():
-                for lba in lbas:
-                    array.disks[disk_index].inject_latent_error(lba)
-
-            def refresh_conservative() -> None:
-                if state["conservative"] and not array.marks.failed and array.marks.count == 0:
-                    state["conservative"] = False
-
-            def schedule_repair(at_time: float, disk: int) -> None:
-                def repair(_event) -> None:
-                    if disk not in array.failed_disks:
-                        return
-                    if state["spares_left"] <= 0:
-                        event_log.append(
-                            {"t": sim.now, "kind": "repair_no_spare", "disk": disk}
-                        )
-                        return
-                    spare = self._make_disk(sim, f"campaign.spare{disk}")
-                    manager = RebuildManager(sim, array, yield_to_foreground=False)
-                    rebuilt = manager.rebuild_onto(disk, spare)
-                    rebuilt.defused = True
-
-                    def on_rebuilt(rebuild_event) -> None:
-                        if not rebuild_event.ok:
-                            return
-                        state["spares_left"] -= 1
-                        if disk in state["failed_disks"]:
-                            state["failed_disks"].remove(disk)
-                        if array.marks.count:
-                            # The rebuild made every physical stripe
-                            # consistent; until the scrubber drains them
-                            # the surviving marks over-approximate.
-                            state["conservative"] = True
-                        event_log.append(
-                            {
-                                "t": sim.now,
-                                "kind": "rebuild_complete",
-                                "disk": disk,
-                                "stripes": manager.stats.stripes_rebuilt,
-                                "marks_left": array.marks.count,
-                            }
-                        )
-                        if checker is not None:
-                            checker.check_marks_cover_twin()
-
-                    rebuilt.add_callback(on_rebuilt)
-
-                sim.timeout(max(0.0, at_time - sim.now), name="campaign.repair").add_callback(
-                    repair
-                )
-
-            cursor = {"reports": 0, "skipped": 0}
-
-            def on_disk_failure_checked(_event) -> None:
-                nonlocal skipped_strikes
-                refresh_conservative()
-                while cursor["reports"] < len(injector.reports):
-                    report = injector.reports[cursor["reports"]]
-                    cursor["reports"] += 1
-                    all_reports.append(report)
-                    if checker is not None:
-                        checker.check_disk_failure(report, conservative=state["conservative"])
-                    if report.disk not in state["failed_disks"]:
-                        state["failed_disks"].append(report.disk)
-                    event_log.append(
-                        {
-                            "t": report.at_time,
-                            "kind": "disk_failure",
-                            "disk": report.disk,
-                            "dirty_stripes": report.dirty_stripes_at_failure,
-                            "predicted_bytes": report.predicted_loss_bytes,
-                            "actual_bytes": report.lost_data_bytes,
-                            "conservative": state["conservative"],
-                        }
-                    )
-                    schedule_repair(report.at_time + spec.repair_delay_s, report.disk)
-                while cursor["skipped"] < len(injector.skipped):
-                    skip = injector.skipped[cursor["skipped"]]
-                    cursor["skipped"] += 1
-                    skipped_strikes += 1
-                    event_log.append(
-                        {
-                            "t": skip.at_time,
-                            "kind": "disk_failure_skipped",
-                            "disk": skip.disk,
-                            "reason": skip.reason,
-                        }
-                    )
-
-            def on_nvram_lost(_event) -> None:
-                state["conservative"] = True
-                if checker is not None:
-                    checker.check_nvram_remark()
-                event_log.append(
-                    {"t": sim.now, "kind": "nvram_loss", "remarked": array.marks.count}
-                )
-
-            def detect_latent(disk: int, lba: int):
-                if array.disks[disk].failed:
-                    event_log.append(
-                        {"t": sim.now, "kind": "latent_error_skipped", "disk": disk, "lba": lba}
-                    )
-                    return
-                detected = False
-                try:
-                    yield array.drivers[disk].submit(DiskIO(IoKind.READ, lba, 1))
-                except LatentSectorError:
-                    detected = True
-                except DiskFailedError:
-                    event_log.append(
-                        {
-                            "t": sim.now,
-                            "kind": "latent_error_lost_with_disk",
-                            "disk": disk,
-                            "lba": lba,
-                        }
-                    )
-                    return
-                if checker is not None:
-                    checker.check_latent_detected(disk, lba, detected)
-                unit = array.layout.logical_of(disk, lba)
-                stripe = unit.stripe
-                row = lba - unit.disk_lba
-                sub_unit = sub_unit_of(row, unit_sectors, spec.bits_per_stripe)
-                is_parity = unit.kind is UnitKind.PARITY
-                if twin is not None:
-                    clean = is_parity or sub_unit not in twin.dirty_sub_units(stripe)
-                else:
-                    # No twin: the NVRAM marks are the (conservative)
-                    # dirtiness oracle.
-                    clean = is_parity or not array.marks.is_marked(stripe, sub_unit)
-                # Scrub-style repair: rewrite the sector (its content
-                # reconstructs through parity exactly when the rows are
-                # clean — a dirty row's content is the AFRAID exposure).
-                try:
-                    yield array.drivers[disk].submit(DiskIO(IoKind.WRITE, lba, 1))
-                except DiskFailedError:
-                    return
-                healed = not array.disks[disk].latent_errors_within(lba, 1)
-                if checker is not None:
-                    checker.check_latent_repair(disk, lba, healed, stripe, clean)
-                event_log.append(
-                    {
-                        "t": sim.now,
-                        "kind": "latent_error",
-                        "disk": disk,
-                        "lba": lba,
-                        "detected": detected,
-                        "recoverable": clean,
-                        "healed": healed,
-                    }
-                )
-
-            # ---- schedule this segment's faults -----------------------------
-            if index > 0:
-                event_log.append(
-                    {
-                        "t": seg_start,
-                        "kind": "restart",
-                        "restored_marks": array.marks.count,
-                        "degraded": state["failed_disks"][0] if state["failed_disks"] else None,
-                    }
-                )
-                if checker is not None:
-                    checker.check_marks_cover_twin()
-                array.recovery_scan()
-                for failed_disk in state["failed_disks"]:
-                    # The technician's clock restarts with the box.
-                    schedule_repair(seg_start + spec.repair_delay_s, failed_disk)
-
-            for event in events:
-                if not seg_start <= event.time_s < seg_end:
-                    continue
-                if event.kind == "disk_failure":
-                    injector.fail_disk_at(event.disk, event.time_s)
-                    sim.timeout(
-                        event.time_s - sim.now, name="campaign.check"
-                    ).add_callback(on_disk_failure_checked)
-                elif event.kind == "nvram_loss":
-                    injector.fail_mark_memory_at(event.time_s, auto_recover=True)
-                    sim.timeout(
-                        event.time_s - sim.now, name="campaign.check"
-                    ).add_callback(on_nvram_lost)
-                elif event.kind == "latent_error":
-                    lba = event.latent_lba(array.layout)
-                    injector.inject_latent_error_at(event.disk, lba, event.time_s)
-                    sim.timeout(
-                        event.time_s - sim.now, name="campaign.check"
-                    ).add_callback(
-                        lambda _event, disk=event.disk, lba=lba: sim.process(
-                            detect_latent(disk, lba), name="campaign.lse"
-                        )
-                    )
-
-            # ---- replay this segment's slice of the trace --------------------
-            replay = (sim, array, [], [])
-            feed_trace(
-                replay, [record for record in trace if seg_start <= record.time_s < seg_end]
+    def begin(self, index: int) -> list:
+        """Build segment ``index`` and arm its faults; returns its records."""
+        spec = self.spec
+        self.index = index
+        seg_start, seg_end = self.boundaries[index], self.boundaries[index + 1]
+        sim = self.sim = Simulator(start_time=seg_start)
+        array = self.array = self.campaign._build_array(sim)
+        organization = array.organization
+        # The functional twin's offset arithmetic assumes rotated
+        # stripe units; mirrored and declustered organizations run
+        # without it (and hence without byte-exact invariant checks).
+        supports_twin = not (organization.mirrored or organization.declustered)
+        if self.twin is None and supports_twin:
+            self.twin = FunctionalArray(
+                array.layout, sector_bytes=array.sector_bytes, sub_units=spec.bits_per_stripe
             )
-            if final:
-                close_replay(replay, spec.duration_s, spec.settle_s, finalize=False)
-                # The recovery invariant is checked against a settled array.
-                finish_recovery(sim, array)
-            else:
-                sim.run(until=seg_end)
-                event_log.append({"t": seg_end, "kind": "crash"})
+        array.functional = self.twin
+        array.attach_observability(histograms=self.hists)
+        if self.trace is None:
+            self.trace = make_trace(
+                spec.workload,
+                duration_s=spec.duration_s,
+                address_space_sectors=array.layout.total_data_sectors,
+                seed=self.campaign.seed,
+                allow_generic=True,
+            )
+        checker = self.checker = InvariantChecker(array) if supports_twin else None
+        injector = self.injector = FaultInjector(sim, array)
+        self.seen_reports = self.seen_skips = 0
 
-            completions = replay[3]
-            requests["submitted"] += len(completions)
-            for completion in completions:
-                if not completion.triggered:
-                    requests["in_flight_at_crash"] += 1
-                elif completion.ok:
-                    requests["completed"] += 1
-                else:
-                    requests["failed"] += 1
-                    name = type(completion.exception).__name__
-                    failure_kinds[name] = failure_kinds.get(name, 0) + 1
+        # ---- restore carried state (this is the crash-restart path) ----
+        if self.marks:
+            array.marks.restore(self.marks)
+        for failed_disk in self.failed_disks:
+            array.disks[failed_disk].fail()
+            array.enter_degraded(failed_disk)
+        for disk_index, lbas in self.latent.items():
+            for lba in lbas:
+                array.disks[disk_index].inject_latent_error(lba)
 
-            if final:
-                refresh_conservative()
-                if checker is not None:
-                    checker.check_marks_cover_twin()
-                    if array.degraded_disk is None:
-                        checker.check_recovery_complete()
-                        checker.check_parity_audit()
-                array.finalize()
-            else:
-                # ---- snapshot state the crash must not destroy ------------
-                state["marks"] = array.marks.snapshot() if not array.marks.failed else []
-                state["failed_disks"] = list(array.failed_disks)
-                state["latent"] = {
-                    disk_index: disk.latent_error_lbas
-                    for disk_index, disk in enumerate(array.disks)
-                    if disk.latent_error_lbas and not disk.failed
+        # ---- schedule this segment's faults -----------------------------
+        if index > 0:
+            self.event_log.append(
+                {
+                    "t": seg_start,
+                    "kind": "restart",
+                    "restored_marks": array.marks.count,
+                    "degraded": self.failed_disks[0] if self.failed_disks else None,
                 }
-
-            latent_repaired += array.latent_sectors_repaired
+            )
             if checker is not None:
-                invariant_results.extend(checker.results)
+                checker.check_marks_cover_twin()
+            array.recovery_scan()
+            for failed_disk in self.failed_disks:
+                # The technician's clock restarts with the box.
+                self._schedule_repair(seg_start + spec.repair_delay_s, failed_disk)
 
-        # ---- reduce to the report ------------------------------------------
-        violations = [result for result in invariant_results if not result.ok]
+        for event in self.events:
+            if not seg_start <= event.time_s < seg_end:
+                continue
+            if event.kind == "disk_failure":
+                injector.fail_disk_at(event.disk, event.time_s)
+                check = self._disk_failure_checked
+            elif event.kind == "nvram_loss":
+                injector.fail_mark_memory_at(event.time_s, auto_recover=True)
+                check = self._nvram_lost
+            else:  # a latent sector error
+                lba = event.latent_lba(array.layout)
+                injector.inject_latent_error_at(event.disk, lba, event.time_s)
+                check = functools.partial(self._probe_latent, event.disk, lba)
+            sim.timeout(event.time_s - sim.now, name="campaign.check").callbacks.append(check)
+
+        self.replay = (sim, array, [], [])
+        return [record for record in self.trace if seg_start <= record.time_s < seg_end]
+
+    def end(self) -> None:
+        """Close the fed segment: a crash, or the horizon and recovery."""
+        from repro.harness.replay import close_replay
+
+        spec = self.spec
+        sim, array, checker = self.sim, self.array, self.checker
+        final = self.index == self.nsegments - 1
+        if final:
+            close_replay(self.replay, spec.duration_s, spec.settle_s, finalize=False)
+            # The recovery invariant is checked against a settled array.
+            finish_recovery(sim, array)
+        else:
+            seg_end = self.boundaries[self.index + 1]
+            sim.run(until=seg_end)
+            self.event_log.append({"t": seg_end, "kind": "crash"})
+
+        requests = self.requests
+        completions = self.replay[3]
+        requests["submitted"] += len(completions)
+        for completion in completions:
+            if not completion.triggered:
+                requests["in_flight_at_crash"] += 1
+            elif completion.ok:
+                requests["completed"] += 1
+            else:
+                requests["failed"] += 1
+                name = type(completion.exception).__name__
+                self.failure_kinds[name] = self.failure_kinds.get(name, 0) + 1
+
+        if final:
+            self._refresh_conservative()
+            if checker is not None:
+                checker.check_marks_cover_twin()
+                if array.degraded_disk is None:
+                    checker.check_recovery_complete()
+                    checker.check_parity_audit()
+            array.finalize()
+        else:
+            # ---- snapshot state the crash must not destroy ------------
+            self.marks = array.marks.snapshot() if not array.marks.failed else []
+            self.failed_disks = list(array.failed_disks)
+            self.latent = {
+                disk_index: disk.latent_error_lbas
+                for disk_index, disk in enumerate(array.disks)
+                if disk.latent_error_lbas and not disk.failed
+            }
+
+        self.latent_repaired += array.latent_sectors_repaired
+        if checker is not None:
+            self.invariant_results.extend(checker.results)
+
+    # -- fault handlers ----------------------------------------------------------
+
+    def _refresh_conservative(self) -> None:
+        array = self.array
+        if self.conservative and not array.marks.failed and array.marks.count == 0:
+            self.conservative = False
+
+    def _schedule_repair(self, at_time: float, disk: int) -> None:
+        sim = self.sim
+        sim.timeout(max(0.0, at_time - sim.now), name="campaign.repair").callbacks.append(
+            functools.partial(self._repair, disk)
+        )
+
+    def _repair(self, disk: int, _event) -> None:
+        array, sim = self.array, self.sim
+        if disk not in array.failed_disks:
+            return
+        if self.spares_left <= 0:
+            self.event_log.append({"t": sim.now, "kind": "repair_no_spare", "disk": disk})
+            return
+        spare = self.campaign._make_disk(sim, f"campaign.spare{disk}")
+        manager = RebuildManager(sim, array, yield_to_foreground=False)
+        manager.rebuild_onto(disk, spare).callbacks.append(functools.partial(self._rebuilt, disk))
+
+    def _rebuilt(self, disk: int, rebuilt) -> None:
+        array = self.array
+        self.spares_left -= 1
+        if disk in self.failed_disks:
+            self.failed_disks.remove(disk)
+        if array.marks.count:
+            # The rebuild made every physical stripe consistent; until the
+            # scrubber drains them the surviving marks over-approximate.
+            self.conservative = True
+        self.event_log.append(
+            {
+                "t": self.sim.now,
+                "kind": "rebuild_complete",
+                "disk": disk,
+                "stripes": rebuilt.value.stripes_rebuilt,
+                "marks_left": array.marks.count,
+            }
+        )
+        if self.checker is not None:
+            self.checker.check_marks_cover_twin()
+
+    def _disk_failure_checked(self, _event) -> None:
+        self._refresh_conservative()
+        injector, checker = self.injector, self.checker
+        while self.seen_reports < len(injector.reports):
+            report = injector.reports[self.seen_reports]
+            self.seen_reports += 1
+            self.all_reports.append(report)
+            if checker is not None:
+                checker.check_disk_failure(report, conservative=self.conservative)
+            if report.disk not in self.failed_disks:
+                self.failed_disks.append(report.disk)
+            self.event_log.append(
+                {
+                    "t": report.at_time,
+                    "kind": "disk_failure",
+                    "disk": report.disk,
+                    "dirty_stripes": report.dirty_stripes_at_failure,
+                    "predicted_bytes": report.predicted_loss_bytes,
+                    "actual_bytes": report.lost_data_bytes,
+                    "conservative": self.conservative,
+                }
+            )
+            self._schedule_repair(report.at_time + self.spec.repair_delay_s, report.disk)
+        while self.seen_skips < len(injector.skipped):
+            skip = injector.skipped[self.seen_skips]
+            self.seen_skips += 1
+            self.skipped_strikes += 1
+            self.event_log.append(
+                {
+                    "t": skip.at_time,
+                    "kind": "disk_failure_skipped",
+                    "disk": skip.disk,
+                    "reason": skip.reason,
+                }
+            )
+
+    def _nvram_lost(self, _event) -> None:
+        self.conservative = True
+        if self.checker is not None:
+            self.checker.check_nvram_remark()
+        self.event_log.append(
+            {"t": self.sim.now, "kind": "nvram_loss", "remarked": self.array.marks.count}
+        )
+
+    def _probe_latent(self, disk: int, lba: int, _event) -> None:
+        LatentProbe(self.array, disk, lba, self._latent_probed, on_read=self._latent_read)
+
+    def _latent_read(self, probe: LatentProbe) -> None:
+        """The probe's read is back: check the detection, and note whether
+        the sector's rows were clean before the rewrite goes out."""
+        array, twin = self.array, self.twin
+        if self.checker is not None:
+            self.checker.check_latent_detected(probe.disk, probe.lba, probe.detected)
+        unit = array.layout.logical_of(probe.disk, probe.lba)
+        stripe = unit.stripe
+        row = probe.lba - unit.disk_lba
+        sub_unit = sub_unit_of(row, array.layout.stripe_unit_sectors, self.spec.bits_per_stripe)
+        is_parity = unit.kind is UnitKind.PARITY
+        if twin is not None:
+            clean = is_parity or sub_unit not in twin.dirty_sub_units(stripe)
+        else:
+            # No twin: the NVRAM marks are the (conservative)
+            # dirtiness oracle.
+            clean = is_parity or not array.marks.is_marked(stripe, sub_unit)
+        # Scrub-style repair: the rewrite's content reconstructs through
+        # parity exactly when the rows are clean — a dirty row's content
+        # is the AFRAID exposure.
+        probe.tag = (stripe, clean)
+
+    def _latent_probed(self, probe: LatentProbe) -> None:
+        if probe.lost == "write":
+            return  # the member died under the rewrite: a disk failure now
+        entry = {"t": self.sim.now, "disk": probe.disk, "lba": probe.lba}
+        if probe.lost == "start":
+            entry["kind"] = "latent_error_skipped"
+        elif probe.lost == "read":
+            entry["kind"] = "latent_error_lost_with_disk"
+        else:
+            stripe, clean = probe.tag
+            if self.checker is not None:
+                self.checker.check_latent_repair(probe.disk, probe.lba, probe.healed, stripe, clean)
+            entry.update(
+                kind="latent_error", detected=probe.detected, recoverable=clean, healed=probe.healed
+            )
+        self.event_log.append(entry)
+
+    # -- the report ----------------------------------------------------------------
+
+    def report(self) -> CampaignReport:
+        """Reduce the finished run to its byte-stable report."""
+        spec, array, twin = self.spec, self.array, self.twin
+        all_reports = self.all_reports
+        violations = [result for result in self.invariant_results if not result.ok]
         summary = {
             "ok": not violations,
-            "segments": nsegments,
+            "segments": self.nsegments,
             "disk_failures": len(all_reports),
-            "skipped_strikes": skipped_strikes,
+            "skipped_strikes": self.skipped_strikes,
             "predicted_loss_bytes": sum(r.predicted_loss_bytes for r in all_reports),
             "actual_loss_bytes": sum(r.lost_data_bytes for r in all_reports),
-            "spares_used": spec.spare_pool - state["spares_left"],
-            "latent_sectors_repaired": latent_repaired,
+            "spares_used": spec.spare_pool - self.spares_left,
+            "latent_sectors_repaired": self.latent_repaired,
             "final_degraded_disk": array.degraded_disk,
             "data_loss_events": len(array.data_loss_events),
             "final_marks": array.marks.count,
             "final_dirty_stripes": 0 if twin is None else len(twin.dirty_stripes),
             "request_classes": {
-                name: hist.count for name, hist in sorted(hists.hists.items()) if hist.count
+                name: hist.count for name, hist in sorted(self.hists.hists.items()) if hist.count
             },
-            "data_lost_requests": failure_kinds.get("DataLostError", 0),
+            "data_lost_requests": self.failure_kinds.get("DataLostError", 0),
         }
         payload = {
-            "campaign": {"seed": self.seed, "spec": spec.to_dict()},
-            "schedule": [dataclasses.asdict(event) for event in events],
-            "crash_points": [t for t in boundaries[1:-1]],
-            "events": event_log,
-            "requests": dict(requests, failure_kinds=dict(sorted(failure_kinds.items()))),
-            "invariants": [result.as_payload() for result in invariant_results],
+            "campaign": {"seed": self.campaign.seed, "spec": spec.to_dict()},
+            "schedule": [dataclasses.asdict(event) for event in self.events],
+            "crash_points": [t for t in self.boundaries[1:-1]],
+            "events": self.event_log,
+            "requests": dict(
+                self.requests, failure_kinds=dict(sorted(self.failure_kinds.items()))
+            ),
+            "invariants": [result.as_payload() for result in self.invariant_results],
             "summary": summary,
         }
-        return CampaignReport(seed=self.seed, payload=payload)
+        return CampaignReport(seed=self.campaign.seed, payload=payload)
 
 
 def run_campaign(spec: CampaignSpec, seed: int) -> CampaignReport:

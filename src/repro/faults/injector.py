@@ -8,7 +8,9 @@ These exercise the failure modes §3 analyses:
 * a **marking-memory failure** forces a conservative whole-array parity
   rebuild (§3.1);
 * a **latent sector error** makes one sector unreadable until the
-  scrubber (or any write) heals it by rewriting.
+  scrubber (or any write) heals it by rewriting; a :class:`LatentProbe`
+  reads it, rewrites it and checks the heal, for the campaign and the
+  nemesis alike.
 
 Injectors operate on arrays built with a functional twin
 (``with_functional=True``), so losses are measured in actual bytes, not
@@ -18,9 +20,11 @@ just predicted by the formulas — letting tests check formula against fact.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import typing
 
 from repro.array.controller import DiskArray
+from repro.disk import DiskFailedError, DiskIO, IoKind, LatentSectorError
 from repro.nvram import sub_unit_extent
 from repro.sim import Simulator
 
@@ -90,58 +94,60 @@ class FaultInjector:
         if at_time < self.sim.now:
             raise ValueError("cannot schedule a failure in the past")
 
-        def strike(_event) -> None:
-            array = self.array
-            already_failed = array.failed_disks
-            survivable = array.organization.can_absorb((*already_failed, disk))
-            if array.disks[disk].failed or (already_failed and not survivable):
-                reason = (
-                    f"disk {disk} already failed"
-                    if array.disks[disk].failed
-                    else f"array already degraded on disk {array.degraded_disk}"
-                )
-                self.skipped.append(SkippedStrike(disk=disk, at_time=self.sim.now, reason=reason))
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "disk_failure_skipped", track="faults", category="fault",
-                        disk=disk, reason=reason,
-                    )
-                if self.registry is not None:
-                    self.registry.counter(
-                        "disk_failures_skipped_total",
-                        "disk-failure injections dropped on an unhealthy target",
-                    ).inc()
-                return
-            predicted = predicted_loss_bytes(array, disk)
-            array.disks[disk].fail()
-            dirty = array.dirty_stripe_count
-            lag = array.parity_lag_bytes
-            lost = 0
-            if array.functional is not None:
-                lost = array.functional.lost_data_bytes(disk)
-                array.functional.fail_disk(disk)
-            array.enter_degraded(disk)
-            self.reports.append(
-                DiskFailureReport(
-                    disk=disk,
-                    at_time=self.sim.now,
-                    dirty_stripes_at_failure=dirty,
-                    parity_lag_bytes_at_failure=lag,
-                    lost_data_bytes=lost,
-                    predicted_loss_bytes=predicted,
-                )
+        self.sim.timeout(at_time - self.sim.now, name=f"fail.d{disk}").callbacks.append(
+            functools.partial(self._strike_disk, disk)
+        )
+
+    def _strike_disk(self, disk: int, _event) -> None:
+        array = self.array
+        already_failed = array.failed_disks
+        survivable = array.organization.can_absorb((*already_failed, disk))
+        if array.disks[disk].failed or (already_failed and not survivable):
+            reason = (
+                f"disk {disk} already failed"
+                if array.disks[disk].failed
+                else f"array already degraded on disk {array.degraded_disk}"
             )
+            self.skipped.append(SkippedStrike(disk=disk, at_time=self.sim.now, reason=reason))
             if self.tracer is not None:
                 self.tracer.instant(
-                    "disk_failure", track="faults", category="fault",
-                    disk=disk, dirty=dirty, lag_bytes=lag, lost_bytes=lost,
+                    "disk_failure_skipped", track="faults", category="fault",
+                    disk=disk, reason=reason,
                 )
             if self.registry is not None:
                 self.registry.counter(
-                    "disk_failures_total", "injected member-disk failures"
+                    "disk_failures_skipped_total",
+                    "disk-failure injections dropped on an unhealthy target",
                 ).inc()
-
-        self.sim.timeout(at_time - self.sim.now, name=f"fail.d{disk}").add_callback(strike)
+            return
+        predicted = predicted_loss_bytes(array, disk)
+        array.disks[disk].fail()
+        dirty = array.dirty_stripe_count
+        lag = array.parity_lag_bytes
+        lost = 0
+        if array.functional is not None:
+            lost = array.functional.lost_data_bytes(disk)
+            array.functional.fail_disk(disk)
+        array.enter_degraded(disk)
+        self.reports.append(
+            DiskFailureReport(
+                disk=disk,
+                at_time=self.sim.now,
+                dirty_stripes_at_failure=dirty,
+                parity_lag_bytes_at_failure=lag,
+                lost_data_bytes=lost,
+                predicted_loss_bytes=predicted,
+            )
+        )
+        if self.tracer is not None:
+            self.tracer.instant(
+                "disk_failure", track="faults", category="fault",
+                disk=disk, dirty=dirty, lag_bytes=lag, lost_bytes=lost,
+            )
+        if self.registry is not None:
+            self.registry.counter(
+                "disk_failures_total", "injected member-disk failures"
+            ).inc()
 
     def fail_mark_memory_at(self, at_time: float, auto_recover: bool = True) -> None:
         """Lose the NVRAM marks at ``at_time``.
@@ -152,21 +158,23 @@ class FaultInjector:
         if at_time < self.sim.now:
             raise ValueError("cannot schedule a failure in the past")
 
-        def strike(_event) -> None:
-            self.array.marks.fail()
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "nvram_failure", track="faults", category="fault",
-                    auto_recover=auto_recover,
-                )
-            if self.registry is not None:
-                self.registry.counter(
-                    "nvram_failures_total", "injected marking-memory failures"
-                ).inc()
-            if auto_recover:
-                self.array.recover_mark_memory()
+        self.sim.timeout(at_time - self.sim.now, name="fail.nvram").callbacks.append(
+            functools.partial(self._strike_mark_memory, auto_recover)
+        )
 
-        self.sim.timeout(at_time - self.sim.now, name="fail.nvram").add_callback(strike)
+    def _strike_mark_memory(self, auto_recover: bool, _event) -> None:
+        self.array.marks.fail()
+        if self.tracer is not None:
+            self.tracer.instant(
+                "nvram_failure", track="faults", category="fault",
+                auto_recover=auto_recover,
+            )
+        if self.registry is not None:
+            self.registry.counter(
+                "nvram_failures_total", "injected marking-memory failures"
+            ).inc()
+        if auto_recover:
+            self.array.recover_mark_memory()
 
     def inject_latent_error_at(self, disk: int, lba: int, at_time: float) -> None:
         """Flip sector ``lba`` of member ``disk`` unreadable at ``at_time``.
@@ -179,27 +187,95 @@ class FaultInjector:
         if at_time < self.sim.now:
             raise ValueError("cannot schedule a failure in the past")
 
-        def strike(_event) -> None:
-            target = self.array.disks[disk]
-            if target.failed:
-                if self.tracer is not None:
-                    self.tracer.instant(
-                        "latent_error_skipped", track="faults", category="fault",
-                        disk=disk, lba=lba,
-                    )
-                return
-            target.inject_latent_error(lba)
+        self.sim.timeout(at_time - self.sim.now, name=f"lse.d{disk}").callbacks.append(
+            functools.partial(self._strike_latent, disk, lba)
+        )
+
+    def _strike_latent(self, disk: int, lba: int, _event) -> None:
+        target = self.array.disks[disk]
+        if target.failed:
             if self.tracer is not None:
                 self.tracer.instant(
-                    "latent_error", track="faults", category="fault",
+                    "latent_error_skipped", track="faults", category="fault",
                     disk=disk, lba=lba,
                 )
-            if self.registry is not None:
-                self.registry.counter(
-                    "latent_errors_total", "injected latent sector errors"
-                ).inc()
+            return
+        target.inject_latent_error(lba)
+        if self.tracer is not None:
+            self.tracer.instant(
+                "latent_error", track="faults", category="fault",
+                disk=disk, lba=lba,
+            )
+        if self.registry is not None:
+            self.registry.counter(
+                "latent_errors_total", "injected latent sector errors"
+            ).inc()
 
-        self.sim.timeout(at_time - self.sim.now, name=f"lse.d{disk}").add_callback(strike)
+
+class LatentProbe:
+    """Probe and heal one latent sector, scrub-style (§3.1), as callback states.
+
+    At a kick, where a process would boot, it reads sector ``lba`` of
+    member ``disk``: a :class:`~repro.disk.LatentSectorError` there is the
+    detection (``detected``).  ``on_read(probe)``, if given, runs when
+    the read completes, before the rewrite is submitted.  Then it
+    rewrites the sector — a write heals a latent sector — and checks the
+    heal (``healed``).  ``on_done(probe)`` runs once, at the end.  A dead
+    member ends the probe early: ``lost`` names the step that found it
+    dead ("start", "read" or "write"), and is None after a full probe.
+    Any other read or write error escapes the run loop.  ``tag`` carries
+    the caller's context.
+    """
+
+    __slots__ = ("array", "disk", "lba", "on_done", "on_read", "tag", "detected", "healed", "lost")
+
+    def __init__(
+        self, array: DiskArray, disk: int, lba: int, on_done, on_read=None, tag=None
+    ) -> None:
+        self.array = array
+        self.disk = disk
+        self.lba = lba
+        self.on_done = on_done
+        self.on_read = on_read
+        self.tag = tag
+        self.detected = False
+        self.healed = False
+        self.lost: str | None = None
+        array.sim.call_soon(self._read)
+
+    def _read(self, _kick) -> None:
+        array = self.array
+        if array.disks[self.disk].failed:
+            self._end("start")
+        else:
+            read = array.drivers[self.disk].submit(DiskIO(IoKind.READ, self.lba, 1))
+            read.add_callback(self._rewrite)
+
+    def _rewrite(self, read) -> None:
+        exc = read.exception
+        if isinstance(exc, DiskFailedError):
+            self._end("read")
+            return
+        if exc is not None and not isinstance(exc, LatentSectorError):
+            raise exc  # not a fault the probe handles: escape the run loop
+        self.detected = exc is not None
+        if self.on_read is not None:
+            self.on_read(self)
+        write = self.array.drivers[self.disk].submit(DiskIO(IoKind.WRITE, self.lba, 1))
+        write.add_callback(self._written)
+
+    def _written(self, write) -> None:
+        if isinstance(write.exception, DiskFailedError):
+            self._end("write")
+            return
+        if write.exception is not None:
+            raise write.exception
+        self.healed = not self.array.disks[self.disk].latent_errors_within(self.lba, 1)
+        self._end(None)
+
+    def _end(self, lost: str | None) -> None:
+        self.lost = lost
+        self.on_done(self)
 
 
 def predicted_loss_bytes(array: DiskArray, failed_disk: int) -> int:

@@ -3,8 +3,9 @@
 PR 5's :class:`~repro.faults.campaign.FaultCampaign` schedules every
 fault up front and reports when the run is over.  The nemesis is the
 *continuous* counterpart (ydb's ``active_faults_tracker`` /
-``tracked_nemesis`` / ``monitor`` split): a simulation process that ticks
-alongside live traffic, draws faults from the same seeded
+``tracked_nemesis`` / ``monitor`` split): a clock
+(:meth:`~repro.sim.Simulator.every`) that ticks alongside live traffic,
+draws faults from the same seeded
 :func:`~repro.faults.campaign.draw_fault_schedule` distributions, and —
 the part a static schedule cannot do — consults the live telemetry
 *in-loop* before each strike:
@@ -36,10 +37,10 @@ imports :mod:`repro.faults`); the workload-driving runner lives in
 from __future__ import annotations
 
 import dataclasses
+import functools
 import random
 import typing
 
-from repro.disk import DiskFailedError, DiskIO, IoKind, LatentSectorError
 from repro.ext.rebuild import RebuildManager
 from repro.faults.campaign import (
     _DISK_FACTORIES,
@@ -47,7 +48,7 @@ from repro.faults.campaign import (
     check_fault_spec,
     draw_fault_schedule,
 )
-from repro.faults.injector import FaultInjector
+from repro.faults.injector import FaultInjector, LatentProbe
 from repro.obs.timeline import Timeline, TimelineEvent
 from repro.spec import check_number
 
@@ -239,27 +240,24 @@ class NemesisLoop:
             "degraded_disks", "members currently failed without an installed spare"
         )
         self._engine_done = False
+        self._next_sample = 0.0
 
     # -- lifecycle -------------------------------------------------------------------
 
     def start(self) -> None:
-        """Spawn the loop as a simulation process."""
-        self.sim.process(self._run(), name="nemesis.loop")
-
-    def _run(self):
+        """Tick on a clock until the horizon, then close it."""
         spec = self.spec
-        next_sample = 0.0
-        while True:
-            now = self.sim.now
-            self.poll(now)
-            self._gate_and_inject(now)
-            if now + 1e-12 >= next_sample:
-                self._sample(now)
-                next_sample += spec.sample_period_s
-            if now + spec.period_s > spec.duration_s:
-                break
-            yield self.sim.timeout(spec.period_s, name="nemesis.tick")
-        self._close_horizon(self.sim.now)
+        self.sim.every(
+            spec.period_s, self._tick, until=spec.duration_s, end=self._close_horizon
+        )
+
+    def _tick(self) -> None:
+        now = self.sim.now
+        self.poll(now)
+        self._gate_and_inject(now)
+        if now + 1e-12 >= self._next_sample:
+            self._sample(now)
+            self._next_sample += self.spec.sample_period_s
 
     def poll(self, now: float) -> None:
         """One telemetry pass: publish, evaluate, ingest, settle clears.
@@ -348,46 +346,41 @@ class NemesisLoop:
         self._schedule_repair(inject, fault.disk)
 
     def _schedule_repair(self, inject: TimelineEvent, disk: int) -> None:
-        def repair(_event) -> None:
-            # The strike may have been skipped (some other member already
-            # down, or this one), the disk already repaired, or its rebuild
-            # already under way; only a live, unclaimed degradation on
-            # *this* member is ours to fix.
-            if disk not in self.array.failed_disks or disk in self._rebuilding:
-                return
-            now = self.sim.now
-            if self.spares_left <= 0:
-                self.timeline.record(
-                    "rebuild.no_spare", now, track="rebuild", cause=inject, disk=disk
-                )
-                return
-            self.spares_left -= 1
-            self._spare_seq += 1
-            spare = _DISK_FACTORIES[self.spec.disk_model](
-                self.sim, name=f"nemesis.spare{self._spare_seq}"
+        self.sim.timeout(self.spec.repair_delay_s, name="nemesis.repair").callbacks.append(
+            functools.partial(self._repair, inject, disk)
+        )
+
+    def _repair(self, inject: TimelineEvent, disk: int, _event) -> None:
+        # The strike may have been skipped (some other member already
+        # down, or this one), the disk already repaired, or its rebuild
+        # already under way; only a live, unclaimed degradation on
+        # *this* member is ours to fix.
+        if disk not in self.array.failed_disks or disk in self._rebuilding:
+            return
+        now = self.sim.now
+        if self.spares_left <= 0:
+            self.timeline.record(
+                "rebuild.no_spare", now, track="rebuild", cause=inject, disk=disk
             )
-            manager = RebuildManager(self.sim, self.array, yield_to_foreground=False)
-            self.timeline.rebuild_started(now, disk, cause=inject)
-            self._rebuilding.add(disk)
-            done = manager.rebuild_onto(disk, spare)
-            done.defused = True
+            return
+        self.spares_left -= 1
+        self._spare_seq += 1
+        spare = _DISK_FACTORIES[self.spec.disk_model](
+            self.sim, name=f"nemesis.spare{self._spare_seq}"
+        )
+        manager = RebuildManager(self.sim, self.array, yield_to_foreground=False)
+        self.timeline.rebuild_started(now, disk, cause=inject)
+        self._rebuilding.add(disk)
+        manager.rebuild_onto(disk, spare).callbacks.append(
+            functools.partial(self._rebuilt, inject, disk, spare.name)
+        )
 
-            def on_rebuilt(rebuild_event) -> None:
-                self._rebuilding.discard(disk)
-                if not rebuild_event.ok:
-                    return
-                finished = self.sim.now
-                self.timeline.rebuild_finished(
-                    finished, disk, stripes=manager.stats.stripes_rebuilt
-                )
-                self.timeline.fault_cleared(
-                    finished, inject, resolution="rebuilt", spare=spare.name
-                )
-                self.tracker.cleared(inject.id, finished, "rebuilt")
-
-            done.add_callback(on_rebuilt)
-
-        self.sim.timeout(self.spec.repair_delay_s, name="nemesis.repair").add_callback(repair)
+    def _rebuilt(self, inject: TimelineEvent, disk: int, spare: str, rebuilt) -> None:
+        self._rebuilding.discard(disk)
+        finished = self.sim.now
+        self.timeline.rebuild_finished(finished, disk, stripes=rebuilt.value.stripes_rebuilt)
+        self.timeline.fault_cleared(finished, inject, resolution="rebuilt", spare=spare)
+        self.tracker.cleared(inject.id, finished, "rebuilt")
 
     def _collect_strike_outcomes(self) -> None:
         """Match newly-arrived injector reports/skips to awaiting injects."""
@@ -467,38 +460,24 @@ class NemesisLoop:
             ActiveFault(kind="latent_error", injected_at=now, event=inject, disk=fault.disk)
         )
         self.injector.inject_latent_error_at(fault.disk, lba, now)
-        self.sim.timeout(self.spec.detect_delay_s, name="nemesis.detect").add_callback(
-            lambda _event: self.sim.process(
-                self._detect_latent(inject, fault.disk, lba), name="nemesis.lse"
-            )
+        self.sim.timeout(self.spec.detect_delay_s, name="nemesis.detect").callbacks.append(
+            functools.partial(self._probe_latent, inject, fault.disk, lba)
         )
 
-    def _detect_latent(self, inject: TimelineEvent, disk: int, lba: int):
-        """Scrub-style probe-and-heal, as the campaign engine does (§3.1)."""
-        array = self.array
+    def _probe_latent(self, inject: TimelineEvent, disk: int, lba: int, _event) -> None:
+        LatentProbe(self.array, disk, lba, self._latent_probed, tag=inject)
 
-        def close(resolution: str, **attrs) -> None:
-            self.timeline.fault_cleared(self.sim.now, inject, resolution=resolution, **attrs)
-            self.tracker.cleared(inject.id, self.sim.now, resolution)
-
-        if array.disks[disk].failed:
-            close("disk_failed")
-            return
-        detected = False
-        try:
-            yield array.drivers[disk].submit(DiskIO(IoKind.READ, lba, 1))
-        except LatentSectorError:
-            detected = True
-        except DiskFailedError:
-            close("disk_failed")
-            return
-        try:
-            yield array.drivers[disk].submit(DiskIO(IoKind.WRITE, lba, 1))
-        except DiskFailedError:
-            close("disk_failed")
-            return
-        healed = not array.disks[disk].latent_errors_within(lba, 1)
-        close("healed" if healed else "unhealed", detected=detected, healed=healed)
+    def _latent_probed(self, probe: LatentProbe) -> None:
+        """Close the latent fault the probe healed, or found on a dead member."""
+        attrs = {}
+        if probe.lost is not None:
+            resolution = "disk_failed"
+        else:
+            resolution = "healed" if probe.healed else "unhealed"
+            attrs = {"detected": probe.detected, "healed": probe.healed}
+        now = self.sim.now
+        self.timeline.fault_cleared(now, probe.tag, resolution=resolution, **attrs)
+        self.tracker.cleared(probe.tag.id, now, resolution)
 
     # -- telemetry samples -----------------------------------------------------------
 
@@ -521,8 +500,9 @@ class NemesisLoop:
 
     # -- horizon ---------------------------------------------------------------------
 
-    def _close_horizon(self, now: float) -> None:
+    def _close_horizon(self) -> None:
         """End of the injection window: pair the open hold, drop the queue."""
+        now = self.sim.now
         if self._hold_event is not None:
             self.timeline.record(
                 "nemesis.resume", now, track="nemesis", cause=self._hold_event,

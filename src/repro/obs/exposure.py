@@ -30,6 +30,7 @@ directly testable.
 from __future__ import annotations
 
 import collections
+import functools
 import typing
 
 from repro.availability import ReliabilityParams, organization_mdlr, organization_mttdl
@@ -406,19 +407,21 @@ def start_exposure_poller(
     the loop stops once the next tick would pass ``until`` — give it a
     horizon before draining a simulator with an open-ended ``run()``.
     """
-    if period_s <= 0:
-        raise ValueError(f"period must be > 0, got {period_s}")
+    sim.every(
+        period_s, functools.partial(_poll, sim, monitor, engine, snapshotter), until
+    )
 
-    def _loop():
-        while True:
-            now = sim.now
-            monitor.publish(now)
-            if engine is not None and monitor.registry is not None:
-                engine.evaluate(now, monitor.registry)
-            if snapshotter is not None and monitor.registry is not None:
-                snapshotter.snap(now)
-            if until is not None and now + period_s > until:
-                break
-            yield sim.timeout(period_s)
 
-    sim.process(_loop(), name="obs.exposure_poller")
+def _poll(
+    sim: "Simulator",
+    monitor: ExposureMonitor,
+    engine: "SloEngine | None",
+    snapshotter: "RegistrySnapshotter | None",
+) -> None:
+    """One exposure-poller tick (see :func:`start_exposure_poller`)."""
+    now = sim.now
+    monitor.publish(now)
+    if engine is not None and monitor.registry is not None:
+        engine.evaluate(now, monitor.registry)
+    if snapshotter is not None and monitor.registry is not None:
+        snapshotter.snap(now)

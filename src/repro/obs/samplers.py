@@ -1,7 +1,8 @@
 """Periodic time-series sampling of array state.
 
-A :class:`PeriodicSampler` is a simulation process that wakes every
-``period_s`` of *simulated* time, evaluates a set of named probes (plain
+A :class:`PeriodicSampler` runs on a simulator clock
+(:meth:`~repro.sim.Simulator.every`) that ticks every ``period_s`` of
+*simulated* time; each tick evaluates a set of named probes (plain
 callables returning a float), and appends the samples to in-memory series
 — optionally mirroring each sample into a :class:`~repro.obs.Tracer`
 counter track so the series shows up in Perfetto alongside the spans.
@@ -26,7 +27,7 @@ from repro.obs.tracer import Tracer
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.array.controller import DiskArray
-    from repro.sim import Simulator
+    from repro.sim import Clock, Simulator
 
 
 @dataclasses.dataclass
@@ -71,8 +72,7 @@ class PeriodicSampler:
         self.probes: dict[str, typing.Callable[[], float]] = {}
         self.series: dict[str, SampleSeries] = {}
         self.dropped = 0
-        self._running = False
-        self._stopped = False
+        self._clock: "Clock | None" = None
 
     def add_probe(self, name: str, probe: typing.Callable[[], float]) -> None:
         """Register ``probe`` under ``name`` (must be unique)."""
@@ -84,31 +84,23 @@ class PeriodicSampler:
     # -- lifecycle ------------------------------------------------------------------
 
     def start(self, until: float | None = None) -> None:
-        """Start the sampling process.
+        """Start sampling: now, then every ``period_s``.
 
         ``until`` bounds the sampler in simulated time; without it the
         sampler runs until :meth:`stop` (and keeps the event queue
         non-empty, so don't ``run()`` a simulator to empty around one).
         """
-        if self._running:
+        if self._clock is not None:
             raise RuntimeError("sampler already started")
-        self._running = True
-        self._stopped = False
-        self.sim.process(self._loop(until), name="obs.sampler")
+        self._clock = self.sim.every(self.period_s, self.sample_once, until, self._ended)
 
     def stop(self) -> None:
         """Stop sampling after the current tick."""
-        self._stopped = True
+        if self._clock is not None:
+            self._clock.stop()
 
-    def _loop(self, until: float | None):
-        try:
-            while not self._stopped:
-                self.sample_once()
-                if until is not None and self.sim.now + self.period_s > until:
-                    break
-                yield self.sim.timeout(self.period_s)
-        finally:
-            self._running = False
+    def _ended(self) -> None:
+        self._clock = None
 
     def sample_once(self) -> None:
         """Evaluate every probe once at the current simulated time."""
@@ -119,8 +111,8 @@ class PeriodicSampler:
                 value = float(probe())
             except Exception:
                 # A probe observing failed hardware (e.g. dirty-stripe
-                # count after a marking-memory fault) must not kill the
-                # sampling process; skip the sample and keep going.
+                # count after a marking-memory fault) must not stop the
+                # sampler; skip the sample and keep going.
                 self.dropped += 1
                 continue
             series = self.series[name]

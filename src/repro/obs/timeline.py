@@ -119,6 +119,16 @@ class Timeline:
         self._open_breaches: dict[str, TimelineEvent] = {}  # rule text -> breach
         self._open_rebuilds: dict[int, TimelineEvent] = {}  # disk -> start
 
+    def __getstate__(self) -> dict:
+        # A lock does not pickle: a loaded timeline gets a fresh one.
+        state = self.__dict__.copy()
+        del state["_lock"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._lock = threading.Lock()
+
     # -- recording ------------------------------------------------------------------
 
     def record(

@@ -9,6 +9,9 @@ discrete-event simulator:
   on; :class:`~repro.sim.events.Timeout` fires after a simulated delay, and
   :class:`~repro.sim.events.AllOf` / :class:`~repro.sim.events.AnyOf` compose
   events (e.g. the two parallel pre-reads of a RAID 5 small write).
+* :class:`~repro.sim.core.Clock` — a callback that ticks every period of
+  simulated time until a horizon (:meth:`Simulator.every`): the pollers,
+  the samplers and the nemesis loop run on it.
 * :class:`~repro.sim.process.Process` — a generator that yields events; the
   kernel resumes it when the yielded event fires.
 * :class:`~repro.sim.resources.Resource` — a counted resource with a FIFO
@@ -19,19 +22,18 @@ Determinism: events scheduled for the same instant fire in schedule order
 seed always produce the same trajectory.
 """
 
-from repro.sim.core import Simulator
+from repro.sim.core import Clock, Simulator
 from repro.sim.events import AllOf, AnyOf, Event, EventFailed, Timeout
-from repro.sim.process import Interrupt, Process, ProcessKilled
+from repro.sim.process import Process
 from repro.sim.resources import Resource
 
 __all__ = [
     "AllOf",
     "AnyOf",
+    "Clock",
     "Event",
     "EventFailed",
-    "Interrupt",
     "Process",
-    "ProcessKilled",
     "Resource",
     "Simulator",
     "Timeout",

@@ -149,6 +149,10 @@ class Simulator:
         self._bucket.append(event)
         return event
 
+    def every(self, period: float, tick, until: float | None = None, end=None) -> "Clock":
+        """Call ``tick()`` now and every ``period`` seconds after (see :class:`Clock`)."""
+        return Clock(self, period, tick, until, end)
+
     def trigger_at(
         self,
         event: Event,
@@ -344,3 +348,43 @@ class Simulator:
     def set_trace(self, callback: typing.Callable[[float, Event], None] | None) -> None:
         """Install a hook called as ``callback(time, event)`` on every dispatch."""
         self._trace = callback
+
+
+class Clock:
+    """A periodic callback, as callback states: background work on a timer.
+
+    The first ``tick()`` runs at a kick scheduled at construction, where a
+    process started now would take its first step; each later tick at a
+    timeout the tick before armed.  After a tick, a clock with an
+    ``until`` horizon ends once the next tick would pass it: ``end()``
+    runs in place.  :meth:`stop` ends the clock at its next tick instead,
+    before that tick's ``tick()``.  Hooks are plain callables; bound
+    methods keep the clock picklable mid-flight.
+    """
+
+    __slots__ = ("sim", "period", "tick", "until", "end", "stopped")
+
+    def __init__(self, sim: Simulator, period: float, tick, until=None, end=None) -> None:
+        if not period > 0:
+            raise ValueError(f"period must be > 0, got {period}")
+        self.sim = sim
+        self.period = period
+        self.tick = tick
+        self.until = until
+        self.end = end
+        self.stopped = False
+        sim.call_soon(self._tick)
+
+    def stop(self) -> None:
+        """End the clock at its next tick."""
+        self.stopped = True
+
+    def _tick(self, _event: Event) -> None:
+        if not self.stopped:
+            self.tick()
+            until = self.until
+            if until is None or self.sim.now + self.period <= until:
+                self.sim.timeout(self.period).callbacks.append(self._tick)
+                return
+        if self.end is not None:
+            self.end()

@@ -20,23 +20,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 ProcessGenerator = typing.Generator[Event, typing.Any, typing.Any]
 
 
-class Interrupt(Exception):
-    """Thrown into a process by :meth:`Process.interrupt`.
-
-    The ``cause`` attribute carries whatever the interrupter passed.  AFRAID's
-    background scrubber uses this to abandon an idle-time parity rebuild when
-    foreground work arrives.
-    """
-
-    def __init__(self, cause: typing.Any = None) -> None:
-        super().__init__(cause)
-        self.cause = cause
-
-
-class ProcessKilled(Exception):
-    """The failure value of a process that was killed via :meth:`Process.kill`."""
-
-
 class Process(Event):
     """A running simulation process.
 
@@ -45,7 +28,7 @@ class Process(Event):
     the caller's current step completes).
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator",)
 
     def __init__(self, sim: "Simulator", generator: ProcessGenerator, name: str = "") -> None:
         # Plain generators (the overwhelmingly common case) skip the two
@@ -57,50 +40,14 @@ class Process(Event):
         super().__init__(sim, name=name or getattr(generator, "__name__", "process"))
         self._generator = generator
         # Kick off the generator via an immediately-firing bootstrap event.
-        self._waiting_on: Event | None = sim.call_soon(self._resume)
+        sim.call_soon(self._resume)
 
     @property
     def is_alive(self) -> bool:
         """True while the generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: typing.Any = None) -> None:
-        """Throw :class:`Interrupt` into the process at its current yield.
-
-        Interrupting a finished process is a no-op.  The event the process
-        was waiting on is detached: if it later fires, the process (which has
-        moved on) ignores it.
-        """
-        if self.triggered:
-            return
-        self._detach()
-        poke = Event(self.sim, name=f"{self.name}.interrupt")
-        poke.add_callback(lambda _event: self._step_throw(Interrupt(cause)))
-        poke.succeed()
-
-    def kill(self) -> None:
-        """Terminate the process immediately.
-
-        The process event fails with :class:`ProcessKilled`; generators get a
-        chance to run ``finally`` blocks via ``GeneratorExit``.
-        """
-        if self.triggered:
-            return
-        self._detach()
-        self._generator.close()
-        self.fail(ProcessKilled(self.name))
-
     # -- kernel internals ----------------------------------------------------
-
-    def _detach(self) -> None:
-        """Stop listening to the event currently waited on."""
-        waiting = self._waiting_on
-        self._waiting_on = None
-        if waiting is not None and waiting.callbacks is not None:
-            try:
-                waiting.callbacks.remove(self._resume)
-            except ValueError:
-                pass
 
     def _resume(self, event: Event) -> None:
         """Callback invoked when the awaited event fires.
@@ -110,9 +57,6 @@ class Process(Event):
         fanning out through helper methods (one resume used to cost four
         nested calls; on long process chains that overhead dominated).
         """
-        if event is not self._waiting_on:
-            return  # stale wakeup from a detached event
-        self._waiting_on = None
         if event._exception is not None:
             self._step_throw(event._exception)
             return
@@ -137,7 +81,6 @@ class Process(Event):
             return
         # Inline _wait_on's happy path: yielded a live event of our sim.
         if isinstance(target, Event) and target.sim is self.sim:
-            self._waiting_on = target
             callbacks = target.callbacks
             if callbacks is not None:
                 callbacks.append(self._resume)
@@ -172,7 +115,6 @@ class Process(Event):
         if target.sim is not self.sim:
             self._crash(ValueError(f"process {self.name!r} yielded an event from another simulator"))
             return
-        self._waiting_on = target
         target.add_callback(self._resume)
 
     def _crash(self, exc: BaseException) -> None:

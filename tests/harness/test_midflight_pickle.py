@@ -1,13 +1,14 @@
 """A replay paused between any two events pickles and resumes bit-exactly.
 
 Every controller protocol — client writes on every organization, the
-idle scrubber and paritypoints (``DiskArray.commit``) — runs as callback
-states, so no generator frame or closure holds array state and the
-whole simulation pickles mid-flight, not only at the quiescent cuts
-sharded replay looks for.  Each case pauses a replay at the first event
-past ``PAUSE_S`` where its protocol is in flight, round-trips the state
-through pickle, resumes the copy and checks it against the
-uninterrupted run's ``replay_digest``.
+idle scrubber, paritypoints (``DiskArray.commit``) and spare rebuilds
+(``RebuildManager``) — runs as callback states, so no generator frame
+or closure holds array state and the whole simulation pickles
+mid-flight, not only at the quiescent cuts sharded replay looks for.
+Each case pauses a replay at the first event past its pause time where
+its protocol is in flight, round-trips the state through pickle,
+resumes the copy and checks it against the uninterrupted run's
+``replay_digest``.
 """
 
 import pickle
@@ -16,7 +17,8 @@ import pytest
 
 from repro.array.batchplan import warm_extent_cache
 from repro.array.factory import build_array
-from repro.disk import IoKind
+from repro.disk import IoKind, toy_disk
+from repro.ext.rebuild import RebuildManager
 from repro.harness.checkpoint import PICKLE_PROTOCOL
 from repro.harness.replay import _Feeder, close_replay
 from repro.harness.sharding import ShardReplayResult, replay_digest
@@ -114,3 +116,65 @@ def _replay_digest(case: str, pause: bool) -> str:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_paused_state_pickles_and_resumes_to_the_same_digest(case):
     assert _replay_digest(case, pause=True) == _replay_digest(case, pause=False)
+
+
+#: Spare rebuilds: ATT on toy disks; member 1 fails at REBUILD_FAIL_S and
+#: is rebuilt flat out while the foreground runs, paused past
+#: REBUILD_PAUSE_S once REBUILD_PAUSE_STRIPES stripes are on the spare.
+REBUILD_WORKLOAD = {"workload": "ATT", "duration_s": 20.0, "seed": 3}
+REBUILD_FAIL_S = 5.0
+REBUILD_PAUSE_S = 6.0
+REBUILD_PAUSE_STRIPES = 20
+
+
+class _Rebuilder:
+    """Fails a member on a timer and rebuilds it; bound-method callbacks only."""
+
+    def __init__(self, sim: Simulator, array) -> None:
+        self.sim = sim
+        self.manager = RebuildManager(sim, array, yield_to_foreground=False)
+        self.done = None
+        sim.timeout(REBUILD_FAIL_S).callbacks.append(self._fail)
+
+    def _fail(self, _event) -> None:
+        self.done = self.manager.fail_and_rebuild(1, toy_disk(self.sim, name="spare"))
+
+    def in_flight(self) -> bool:
+        stats = self.manager.stats
+        return stats.stripes_rebuilt >= REBUILD_PAUSE_STRIPES and not self.done.triggered
+
+
+def _rebuild_replay(organization: str, pause: bool):
+    sim = Simulator()
+    array = build_array(
+        sim, BaselineAfraidPolicy(), ndisks=NDISKS[organization], organization=organization,
+        disk_factory=toy_disk,
+    )
+    trace = make_trace(
+        REBUILD_WORKLOAD["workload"], duration_s=REBUILD_WORKLOAD["duration_s"],
+        seed=REBUILD_WORKLOAD["seed"], address_space_sectors=array.layout.total_data_sectors,
+    )
+    records = list(trace)
+    rebuilder = _Rebuilder(sim, array)
+    state = (sim, array, [], [])
+    warm_extent_cache(array.layout, records)
+    fed = _Feeder(sim, array, records, state[2], state[3]).start()
+    if pause:
+        while not (sim.now > REBUILD_PAUSE_S and rebuilder.in_flight()):
+            sim.step()
+        state, fed, rebuilder = pickle.loads(
+            pickle.dumps((state, fed, rebuilder), protocol=PICKLE_PROTOCOL)
+        )
+        sim, array = state[0], state[1]
+    sim.run_until_triggered(fed)
+    outcome = close_replay(state, trace.duration_s, 0.0, finalize=True)
+    assert not outcome.failures
+    assert rebuilder.done.triggered and array.degraded_disk is None
+    return replay_digest(ShardReplayResult.from_array(array, outcome)), rebuilder.done.value
+
+
+@pytest.mark.parametrize("organization", ["raid5", "raid10"])
+def test_paused_rebuild_pickles_and_resumes_to_the_same_digest(organization):
+    digest, stats = _rebuild_replay(organization, pause=True)
+    assert stats.stripes_rebuilt == 256
+    assert (digest, stats) == _rebuild_replay(organization, pause=False)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import AllOf, AnyOf, Interrupt, Resource, Simulator
+from repro.sim import AllOf, AnyOf, Resource, Simulator
 
 
 @pytest.fixture()
@@ -55,71 +55,6 @@ class TestNestedConditions:
             process = sim.process(link(process))
         sim.run()
         assert process.value == 100
-
-
-class TestInterruptEdgeCases:
-    def test_interrupt_while_waiting_on_allof(self, sim):
-        def body():
-            try:
-                yield AllOf(sim, [sim.timeout(10.0), sim.timeout(20.0)])
-                return "finished"
-            except Interrupt:
-                return ("interrupted", sim.now)
-
-        proc = sim.process(body())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            proc.interrupt()
-
-        sim.process(interrupter())
-        sim.run()
-        assert proc.value == ("interrupted", 1.0)
-
-    def test_double_interrupt_delivers_once_each(self, sim):
-        hits = []
-
-        def body():
-            for _ in range(2):
-                try:
-                    yield sim.timeout(100.0)
-                except Interrupt as interrupt:
-                    hits.append(interrupt.cause)
-            return hits
-
-        proc = sim.process(body())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            proc.interrupt("first")
-            yield sim.timeout(1.0)
-            proc.interrupt("second")
-
-        sim.process(interrupter())
-        sim.run()
-        assert proc.value == ["first", "second"]
-
-    def test_interrupt_race_with_completion(self, sim):
-        """Interrupt scheduled for the same instant the wait completes:
-        exactly one of the two outcomes happens, deterministically."""
-
-        def body():
-            try:
-                yield sim.timeout(1.0)
-                return "completed"
-            except Interrupt:
-                return "interrupted"
-
-        proc = sim.process(body())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            proc.interrupt()
-
-        sim.process(interrupter())
-        sim.run()
-        # The timeout fires first (scheduled earlier at the same instant).
-        assert proc.value == "completed"
 
 
 class TestResourceStress:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import AllOf, Interrupt, Process, ProcessKilled, Simulator
+from repro.sim import AllOf, Simulator
 
 
 @pytest.fixture()
@@ -130,114 +130,6 @@ class TestFailurePropagation:
         proc = sim.process(parent())
         sim.run()
         assert proc.value == "handled"
-
-
-class TestInterrupt:
-    def test_interrupt_wakes_process_early(self, sim):
-        def body():
-            try:
-                yield sim.timeout(100.0)
-                return "slept"
-            except Interrupt as interrupt:
-                return ("interrupted", sim.now, interrupt.cause)
-
-        proc = sim.process(body())
-
-        def interrupter():
-            yield sim.timeout(2.0)
-            proc.interrupt("new work arrived")
-
-        sim.process(interrupter())
-        sim.run()
-        assert proc.value == ("interrupted", 2.0, "new work arrived")
-
-    def test_original_event_firing_after_interrupt_is_ignored(self, sim):
-        resumes = []
-
-        def body():
-            try:
-                yield sim.timeout(10.0)
-            except Interrupt:
-                resumes.append(("interrupt", sim.now))
-            yield sim.timeout(50.0)
-            resumes.append(("done", sim.now))
-
-        proc = sim.process(body())
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            proc.interrupt()
-
-        sim.process(interrupter())
-        sim.run()
-        # The abandoned 10 s timeout (fires at 10.0) must not resume the body.
-        assert resumes == [("interrupt", 1.0), ("done", 51.0)]
-
-    def test_interrupting_finished_process_is_noop(self, sim):
-        def body():
-            yield sim.timeout(1.0)
-            return "ok"
-
-        proc = sim.process(body())
-        sim.run()
-        proc.interrupt()  # must not raise
-        assert proc.value == "ok"
-
-    def test_unhandled_interrupt_fails_process(self, sim):
-        def body():
-            yield sim.timeout(100.0)
-
-        proc = sim.process(body())
-        proc.defused = True
-
-        def interrupter():
-            yield sim.timeout(1.0)
-            proc.interrupt()
-
-        sim.process(interrupter())
-        sim.run()
-        assert isinstance(proc.exception, Interrupt)
-
-
-class TestKill:
-    def test_kill_stops_process(self, sim):
-        reached = []
-
-        def body():
-            yield sim.timeout(10.0)
-            reached.append("end")
-
-        proc = sim.process(body())
-        proc.defused = True
-
-        def killer():
-            yield sim.timeout(1.0)
-            proc.kill()
-
-        sim.process(killer())
-        sim.run()
-        assert reached == []
-        assert isinstance(proc.exception, ProcessKilled)
-
-    def test_kill_runs_finally_blocks(self, sim):
-        cleaned = []
-
-        def body():
-            try:
-                yield sim.timeout(10.0)
-            finally:
-                cleaned.append(True)
-
-        proc = sim.process(body())
-        proc.defused = True
-
-        def killer():
-            yield sim.timeout(1.0)
-            proc.kill()
-
-        sim.process(killer())
-        sim.run()
-        assert cleaned == [True]
 
 
 class TestComposition:

@@ -587,6 +587,23 @@ class TestNumericFlags:
     def test_counts_must_be_in_range(self, capsys, argv, flag):
         self._assert_usage_error(capsys, argv, flag)
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["availability", "--fraction", "2"], "--fraction"),
+            (["availability", "--fraction", "-0.5"], "--fraction"),
+            (["availability", "--fraction", "nan"], "--fraction"),
+            (["availability", "--fraction", "1e400"], "--fraction"),
+            (["availability", "--years", "-1"], "--years"),
+            (["availability", "--years", "nan"], "--years"),
+            (["analyze", "snake", "--duration", "1", "--gap", "-1"], "--gap"),
+            (["analyze", "snake", "--duration", "1", "--gap", "nan"], "--gap"),
+            (["profile", "snake", "--duration", "1", "--top", "-3"], "--top"),
+        ],
+    )
+    def test_calculator_and_table_flags_are_bounded(self, capsys, argv, flag):
+        self._assert_usage_error(capsys, argv, flag)
+
 
 class TestOrganizationFlags:
     """Every run command takes --organization/--ndisks, as the service does."""
