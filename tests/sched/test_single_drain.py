@@ -8,15 +8,18 @@ command's timing is computed, so:
 * every lane must give exactly what the generic path gives (completion
   times, breakdowns, disk and driver counters), including when a fault
   lands in the middle of a precomputed batch;
-* attaching a tracer must change nothing simulated — same replay digest,
-  same dispatched events, no process per drain — and must record exactly
-  one disk span per completed command (an ``io_failed`` instant per
-  failed one).
+* attaching the sinks (tracer, histograms, registry and exposure
+  monitor, through ``attach_observability``) must change nothing
+  simulated — same replay digest, same dispatched events, no process per
+  drain, for every organization under the AFRAID, RAID 5 and MTTDL_x
+  policies — and the tracer must record exactly one disk span per
+  completed command (an ``io_failed`` instant per failed one).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -26,8 +29,8 @@ from repro.disk.vector import VECTOR_MIN
 from repro.faults import FaultInjector
 from repro.harness.replay import replay_trace
 from repro.harness.sharding import ShardReplayResult, replay_digest
-from repro.obs import Tracer
-from repro.policy import AlwaysRaid5Policy, BaselineAfraidPolicy
+from repro.obs import ExposureMonitor, HistogramSet, MetricsRegistry, Tracer
+from repro.policy import AlwaysRaid5Policy, BaselineAfraidPolicy, MttdlTargetPolicy
 from repro.sched import DiskDriver, FcfsScheduler
 from repro.sim import Simulator
 from repro.traces import make_trace
@@ -106,10 +109,14 @@ def test_every_lane_matches_execute(fault):
         assert driver_stats["failed"] > 0
 
 
-# -- tracing leaves the simulation untouched ----------------------------------------
+# -- attached sinks leave the simulation untouched ----------------------------------
 
 NDISKS = {"raid5": 5, "raid5d": 5, "raid10": 6, "raid15": 6, "raid1": 2}
-POLICIES = {"afraid": BaselineAfraidPolicy, "raid5": AlwaysRaid5Policy}
+POLICIES = {
+    "afraid": BaselineAfraidPolicy,
+    "raid5": AlwaysRaid5Policy,
+    "mttdl": functools.partial(MttdlTargetPolicy, 1e6),
+}
 
 
 def _replay(monkeypatch, organization, policy, traced, fail):
@@ -128,8 +135,10 @@ def _replay(monkeypatch, organization, policy, traced, fail):
     tracer = None
     if traced:
         tracer = Tracer(sim)
-        for driver in array.drivers:
-            driver.tracer = tracer
+        array.attach_observability(
+            tracer=tracer, histograms=HistogramSet(), registry=MetricsRegistry(),
+            exposure=ExposureMonitor(),
+        )
     if fail:
         FaultInjector(sim, array).fail_disk_at(disk=1, at_time=1.0)
     trace = make_trace(
