@@ -1,13 +1,14 @@
 """The disabled-observability paths must be near-free.
 
-The driver's tracer hooks sit in its drain — :meth:`DiskDriver._step`
+The driver's span hooks sit in its drain — :meth:`DiskDriver._step`
 settles each command and :meth:`DiskDriver._park` parks on the next, once
 per disk command, the hottest loop in the simulator.  The first bench
-times the stock driver (``tracer=None``) against a control subclass whose
-drain is the same code with the tracer branches deleted outright; the
-second does the same for the array's exposure/registry hooks.  Each
-asserts the disabled path costs < 3% — the bar the hooks were designed
-to (one attribute load and one ``is not None`` test per site).  Control
+times the stock driver (no observer: ``traced_obs`` is ``None``) against
+a control subclass whose drain is the same code with the observer
+branches deleted outright; the second does the same for the array's
+mark and parity-lag hooks.  Each asserts the disabled path costs < 3% —
+the bar the hooks were designed to (one attribute load and one
+``is not None`` test per site).  Control
 and stock rounds alternate, so host drift hits both alike, and each
 control counts its own calls to prove the override really ran.
 
@@ -48,7 +49,7 @@ def best_pair(control, stock, rounds=ROUNDS):
 
 
 class UninstrumentedDriver(DiskDriver):
-    """The stock drain with its tracer branches deleted, as the control.
+    """The stock drain with its observer branches deleted, as the control.
 
     ``park_calls`` proves every command really went through the override.
     """
@@ -158,19 +159,19 @@ def test_disabled_tracer_overhead_is_under_three_percent():
     )
 
 
-# -- registry / exposure-monitor branches on the array write path ----------------------
+# -- observer branches on the array write path ------------------------------------------
 
 N_WRITES = 900
 
 
 class UninstrumentedArray(DiskArray):
-    """The pre-exposure mark loop and lag bookkeeping, as the control.
+    """The stock mark loop and lag bookkeeping without observer, as the control.
 
-    Identical to the stock methods with the ``self.exposure`` branches
-    deleted outright (the tracer branch stays: it belongs to the test
-    above).  Timing this against a stock array whose ``exposure`` is
-    ``None`` isolates what the exposure/registry hooks cost when disabled.
-    ``mark_runs_calls`` proves the write path really runs the override.
+    Identical to the stock methods with the ``self.obs`` branches deleted
+    outright.  Timing this against a stock array with no observer
+    (``obs`` is ``None``) isolates what the observer hooks cost when
+    disabled.  ``mark_runs_calls`` proves the write path really runs the
+    override.
     """
 
     mark_runs_calls = 0
@@ -197,10 +198,8 @@ class UninstrumentedArray(DiskArray):
     def _lag_changed(self):
         if not self._finished:
             lag = self.parity_lag_bytes
-            self.lag_tracker.record(self.sim.now, lag)
-            if self.tracer is not None:
-                self.tracer.counter("dirty_stripes", float(len(self.marks.marked_stripes)))
-                self.tracer.counter("parity_lag_bytes", lag)
+            now = self.sim.now
+            self.lag_tracker.record(now, lag)
 
 
 def write_storm(control: bool):
@@ -225,9 +224,9 @@ def test_disabled_exposure_registry_overhead_is_under_three_percent():
         lambda: write_storm(control=True), lambda: write_storm(control=False)
     )
     ratio = stock / control
-    print(f"\ndisabled registry/exposure overhead: {ratio:.4f}x "
+    print(f"\ndisabled observer overhead on writes: {ratio:.4f}x "
           f"(stock {stock * 1e3:.1f} ms vs control {control * 1e3:.1f} ms)")
     assert ratio < MAX_OVERHEAD_RATIO, (
-        f"disabled exposure/registry path costs {ratio:.3f}x "
+        f"disabled observer path on writes costs {ratio:.3f}x "
         f"(allowed < {MAX_OVERHEAD_RATIO}x)"
     )

@@ -32,6 +32,7 @@ from repro.layout import Raid5Layout
 from repro.layout.base import ExtentRun
 from repro.layout.organization import ArrayOrganization, get_organization
 from repro.nvram import MarkMemory, sub_unit_extent, sub_units_overlapping
+from repro.obs.observer import Observer
 from repro.policy import ParityPolicy, WriteMode
 from repro.sched import ClookScheduler, DiskDriver, FcfsScheduler
 from repro.sim import AllOf, Event, Resource, Simulator
@@ -171,12 +172,12 @@ class DiskArray:
         self.nvram_dirty_tracker = ParityLagTracker(start_time=sim.now)
         self._nvram_dirty_bytes = 0
         self.stats = ArrayStats()
-        #: Optional observability sinks (see :meth:`attach_observability`).
-        #: ``None`` keeps every instrumentation site to a single check.
-        self.tracer: "Tracer | None" = None
-        self.hists: "HistogramSet | None" = None
-        self.registry: "MetricsRegistry | None" = None
-        self.exposure: "ExposureMonitor | None" = None
+        #: The observer of the attached sinks (see :meth:`attach_observability`),
+        #: and the same observer while it has a tracer, for the sites only
+        #: the tracer listens to.  ``None`` keeps every instrumentation
+        #: site to a single check.
+        self.obs: Observer | None = None
+        self.traced_obs: Observer | None = None
 
         # The paper's host driver uses C-LOOK; any IoScheduler works here
         # (the scheduler-comparison ablation swaps in FCFS / SSTF / LOOK).
@@ -231,49 +232,21 @@ class DiskArray:
     ) -> None:
         """Attach a tracer, latency histograms, and/or exposure telemetry.
 
-        The tracer is propagated to the back-end drivers (per-disk command
-        spans) and to the policy (decision instants); the registry goes to
-        the policy too (mode-switch counters).  A ``registry`` without an
-        ``exposure`` monitor gets a default :class:`~repro.obs.ExposureMonitor`
-        (window and reliability parameters from :attr:`params`), since the
-        registry's availability gauges are its publications.  Passing
-        ``None`` for a sink detaches it.
+        The sinks go behind one :class:`~repro.obs.observer.Observer` in
+        :attr:`obs`, which the drivers (per-disk command spans, given a
+        tracer), the policy (decision instants, mode-switch counters), a
+        rebuild manager and a fault injector all reach through this array
+        when an event happens, whenever they were built.  A ``registry``
+        without an ``exposure`` monitor gets a default
+        :class:`~repro.obs.ExposureMonitor` (window and reliability
+        parameters from :attr:`params`), since the registry's availability
+        gauges are its publications.  Each call replaces every sink: one
+        passed as ``None`` is detached.
         """
-        self.tracer = tracer
-        self.hists = histograms
-        if registry is not None and exposure is None:
-            from repro.obs.exposure import ExposureMonitor
-
-            exposure = ExposureMonitor(params=self.params)
-        self.registry = registry
-        self.exposure = exposure
-        if exposure is not None:
-            exposure.attach(self, registry)
+        self.obs = obs = Observer.build(self, tracer, histograms, registry, exposure)
+        self.traced_obs = traced = obs.traced if obs is not None else None
         for driver in self.drivers:
-            driver.tracer = tracer
-        self.policy.tracer = tracer
-        self.policy.registry = registry
-
-    def _observe_client(self, request: ArrayRequest) -> None:
-        """Record one completed client request into the attached sinks."""
-        if self.hists is not None:
-            if self._degraded_disk is not None:
-                request_class = "degraded_write" if request.is_write else "degraded_read"
-            elif request.is_write:
-                request_class = "client_write"
-            else:
-                request_class = "client_read"
-            self.hists.record(request_class, request.io_time)
-        if self.tracer is not None:
-            self.tracer.complete(
-                "write" if request.is_write else "read",
-                start_s=request.submit_time,
-                duration_s=request.io_time,
-                track="client",
-                category="client",
-                offset=request.offset_sectors,
-                nsectors=request.nsectors,
-            )
+            driver.traced_obs = traced
 
     # -- ArrayView protocol (what policies see) -------------------------------------
 
@@ -302,8 +275,8 @@ class DiskArray:
     def request_scrub(self, force: bool = False) -> None:
         """Ask for background parity rebuilding (``force``: even if busy)."""
         if force:
-            if not self._force_scrub and self.exposure is not None:
-                self.exposure.forced_scrub()
+            if not self._force_scrub and self.obs is not None:
+                self.obs.forced_scrub()
             self._force_scrub = True
         self._ensure_scrubber()
 
@@ -355,8 +328,8 @@ class DiskArray:
             self._finished = True
             self.lag_tracker.finish(self.sim.now)
             self.nvram_dirty_tracker.finish(self.sim.now)
-            if self.exposure is not None:
-                self.exposure.finish(self.sim.now)
+            if self.obs is not None:
+                self.obs.finish(self.sim.now)
 
     def drain(self) -> Event:
         """An event that fires once no client work is queued or in flight."""
@@ -475,6 +448,35 @@ class DiskArray:
         """All currently-failed members, in failure order."""
         return tuple(self._failed_disks)
 
+    def fail_member(self, disk: int) -> tuple[int, float, int]:
+        """Fail member ``disk`` now: the one way a member dies.
+
+        The mechanical disk starts erroring, a functional twin loses the
+        member's contents, and the array operates degraded
+        (:meth:`enter_degraded`).  Returns the dirty stripes, the parity
+        lag and the bytes the twin lost at the failure.  Raises
+        ``ValueError``, failing nothing, for a member that already failed
+        or a failure the organization cannot absorb beside those already
+        failed (a second RAID 5 failure, a RAID 1/0 pair's partner).
+        """
+        if not 0 <= disk < self.ndisks:
+            raise ValueError(f"disk {disk} out of range")
+        if self.disks[disk].failed:
+            raise ValueError(f"disk {disk} already failed")
+        if self._failed_disks and not self.organization.can_absorb((*self._failed_disks, disk)):
+            raise ValueError(f"array already degraded on disk {self._degraded_disk}")
+        self.disks[disk].fail()
+        dirty = self.dirty_stripe_count
+        lag = self.parity_lag_bytes
+        lost = 0
+        if self.functional is not None:
+            lost = self.functional.lost_data_bytes(disk)
+            self.functional.fail_disk(disk)
+        self.enter_degraded(disk)
+        if self.obs is not None:
+            self.obs.event("disk_failure", disk=disk, dirty=dirty, lag_bytes=lag, lost_bytes=lost)
+        return dirty, lag, lost
+
     def enter_degraded(self, disk: int) -> "DataLossEvent | None":
         """Operate without member ``disk``: reads use the redundant copy
         (parity reconstruction or the mirror partner), writes take the
@@ -512,20 +514,14 @@ class DiskArray:
         )
         if not survivable:
             self.data_loss_events.append(event)
-        if self.tracer is not None:
-            self.tracer.instant(
-                "multi_disk_failure", track="faults", category="fault",
-                disk=disk, failed_disks=len(self._failed_disks),
-                survivable=survivable,
+        obs = self.obs
+        if obs is not None:
+            obs.event(
+                "multi_disk_failure",
+                disk=disk, failed_disks=len(self._failed_disks), survivable=survivable,
             )
-        if self.registry is not None:
-            self.registry.counter(
-                "multi_disk_failures_total", "disk failures beyond the first concurrent one"
-            ).inc()
             if not survivable:
-                self.registry.counter(
-                    "data_loss_events_total", "recorded unsurvivable failure combinations"
-                ).inc()
+                obs.event("data_loss")
         return event
 
     def leave_degraded(self, disk: int | None = None) -> None:
@@ -615,28 +611,24 @@ class DiskArray:
         ``stripe_items`` pairs each touched stripe with its runs, in
         ``_group_runs`` order.  ``mark_targets`` — a batch plan's
         precomputed ``(stripe, sub_unit)`` sequence, the one this walk
-        would produce — replaces the walk when no exposure monitor needs
-        its per-stripe notifications.
+        would produce — replaces the walk.
         """
+        obs = self.obs
+        if obs is not None:
+            obs.stripes_dirtied([stripe for stripe, _runs in stripe_items], self.sim.now)
         newly_marked = False
-        exposure = self.exposure
         marks = self.marks
-        now = self.sim.now
-        if mark_targets is not None and exposure is None:
+        if mark_targets is not None:
             for stripe, sub_unit in mark_targets:
                 newly_marked |= marks.mark(stripe, sub_unit)
         elif marks.bits_per_stripe == 1:
             # The common configuration: one mark per stripe, so each run
             # hits sub-unit 0 and the per-run span arithmetic is skipped.
             for stripe, runs in stripe_items:
-                if exposure is not None:
-                    exposure.stripe_dirtied(stripe, now)
                 for _run in runs:
                     newly_marked |= marks.mark(stripe, 0)
         else:
             for stripe, runs in stripe_items:
-                if exposure is not None:
-                    exposure.stripe_dirtied(stripe, now)
                 for run in runs:
                     for sub_unit in self._sub_units_of(run):
                         newly_marked |= marks.mark(stripe, sub_unit)
@@ -718,8 +710,8 @@ class DiskArray:
         """A foreground write made ``stripe`` redundant: clear its marks."""
         self.marks.clear_stripe(stripe)
         self._lag_changed()
-        if self.exposure is not None:
-            self.exposure.stripe_cleaned(stripe, self.sim.now, cause="write")
+        if self.obs is not None:
+            self.obs.stripe_cleaned(stripe, self.sim.now, "write")
 
     # -- background parity scrubbing --------------------------------------------------------------------
 
@@ -836,11 +828,8 @@ class DiskArray:
                 continue
             for lba in bad:
                 writes.append(self.drivers[index].submit(DiskIO(IoKind.WRITE, lba, 1)))
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "latent_repair", track="faults", category="fault",
-                    disk=index, sectors=len(bad),
-                )
+            if self.traced_obs is not None:
+                self.traced_obs.event("latent_repair", disk=index, sectors=len(bad))
         if not writes:
             return None
         join = AllOf(self.sim, writes)
@@ -851,21 +840,8 @@ class DiskArray:
         if join.ok:
             repaired = len(join.events)  # one single-sector rewrite each
             self.latent_sectors_repaired += repaired
-            if self.registry is not None:
-                self.registry.counter(
-                    "latent_sectors_repaired_total", "latent sectors healed by rewrite"
-                ).inc(repaired)
-
-    def _observe_scrub(self, name: str, started: float, stripe: int) -> None:
-        """Record one finished parity rebuild into the attached sinks."""
-        duration = self.sim.now - started
-        if self.hists is not None:
-            self.hists.record("scrub", duration)
-        if self.tracer is not None:
-            self.tracer.complete(
-                name, start_s=started, duration_s=duration,
-                track="scrubber", category="scrub", stripe=stripe,
-            )
+            if self.obs is not None:
+                self.obs.event("latent_sectors_repaired", count=repaired)
 
     # -- paritypoints (§5 / [Cormen93]) -------------------------------------------------------------------
 
@@ -899,16 +875,11 @@ class DiskArray:
         for stripe in range(self.layout.nstripes):
             for sub_unit in range(self.marks.bits_per_stripe):
                 self.marks.mark(stripe, sub_unit)
-        if self.exposure is not None:
-            now = self.sim.now
-            for stripe in range(self.layout.nstripes):
-                self.exposure.stripe_dirtied(stripe, now)
         self._lag_changed()
-        if self.tracer is not None:
-            self.tracer.instant(
-                "nvram_recovery", track="faults", category="fault",
-                stripes=self.layout.nstripes,
-            )
+        obs = self.obs
+        if obs is not None:
+            obs.stripes_dirtied(range(self.layout.nstripes), self.sim.now)
+            obs.event("nvram_recovery", stripes=self.layout.nstripes)
         self.request_scrub(force=True)
 
     def recovery_scan(self) -> None:
@@ -920,15 +891,10 @@ class DiskArray:
         wait only a few seconds before full performance is available" —
         redundancy, not correctness, is what the scan restores).
         """
-        if self.tracer is not None:
-            self.tracer.instant(
-                "recovery_scan", track="faults", category="fault",
-                stripes=self.marks.marked_stripe_count, marks=self.marks.count,
+        if self.obs is not None:
+            self.obs.event(
+                "recovery_scan", stripes=self.marks.marked_stripe_count, marks=self.marks.count
             )
-        if self.registry is not None:
-            self.registry.counter(
-                "recovery_scans_total", "crash-restart recovery scans"
-            ).inc()
         if self.marks.count:
             self.request_scrub(force=True)
 
@@ -937,14 +903,10 @@ class DiskArray:
     def _lag_changed(self) -> None:
         if not self._finished:
             lag = self.parity_lag_bytes
-            self.lag_tracker.record(self.sim.now, lag)
-            if self.exposure is not None:
-                self.exposure.on_lag_change(
-                    self.sim.now, lag, self.marks.marked_stripe_count, self.marks.count
-                )
-            if self.tracer is not None:
-                self.tracer.counter("dirty_stripes", float(self.marks.marked_stripe_count))
-                self.tracer.counter("parity_lag_bytes", lag)
+            now = self.sim.now
+            self.lag_tracker.record(now, lag)
+            if self.obs is not None:
+                self.obs.lag_changed(now, lag, self.marks.marked_stripe_count, self.marks.count)
 
     def __repr__(self) -> str:
         return (
@@ -1440,16 +1402,16 @@ class _Scrub(_Repair):
         else:
             marks.clear(stripe, sub_unit)
         array._lag_changed()
-        if not marks.is_marked(stripe):
-            if array.exposure is not None:
-                array.exposure.stripe_cleaned(stripe, array.sim.now, cause="scrub")
+        cleaned = not marks.is_marked(stripe)
+        if cleaned:
             array.stats.stripes_scrubbed += 1
-        if array.hists is not None or array.tracer is not None:
+        obs = array.obs
+        if obs is not None:
             if array._mirrored:
                 name = "scrub_stripe_mirror"
             else:
                 name = "scrub_stripe" if sub_unit is None else "scrub_sub_unit"
-            array._observe_scrub(name, self.started, stripe)
+            obs.scrubbed(name, self.started, stripe, cleaned)
         if array.functional is not None and not array._mirrored:
             if sub_unit is None:
                 array.functional.scrub_stripe(stripe)
@@ -1511,11 +1473,8 @@ class _Commit:
         except BaseException as exc:
             self._settled(exc)
             return
-        if array.tracer is not None:
-            array.tracer.complete(
-                "commit", start_s=self.started, duration_s=array.sim.now - self.started,
-                track="scrubber", category="commit", stripes=len(stripes),
-            )
+        if array.traced_obs is not None:
+            array.traced_obs.span("commit", self.started, stripes=len(stripes))
         array.sim.call_soon(self._finish)
 
     def _settled(self, exc: BaseException | None) -> None:
@@ -1902,8 +1861,8 @@ class _ServiceCall:
             stats.reads_completed += 1
         # request.io_time inlined (both stamps are known non-None here).
         stats.io_times.append(now - request.submit_time)
-        if array.hists is not None or array.tracer is not None:
-            array._observe_client(request)
+        if array.obs is not None:
+            array.obs.client(request, array._degraded_disk is not None)
         # Nobody may be listening yet (the replay feeder collects its
         # completions after the fact): then the event completes in place.
         self.done.complete(request)

@@ -228,13 +228,13 @@ def _checkpoint_extras(sim, array) -> dict:
     """Everything ``run_experiment`` reads off the live array after the
     replay that is not already in the
     :class:`~repro.harness.sharding.ShardReplayResult` counters
-    (collected on the final shard)."""
+    (collected on the final shard): its observer always holds histograms
+    and an exposure monitor."""
+    obs = array.obs
     return {
         "dirty_at_end": array.dirty_stripe_count,
-        "latency_hists": array.hists.to_payload() if array.hists is not None else None,
-        "exposure_hists": (
-            array.exposure.hists.to_payload() if array.exposure is not None else None
-        ),
+        "latency_hists": obs.hists.to_payload(),
+        "exposure_hists": obs.exposure.hists.to_payload(),
     }
 
 

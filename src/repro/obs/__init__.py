@@ -22,11 +22,15 @@ at that granularity:
 * :class:`SloEngine` / :class:`SloRule` — declarative thresholds on
   registry metrics, with breach/recovery instants on the tracer;
 * :func:`prometheus_text` / :class:`RegistrySnapshotter` — Prometheus
-  text-exposition and JSONL exports of the registry.
+  text-exposition and JSONL exports of the registry;
+* :class:`Observer` — the one place an array's tracer, histograms,
+  registry and exposure monitor attach.
 
-Everything is opt-in: components carry ``tracer`` and ``registry``
-attributes that are ``None`` by default, and every instrumentation site
-costs one ``is not None`` check when disabled.
+Everything is opt-in: ``DiskArray.attach_observability`` puts the sinks
+behind one :class:`Observer` in ``array.obs`` (``None`` by default),
+which every simulated component reaches through its array when an event
+happens, and every instrumentation site costs one ``is not None`` check
+when disabled.
 """
 
 from repro.obs.exposure import (
@@ -44,6 +48,7 @@ from repro.obs.export import (
     write_prometheus,
 )
 from repro.obs.hist import REQUEST_CLASSES, HistogramSet, LatencyHistogram
+from repro.obs.observer import Observer
 from repro.obs.registry import Counter, Gauge, HistogramMetric, MetricsRegistry
 from repro.obs.samplers import PeriodicSampler, SampleSeries, attach_array_probes
 from repro.obs.service import ServiceMetrics
@@ -61,6 +66,7 @@ __all__ = [
     "LatencyHistogram",
     "LatencyWindows",
     "MetricsRegistry",
+    "Observer",
     "PeriodicSampler",
     "RegistrySnapshotter",
     "SampleSeries",

@@ -19,7 +19,7 @@ from repro.sched.queues import FcfsScheduler, IoScheduler
 from repro.sim import Event, Simulator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - optional observability
-    from repro.obs import Tracer
+    from repro.obs.observer import Observer
 
 
 @dataclasses.dataclass
@@ -64,9 +64,11 @@ class DiskDriver:
         #: completion, and each ``self._step`` reference would allocate a
         #: fresh bound-method object.
         self._step_cb = self._step
-        #: Optional span-per-command tracer; ``None`` (the default) keeps
-        #: the drain's disabled path to one attribute load per command.
-        self.tracer: "Tracer | None" = None
+        #: The array's observer while it has a tracer (set by
+        #: ``DiskArray.attach_observability``): a span per command.
+        #: ``None`` (the default) keeps the drain's disabled path to one
+        #: attribute load per command.
+        self.traced_obs: "Observer | None" = None
         #: ``(completion, io, issue time)`` of the last command issued
         #: while a tracer was attached: its span opens at the issue.
         self._issued: tuple[Event, DiskIO, float] | None = None
@@ -153,7 +155,7 @@ class DiskDriver:
                     # or latent-sector error); the command is accounted
                     # and the drive keeps serving the queue.
                     stats.failed += 1
-                if self.tracer is not None:
+                if self.traced_obs is not None:
                     self._trace_settled(event)
         now = sim._now
         # With immediate reporting the completion fires at the buffer
@@ -228,7 +230,7 @@ class DiskDriver:
 
     def _park(self, io: DiskIO, completion: Event) -> None:
         """Park the drain on the completion of the command just issued."""
-        if self.tracer is not None:
+        if self.traced_obs is not None:
             self._issued = (completion, io, self.sim._now)
         completion.callbacks.append(self._step_cb)
         self._wait = completion
@@ -239,14 +241,6 @@ class DiskDriver:
         issued = self._issued
         if issued is None or issued[0] is not completion:
             return  # issued before the tracer was attached
-        _completion, io, start = issued
-        if completion._exception is None:
-            self.tracer.complete(
-                io.kind.value, start_s=start, duration_s=self.sim._now - start,
-                track=self.name, category="disk", lba=io.lba, nsectors=io.nsectors,
-            )
-        else:
-            self.tracer.instant(
-                "io_failed", track=self.name, category="disk",
-                lba=io.lba, nsectors=io.nsectors,
-            )
+        self.traced_obs.disk_command(
+            self.name, issued[1], issued[2], completion._exception is not None
+        )

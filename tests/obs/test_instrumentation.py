@@ -87,7 +87,7 @@ class TestDegradedAndRebuild:
         done = manager.fail_and_rebuild(1, toy_disk(sim, name="spare"))
         stats = sim.run_until_triggered(done)
 
-        assert tracer.instants_named("disk_failed")
+        assert tracer.instants_named("disk_failure")
         stripe_spans = [r for r in tracer.spans_on("rebuild") if r[3] == "rebuild_stripe"]
         assert len(stripe_spans) == stats.stripes_rebuilt
         (sweep,) = [r for r in tracer.spans_on("rebuild") if r[3] == "rebuild"]
