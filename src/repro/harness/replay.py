@@ -81,8 +81,8 @@ class _Feeder:
     gap created at the *wake* position of the previous gap (so its
     sequence number — and therefore every same-instant tie-break against
     in-flight completions — is fixed), and a listener-free finish that
-    never schedules an event (as ``Process._resume`` elides a process
-    finish nobody waits on).
+    never schedules an event (as :meth:`~repro.sim.Event.complete` elides
+    a process finish nobody waits on).
 
     A feeder given a ``cut`` index also pauses: the first arrival of a
     record at or past ``cut`` that finds the simulator otherwise empty

@@ -50,73 +50,32 @@ class Process(Event):
     # -- kernel internals ----------------------------------------------------
 
     def _resume(self, event: Event) -> None:
-        """Callback invoked when the awaited event fires.
+        """The one step: send ``event``'s value in (or throw its exception), then wait.
 
-        This is the per-hop path of every process — the success branch
-        runs the generator and re-arms the next wait inline rather than
-        fanning out through helper methods (one resume used to cost four
-        nested calls; on long process chains that overhead dominated).
+        A finished generator completes the process (in place when nobody
+        listens: :meth:`Event.complete`); an escaping exception fails it.
+        A yielded non-event, or an event of another simulator, closes the
+        generator and fails the process with ``TypeError`` or
+        ``ValueError``.
         """
-        if event._exception is not None:
-            self._step_throw(event._exception)
-            return
+        exc = event._exception
         try:
-            target = self._generator.send(event._value)
+            if exc is None:
+                target = self._generator.send(event._value)
+            else:
+                target = self._generator.throw(exc)
         except StopIteration as stop:
-            # With listeners attached, trigger normally so they are
-            # dispatched.  Without any (fire-and-forget pumps and
-            # per-request service processes — the common case), mark the
-            # process event processed directly: dispatching an event with
-            # zero callbacks is a no-op, and a late add_callback on a
-            # processed event already runs immediately, so skipping the
-            # schedule + dispatch changes no observable ordering.
-            if self.callbacks:
-                self.succeed(stop.value)
-            else:
-                self._value = stop.value
-                self.callbacks = None
+            self.complete(stop.value)
             return
-        except BaseException as exc:
-            self._crash(exc)
-            return
-        # Inline _wait_on's happy path: yielded a live event of our sim.
-        if isinstance(target, Event) and target.sim is self.sim:
-            callbacks = target.callbacks
-            if callbacks is not None:
-                callbacks.append(self._resume)
-            else:
-                self._resume(target)  # already processed: resume immediately
-        else:
-            self._wait_on(target)
-
-    def _step_throw(self, exc: BaseException) -> None:
-        try:
-            target = self._generator.throw(exc)
-        except StopIteration as stop:
-            if self.callbacks:  # see _resume: listener-free finish shortcut
-                self.succeed(stop.value)
-            else:
-                self._value = stop.value
-                self.callbacks = None
         except BaseException as raised:
-            if raised is exc:
-                # The process did not handle the exception: fail the process
-                # event so waiters see it (uncaught failures surface in run()).
-                self.fail(raised)
-            else:
-                self._crash(raised)
-        else:
-            self._wait_on(target)
-
-    def _wait_on(self, target: Event) -> None:
+            self.fail(raised)
+            return
         if not isinstance(target, Event):
-            self._crash(TypeError(f"process {self.name!r} yielded {target!r}, expected an Event"))
+            error = TypeError(f"process {self.name!r} yielded {target!r}, expected an Event")
+        elif target.sim is not self.sim:
+            error = ValueError(f"process {self.name!r} yielded an event from another simulator")
+        else:
+            target.add_callback(self._resume)
             return
-        if target.sim is not self.sim:
-            self._crash(ValueError(f"process {self.name!r} yielded an event from another simulator"))
-            return
-        target.add_callback(self._resume)
-
-    def _crash(self, exc: BaseException) -> None:
         self._generator.close()
-        self.fail(exc)
+        self.fail(error)

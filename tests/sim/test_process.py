@@ -72,6 +72,23 @@ class TestBasics:
         sim.run()
         assert isinstance(proc.exception, TypeError)
 
+    def test_yielding_another_simulators_event_fails_process(self, sim):
+        other = Simulator()
+        closed = []
+
+        def body():
+            try:
+                yield other.timeout(1.0)
+            finally:
+                closed.append(True)
+
+        proc = sim.process(body())
+        proc.defused = True
+        sim.run()
+        assert isinstance(proc.exception, ValueError)
+        assert "another simulator" in str(proc.exception)
+        assert closed == [True]  # the generator was closed
+
     def test_is_alive(self, sim):
         def body():
             yield sim.timeout(5.0)
