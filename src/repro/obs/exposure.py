@@ -333,8 +333,8 @@ class ExposureMonitor:
         """Eq. (2c) over the *whole run so far* — the MTTDL_x policy's metric.
 
         Computed from the array's whole-run
-        :meth:`~repro.availability.lag.ParityLagTracker.snapshot_unprotected_fraction`,
-        i.e. exactly the quantity the policy previously recomputed ad hoc.
+        :meth:`~repro.availability.lag.ParityLagTracker.snapshot_unprotected_fraction`
+        with the organization's model, exactly as the policy computes it.
         """
         if self.array is None:
             raise RuntimeError("monitor not attached to an array")
@@ -349,8 +349,6 @@ class ExposureMonitor:
             mttr_h=params.mttr_h,
             unprotected_fraction=fraction,
         )
-        # Every evaluation refreshes the gauge, so a policy polling its
-        # target reads (and keeps current) the exported metric itself.
         if self._gauges is not None:
             self._gauges["achieved_mttdl_h"].set(value)
         return value
