@@ -351,6 +351,8 @@ class _CampaignRun:
         self.failed_disks: list[int] = []
         self.latent: dict[int, list[int]] = {}
         self.spares_left = spec.spare_pool
+        #: Members whose rebuild holds a spare taken from the pool.
+        self.rebuilding: set[int] = set()
         self.conservative = False
         self.event_log: list[dict] = []
         self.invariant_results: list[InvariantResult] = []
@@ -453,6 +455,10 @@ class _CampaignRun:
             seg_end = self.boundaries[self.index + 1]
             sim.run(until=seg_end)
             self.event_log.append({"t": seg_end, "kind": "crash"})
+            # The crash discards the rebuilds in flight: their spares go
+            # back to the pool, for the restarted repairs to take again.
+            self.spares_left += len(self.rebuilding)
+            self.rebuilding.clear()
 
         requests = self.requests
         completions = self.replay[3]
@@ -509,13 +515,16 @@ class _CampaignRun:
         if self.spares_left <= 0:
             self.event_log.append({"t": sim.now, "kind": "repair_no_spare", "disk": disk})
             return
+        # A spare leaves the pool when its rebuild starts.
+        self.spares_left -= 1
+        self.rebuilding.add(disk)
         spare = self.campaign._make_disk(sim, f"campaign.spare{disk}")
         manager = RebuildManager(sim, array, yield_to_foreground=False)
         manager.rebuild_onto(disk, spare).callbacks.append(functools.partial(self._rebuilt, disk))
 
     def _rebuilt(self, disk: int, rebuilt) -> None:
         array = self.array
-        self.spares_left -= 1
+        self.rebuilding.discard(disk)
         if disk in self.failed_disks:
             self.failed_disks.remove(disk)
         if array.marks.count:

@@ -115,6 +115,37 @@ class TestCrashSegments:
             assert summary["spares_used"] == 1
 
 
+class TestSparePool:
+    """A spare leaves the pool when its rebuild starts; a crash gives it back."""
+
+    @pytest.mark.parametrize("organization", ["raid10", "raid15"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_two_concurrent_repairs_share_one_spare(self, organization, seed):
+        # Both members fail before either rebuild finishes: the second
+        # repair finds the pool empty instead of drawing a spare it lacks.
+        spec = CampaignSpec(organization=organization, disk_failures=2.0, spare_pool=1)
+        report = run_campaign(spec, seed)
+        kinds = [event["kind"] for event in report.payload["events"]]
+        assert report.payload["summary"]["spares_used"] == 1
+        assert kinds.count("repair_no_spare") == 1
+        assert kinds.count("rebuild_complete") == 1
+        assert report.ok, report.violations
+
+    def test_a_crash_returns_the_spare_of_the_rebuild_it_cuts(self):
+        spec = CampaignSpec(organization="raid5", ndisks=5, crashes=1.0, crash_points=(2.5,))
+        report = run_campaign(spec, 1)
+        events = report.payload["events"]
+        (failure,) = [event for event in events if event["kind"] == "disk_failure"]
+        (rebuilt,) = [event for event in events if event["kind"] == "rebuild_complete"]
+        crashes = [event["t"] for event in events if event["kind"] == "crash"]
+        # The repair starts before the first crash, which cuts it short;
+        # the rebuild that completes is the last segment's.
+        assert failure["t"] + spec.repair_delay_s < crashes[0] < rebuilt["t"]
+        assert crashes[-1] < rebuilt["t"]
+        assert report.payload["summary"]["spares_used"] == 1
+        assert report.ok
+
+
 class TestSuiteRunner:
     def test_suite_collects_all_seeds(self):
         spec = CampaignSpec(disk_failures=1.0)
