@@ -95,7 +95,6 @@ def capture(workload: str, duration_s: float, seed: int, organization: str) -> d
             "total_time": tracker.total_time,
         },
         "horizon_s": outcome.horizon_s,
-        "events_dispatched": sim.events_dispatched,
     }
 
 

@@ -118,7 +118,6 @@ def capture(organization: str, policy: str, write_policy: str, fail: bool) -> di
             for d in array.disks
         ],
         "horizon_s": outcome.horizon_s,
-        "events_dispatched": sim.events_dispatched,
     }
 
 
@@ -136,11 +135,7 @@ def test_paths_match_golden_fixture():
     assert set(fresh["results"]) == set(golden["results"])
     for key, expected in golden["results"].items():
         actual = fresh["results"][key]
-        # The dispatched-event count is recorded but not compared: eliding
-        # an event that nothing listens to changes it, not the results.
         for field in expected:
-            if field == "events_dispatched":
-                continue
             assert actual[field] == expected[field], f"{key}: {field} diverged"
 
 

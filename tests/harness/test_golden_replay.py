@@ -85,7 +85,6 @@ def capture(workload: str, duration_s: float, seed: int, policy_name: str) -> di
             "total_time": tracker.total_time,
         },
         "horizon_s": outcome.horizon_s,
-        "events_dispatched": sim.events_dispatched,
     }
 
 

@@ -174,7 +174,6 @@ def capture(case: str, organization: str, bits: int) -> dict:
         "marks_left_digest": hashlib.sha256(json.dumps(marks).encode()).hexdigest(),
         "commit_dirty_stripes": dirty_met[0],
         "horizon_s": outcome.horizon_s,
-        "events_dispatched": sim.events_dispatched,
     }
 
 
@@ -191,11 +190,7 @@ def test_scrub_matches_golden_fixture():
     assert set(fresh["results"]) == set(golden["results"])
     for key, expected in golden["results"].items():
         actual = fresh["results"][key]
-        # The dispatched-event count is recorded but not compared: eliding
-        # an event that nothing listens to changes it, not the results.
         for field in expected:
-            if field == "events_dispatched":
-                continue
             assert actual[field] == expected[field], f"{key}: {field} diverged"
 
 
