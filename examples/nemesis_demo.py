@@ -36,7 +36,7 @@ def main() -> None:
     print(f"nemesis soak: {duration:g}s of {spec.workload}, seed {seed}")
     print(f"  requests: {outcome.requests['completed']} completed, "
           f"{outcome.requests['failed']} failed")
-    counts = outcome.loop.tracker.counts()
+    counts = timeline.fault_counts()
     injected = ", ".join(f"{kind}×{n}" for kind, n in sorted(counts.items()))
     print(f"  faults injected: {injected or '(none)'}")
     print(f"  injection gate: {outcome.loop.holds} hold(s), "

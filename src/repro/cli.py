@@ -958,9 +958,8 @@ def cmd_nemesis(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(outcome.summary_payload(), indent=2, sort_keys=True))
     else:
-        tracker = outcome.loop.tracker
         rows = [
-            [kind, str(count)] for kind, count in sorted(tracker.counts().items())
+            [kind, str(count)] for kind, count in sorted(outcome.timeline.fault_counts().items())
         ] or [["(none)", "0"]]
         print(
             format_table(
@@ -980,7 +979,7 @@ def cmd_nemesis(args: argparse.Namespace) -> int:
             f"injection gate: {holds} hold(s), {outcome.loop.resumes} resume(s), "
             f"{len(outcome.loop.dropped)} fault(s) dropped at the horizon"
         )
-        open_rows = tracker.inventory_rows(outcome.horizon_s)
+        open_rows = outcome.timeline.open_fault_rows(outcome.horizon_s)
         if open_rows:
             print(format_table(["id", "kind", "disk", "open (s)"], open_rows, title="still open"))
         kinds = ", ".join(
@@ -1341,7 +1340,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="exit 1 if any loss invariant was violated",
     )
 
-    nemesis_defaults = {field.name: field.default for field in dataclasses.fields(NemesisSpec)}
+    nemesis_defaults = NemesisSpec().to_dict()
     nemesis = _command(
         commands, "nemesis", cmd_nemesis,
         "continuous SLO-gated chaos with a correlated incident timeline",

@@ -1,4 +1,4 @@
-"""Fault injection, seeded fault campaigns, and loss-invariant checking.
+"""Fault injection, seeded fault runs, and loss-invariant checking.
 
 ``repro.faults`` grew from a single injector module into a subsystem:
 
@@ -7,22 +7,23 @@
   predictor;
 * :mod:`repro.faults.invariants` — the paper's §3 loss claims as
   machine-checked assertions against the functional twin;
-* :mod:`repro.faults.campaign` — deterministic seeded campaigns that
-  compose the two with crash/power-loss segmentation, spare-pool
-  repairs, and byte-stable JSON reports.
+* :mod:`repro.faults.campaign` — the fault run (``FaultRun``): one spec
+  base, one set-up, one spare pool and repair, one reader of the
+  injector's strikes and one request tally, with the deterministic seeded
+  campaign as its first case (crash/power-loss segments, invariant
+  checks, byte-stable JSON reports);
+* :mod:`repro.faults.nemesis` — its second case, the continuous
+  SLO-gated nemesis, whose open faults are its timeline's.
 """
 
 from repro.faults.campaign import (
     CampaignReport,
     CampaignSpec,
-    FaultCampaign,
     FaultEvent,
     draw_fault_schedule,
     run_campaign,
 )
 from repro.faults.nemesis import (
-    ActiveFault,
-    ActiveFaultsTracker,
     NemesisLoop,
     NemesisSpec,
 )
@@ -39,12 +40,9 @@ from repro.faults.invariants import (
 )
 
 __all__ = [
-    "ActiveFault",
-    "ActiveFaultsTracker",
     "CampaignReport",
     "CampaignSpec",
     "DiskFailureReport",
-    "FaultCampaign",
     "FaultEvent",
     "FaultInjector",
     "InvariantChecker",

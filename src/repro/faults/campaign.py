@@ -1,12 +1,29 @@
-"""Deterministic seeded fault campaigns with crash-recovery checking.
+"""Fault runs: a workload replayed under a seeded fault schedule.
 
-A campaign replays a workload against a fresh array while a seeded
+A fault run replays a workload against a fresh array while a seeded
 schedule of faults — member-disk deaths, NVRAM (marking-memory) losses,
-latent sector errors, and whole-box crashes/power losses — strikes it,
-with spare-disk repairs following each failure after a technician delay.
-After every event the :class:`~repro.faults.invariants.InvariantChecker`
-compares the array's own loss prediction (the NVRAM marks, eq. (4))
-against the functional twin's ground truth.
+latent sector errors and, in a campaign, whole-box crashes/power losses
+— strikes it, with spare-disk repairs following each failure after a
+technician delay.  :class:`FaultRun` is that run, one object with one
+set of steps:
+
+* :meth:`~FaultRun.begin` builds a segment from the spec — simulator,
+  array, functional twin, injector — arms its faults and returns its
+  slice of the trace, which the caller feeds through the replay driver
+  (:func:`repro.harness.replay.feed_trace`);
+* :meth:`~FaultRun.end` closes the segment: at a crash, or at the
+  horizon (:func:`repro.harness.replay.close_replay`) followed by
+  :func:`finish_recovery`;
+* :meth:`~FaultRun.report` reduces the run; :meth:`~FaultRun.run` takes
+  every step.
+
+Its two cases are the seeded campaign (:class:`CampaignRun`, here) and
+the SLO-gated nemesis (:class:`~repro.faults.nemesis.NemesisLoop`, which
+adds the gate loop, the SLO engine and the timeline).  The campaign adds
+crash segments and the invariant checks: after every event the
+:class:`~repro.faults.invariants.InvariantChecker` compares the array's
+own loss prediction (the NVRAM marks, eq. (4)) against the functional
+twin's ground truth.
 
 Crashes are simulated structurally: the run is cut into *segments* at
 each crash point.  A segment's simulator and array simply stop (whatever
@@ -14,10 +31,7 @@ was in flight is lost); the next segment builds a fresh simulator at the
 crash time, restores the NVRAM marks (non-volatile), the failed-member
 state, and the latent sector set, re-attaches the same functional twin
 (the platters), runs the §3.1 recovery scan, and resumes the remainder
-of the trace at its original timestamps.  Each segment feeds its slice
-of the trace through the replay driver
-(:func:`repro.harness.replay.feed_trace`); the last one closes with
-:func:`repro.harness.replay.close_replay` and :func:`finish_recovery`.
+of the trace at its original timestamps.
 
 Everything — fault schedule, workload, simulation — derives from the
 (seed, spec) pair, so two runs of the same campaign produce byte-
@@ -37,8 +51,8 @@ from repro.array.factory import build_array
 from repro.blocks import FunctionalArray
 from repro.disk import hp_c3325, toy_disk
 from repro.ext.rebuild import RebuildManager
-from repro.faults.injector import DiskFailureReport, FaultInjector, LatentProbe
-from repro.faults.invariants import InvariantChecker, InvariantResult
+from repro.faults.injector import FaultInjector, LatentProbe
+from repro.faults.invariants import InvariantChecker
 from repro.layout.base import UnitKind
 from repro.nvram import sub_unit_of
 from repro.obs import HistogramSet
@@ -60,42 +74,32 @@ _DISK_FACTORIES = {
 }
 
 
-def check_fault_spec(spec) -> None:
-    """The bounds a :class:`CampaignSpec` and a ``NemesisSpec`` share.
+class _PerSpec:
+    """The default of a shared field that each spec names in its ``DEFAULTS``."""
 
-    Resolves ``spec.ndisks=None`` to the organization's default count;
-    each spec checks its own extra fields after this.
-    """
-    check_choice("workload", spec.workload, CATALOG)
-    check_number("duration_s", spec.duration_s, strict=True)
-    _org, ndisks = check_organization(spec.organization, spec.ndisks)
-    object.__setattr__(spec, "ndisks", ndisks)
-    for name in ("stripe_unit_sectors", "bits_per_stripe"):
-        check_integer(name, getattr(spec, name), minimum=1)
-    for name in ("spare_pool", "max_faults"):
-        check_integer(name, getattr(spec, name), minimum=0)
-    check_choice("policy", spec.policy, POLICIES)
-    check_choice("disk_model", spec.disk_model, _DISK_FACTORIES)
-    for name in (
-        "idle_threshold_s", "disk_failures", "nvram_losses", "latent_errors",
-        "repair_delay_s", "settle_s",
-    ):
-        check_number(name, getattr(spec, name))
+    def __repr__(self) -> str:
+        return "<per-spec default>"
+
+
+_PER_SPEC = _PerSpec()
 
 
 @dataclasses.dataclass(frozen=True)
-class CampaignSpec:
-    """What a campaign throws at the array.
+class FaultSpec:
+    """The fields every fault run declares, and the checks they share.
 
     Fault knobs are *expected counts over the run* (a fractional part is
-    a probability of one more event), drawn at seeded-uniform times in
-    the middle 90 % of the run; ``crash_points`` adds explicit power-loss
-    times on top of the random ``crashes`` draws.  ``ndisks=None`` is the
-    organization's default disk count.
+    a probability of one more event), drawn at seeded-uniform times in the
+    middle 90 % of the run.  ``ndisks=None`` is the organization's default
+    disk count.  The run's length, its fault counts and its spare pool
+    default per spec: a subclass names them in ``DEFAULTS``, and checks its
+    own fields after these.
     """
 
+    DEFAULTS: typing.ClassVar[dict]
+
     workload: str = "snake"
-    duration_s: float = 6.0
+    duration_s: float = _PER_SPEC
     ndisks: int | None = None
     organization: str = "raid5"
     stripe_unit_sectors: int = 8
@@ -103,18 +107,56 @@ class CampaignSpec:
     policy: str = "afraid"
     disk_model: str = "toy"
     idle_threshold_s: float = 0.05
-    disk_failures: float = 1.0
-    nvram_losses: float = 0.0
-    latent_errors: float = 0.0
-    crashes: float = 0.0
-    crash_points: tuple[float, ...] = ()
-    spare_pool: int = 1
+    disk_failures: float = _PER_SPEC
+    nvram_losses: float = _PER_SPEC
+    latent_errors: float = _PER_SPEC
+    spare_pool: int = _PER_SPEC
     repair_delay_s: float = 0.5
     settle_s: float = 2.0
     max_faults: int = 16
 
     def __post_init__(self) -> None:
-        check_fault_spec(self)
+        for name, value in self.DEFAULTS.items():
+            if getattr(self, name) is _PER_SPEC:
+                object.__setattr__(self, name, value)
+        check_choice("workload", self.workload, CATALOG)
+        check_number("duration_s", self.duration_s, strict=True)
+        _org, ndisks = check_organization(self.organization, self.ndisks)
+        object.__setattr__(self, "ndisks", ndisks)
+        for name in ("stripe_unit_sectors", "bits_per_stripe"):
+            check_integer(name, getattr(self, name), minimum=1)
+        for name in ("spare_pool", "max_faults"):
+            check_integer(name, getattr(self, name), minimum=0)
+        check_choice("policy", self.policy, POLICIES)
+        check_choice("disk_model", self.disk_model, _DISK_FACTORIES)
+        for name in (
+            "idle_threshold_s", "disk_failures", "nvram_losses", "latent_errors",
+            "repair_delay_s", "settle_s",
+        ):
+            check_number(name, getattr(self, name))
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+
+@dataclasses.dataclass(frozen=True)
+class CampaignSpec(FaultSpec):
+    """What a campaign throws at the array.
+
+    ``crash_points`` adds explicit power-loss times on top of the random
+    ``crashes`` draws.
+    """
+
+    DEFAULTS: typing.ClassVar[dict] = {
+        "duration_s": 6.0, "disk_failures": 1.0, "nvram_losses": 0.0, "latent_errors": 0.0,
+        "spare_pool": 1,
+    }
+
+    crashes: float = 0.0
+    crash_points: tuple[float, ...] = ()
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
         check_number("crashes", self.crashes)
         inside = (is_number(t) and 0.0 < t < self.duration_s for t in self.crash_points)
         if not all(inside):
@@ -266,76 +308,47 @@ class CampaignReport:
         return json.dumps(self.payload, indent=2, sort_keys=True) + "\n"
 
 
-class FaultCampaign:
-    """One (spec, seed) campaign; :meth:`run` is deterministic and reusable."""
+class FaultRun:
+    """One fault run: the state it carries across its segments.
 
-    def __init__(self, spec: CampaignSpec, seed: int) -> None:
+    :meth:`begin` builds a segment's simulator, array and injector from
+    the spec, re-attaches the run's functional twin, arms the segment's
+    faults and returns its slice of the trace; the caller feeds it
+    through the replay driver.  :meth:`end` closes the segment, at a
+    crash or at the horizon, and :meth:`report` reduces the run.  Every
+    handler a segment arms is a bound method, so a run pickles between
+    any two events.
+
+    The spare pool and the repair are shared: a case decides when to arm
+    a repair (:meth:`_arm_repair`); a spare leaves the pool when its
+    rebuild starts, and a crash that discards a rebuild gives its spare
+    back.  So is the request tally, and both cases read the injector's
+    strikes through :meth:`~repro.faults.injector.FaultInjector.take_strikes`.
+    A case names its run (``name``) and supplies ``_arm(start, end)``,
+    ``_close(final)``, ``_no_spare(disk, cause)``,
+    ``_repaired(disk, cause, spare, stats)`` and ``report()``.
+    """
+
+    #: Names the run's array, its spares and its repair timeouts.
+    name: str
+
+    def __init__(
+        self, spec: FaultSpec, seed: int, crashes: float = 0.0,
+        crash_points: typing.Sequence[float] = (),
+    ) -> None:
         self.spec = spec
         self.seed = seed
-
-    # -- construction helpers ------------------------------------------------------
-
-    def _make_disk(self, sim: Simulator, name: str):
-        return _DISK_FACTORIES[self.spec.disk_model](sim, name=name)
-
-    def _build_array(self, sim: Simulator) -> DiskArray:
-        spec = self.spec
-        return build_array(
-            sim,
-            POLICIES[spec.policy](),
-            ndisks=spec.ndisks,
-            stripe_unit_sectors=spec.stripe_unit_sectors,
-            disk_factory=_DISK_FACTORIES[spec.disk_model],
-            organization=spec.organization,
-            with_functional=False,  # the twin is campaign-owned (survives crashes)
-            idle_threshold_s=spec.idle_threshold_s,
-            bits_per_stripe=spec.bits_per_stripe,
-            name="campaign",
-        )
-
-    def _draw_schedule(self, rng: random.Random) -> tuple[list[FaultEvent], list[float]]:
-        spec = self.spec
-        return draw_fault_schedule(
-            rng,
+        self.events, crash_times = draw_fault_schedule(
+            random.Random(seed),
             duration_s=spec.duration_s,
             ndisks=spec.ndisks,
             disk_failures=spec.disk_failures,
             nvram_losses=spec.nvram_losses,
             latent_errors=spec.latent_errors,
-            crashes=spec.crashes,
-            crash_points=spec.crash_points,
+            crashes=crashes,
+            crash_points=crash_points,
             max_faults=spec.max_faults,
         )
-
-    # -- the run -------------------------------------------------------------------
-
-    def run(self) -> CampaignReport:
-        # Deferred: repro.harness imports this package.
-        from repro.harness.replay import feed_trace
-
-        run = _CampaignRun(self)
-        for index in range(run.nsegments):
-            records = run.begin(index)
-            feed_trace(run.replay, records)
-            run.end()
-        return run.report()
-
-
-class _CampaignRun:
-    """One campaign run: the state it carries across crash segments.
-
-    :meth:`begin` builds a segment's simulator and array, restores what
-    the crash must not destroy, arms the segment's faults and returns its
-    slice of the trace; the caller feeds it through the replay driver.
-    :meth:`end` closes the segment, at a crash or at the horizon, and
-    :meth:`report` reduces the run.  Every handler a segment arms is a
-    bound method, so a run pickles mid-flight.
-    """
-
-    def __init__(self, campaign: FaultCampaign) -> None:
-        spec = self.spec = campaign.spec
-        self.campaign = campaign
-        self.events, crash_times = campaign._draw_schedule(random.Random(campaign.seed))
         self.boundaries = (
             [0.0]
             + [time_s for time_s in crash_times if 0.0 < time_s < spec.duration_s]
@@ -345,23 +358,23 @@ class _CampaignRun:
         self.twin: FunctionalArray | None = None
         self.trace = None
         self.hists = HistogramSet()
-        # Non-volatile across crashes: the NVRAM marks, the failed members
-        # (mirrored organizations survive several) and the media defects.
-        self.marks: list = []
-        self.failed_disks: list[int] = []
-        self.latent: dict[int, list[int]] = {}
         self.spares_left = spec.spare_pool
         #: Members whose rebuild holds a spare taken from the pool.
         self.rebuilding: set[int] = set()
-        self.conservative = False
-        self.event_log: list[dict] = []
-        self.invariant_results: list[InvariantResult] = []
-        self.all_reports: list[DiskFailureReport] = []
-        self.skipped_strikes = 0
-        self.requests = {"submitted": 0, "completed": 0, "failed": 0, "in_flight_at_crash": 0}
-        self.failure_kinds: dict[str, int] = {}
-        self.latent_repaired = 0
+        self.spares_made = 0
+        self.requests = {"submitted": 0, "completed": 0, "failed": 0, "failure_kinds": {}}
         self.index = -1
+
+    def run(self):
+        """Take every step: build, feed and close each segment, then reduce."""
+        # Deferred: repro.harness imports this package.
+        from repro.harness.replay import feed_trace
+
+        for index in range(self.nsegments):
+            records = self.begin(index)
+            feed_trace(self.replay, records)
+            self.end()
+        return self.report()
 
     # -- segments ------------------------------------------------------------------
 
@@ -369,31 +382,151 @@ class _CampaignRun:
         """Build segment ``index`` and arm its faults; returns its records."""
         spec = self.spec
         self.index = index
-        seg_start, seg_end = self.boundaries[index], self.boundaries[index + 1]
-        sim = self.sim = Simulator(start_time=seg_start)
-        array = self.array = self.campaign._build_array(sim)
+        start, end = self.boundaries[index], self.boundaries[index + 1]
+        sim = self.sim = Simulator(start_time=start)
+        array = self.array = build_array(
+            sim,
+            POLICIES[spec.policy](),
+            ndisks=spec.ndisks,
+            stripe_unit_sectors=spec.stripe_unit_sectors,
+            disk_factory=_DISK_FACTORIES[spec.disk_model],
+            organization=spec.organization,
+            idle_threshold_s=spec.idle_threshold_s,
+            bits_per_stripe=spec.bits_per_stripe,
+            name=self.name,
+        )
         organization = array.organization
-        # The functional twin's offset arithmetic assumes rotated
-        # stripe units; mirrored and declustered organizations run
-        # without it (and hence without byte-exact invariant checks).
-        supports_twin = not (organization.mirrored or organization.declustered)
-        if self.twin is None and supports_twin:
+        # The twin is the run's, so the platters survive a crash.  Its
+        # offset arithmetic assumes rotated stripe units: mirrored and
+        # declustered organizations run without it (and hence without
+        # byte-exact invariant checks).
+        if self.twin is None and not (organization.mirrored or organization.declustered):
             self.twin = FunctionalArray(
                 array.layout, sector_bytes=array.sector_bytes, sub_units=spec.bits_per_stripe
             )
         array.functional = self.twin
-        array.attach_observability(histograms=self.hists)
+        self._attach(array)
         if self.trace is None:
             self.trace = make_trace(
                 spec.workload,
                 duration_s=spec.duration_s,
                 address_space_sectors=array.layout.total_data_sectors,
-                seed=self.campaign.seed,
+                seed=self.seed,
                 allow_generic=True,
             )
-        checker = self.checker = InvariantChecker(array) if supports_twin else None
-        injector = self.injector = FaultInjector(sim, array)
-        self.seen_reports = self.seen_skips = 0
+        self.injector = FaultInjector(sim, array)
+        self._arm(start, end)
+        self.replay = (sim, array, [], [])
+        return [record for record in self.trace if start <= record.time_s < end]
+
+    def end(self) -> None:
+        """Close the fed segment: a crash, or the horizon and recovery."""
+        from repro.harness.replay import close_replay
+
+        spec, sim = self.spec, self.sim
+        final = self.index == self.nsegments - 1
+        if final:
+            close_replay(self.replay, spec.duration_s, spec.settle_s, finalize=False)
+            finish_recovery(sim, self.array, poll=self.poll)
+        else:
+            sim.run(until=self.boundaries[self.index + 1])
+            # The crash discards the rebuilds in flight: their spares go
+            # back to the pool, for the restarted repairs to take again.
+            self.spares_left += len(self.rebuilding)
+            self.rebuilding.clear()
+        self._tally(self.replay[3])
+        self._close(final)
+        if final:
+            self.array.finalize()
+
+    def _tally(self, completions: list) -> None:
+        """Count a segment's requests; a crash leaves some in flight."""
+        requests = self.requests
+        requests["submitted"] += len(completions)
+        for completion in completions:
+            if not completion.triggered:
+                requests["in_flight_at_crash"] += 1
+            elif completion.ok:
+                requests["completed"] += 1
+            else:
+                requests["failed"] += 1
+                kinds = requests["failure_kinds"]
+                name = type(completion.exception).__name__
+                kinds[name] = kinds.get(name, 0) + 1
+
+    def _attach(self, array: DiskArray) -> None:
+        """Attach the segment's observability sinks."""
+        array.attach_observability(histograms=self.hists)
+
+    def poll(self, now: float) -> None:
+        """A telemetry pass, after each step of the recovery drain."""
+
+    # -- the repair ------------------------------------------------------------------
+
+    def _arm_repair(self, disk: int, delay: float, cause=None) -> None:
+        """Repair member ``disk`` after ``delay``; ``cause`` rides along."""
+        self.sim.timeout(delay, name=f"{self.name}.repair").callbacks.append(
+            functools.partial(self._repair, disk, cause)
+        )
+
+    def _repair(self, disk: int, cause, _event) -> None:
+        # The strike may have been skipped, the member already repaired,
+        # or its rebuild already under way; only a live, unclaimed
+        # degradation on *this* member is ours to fix.
+        sim, array = self.sim, self.array
+        if disk not in array.failed_disks or disk in self.rebuilding:
+            return
+        if self.spares_left <= 0:
+            self._no_spare(disk, cause)
+            return
+        self.spares_left -= 1
+        self.rebuilding.add(disk)
+        self.spares_made += 1
+        spare = _DISK_FACTORIES[self.spec.disk_model](
+            sim, name=f"{self.name}.spare{self.spares_made}"
+        )
+        self._rebuild_started(disk, cause)
+        manager = RebuildManager(sim, array, yield_to_foreground=False)
+        manager.rebuild_onto(disk, spare).callbacks.append(
+            functools.partial(self._rebuilt, disk, cause, spare.name)
+        )
+
+    def _rebuild_started(self, disk: int, cause) -> None:
+        """A repair took a spare and starts rebuilding ``disk`` onto it."""
+
+    def _rebuilt(self, disk: int, cause, spare: str, rebuilt) -> None:
+        self.rebuilding.discard(disk)
+        self._repaired(disk, cause, spare, rebuilt.value)
+
+
+class CampaignRun(FaultRun):
+    """The campaign case: crash segments, carried state and invariant checks.
+
+    Each segment after a crash restores what the crash must not destroy
+    (the NVRAM marks, the failed members, the latent sectors) and runs the
+    §3.1 recovery scan; every strike is checked against the twin.
+    """
+
+    name = "campaign"
+
+    def __init__(self, spec: CampaignSpec, seed: int) -> None:
+        super().__init__(spec, seed, crashes=spec.crashes, crash_points=spec.crash_points)
+        self.requests["in_flight_at_crash"] = 0
+        # Non-volatile across crashes: the NVRAM marks, the failed members
+        # (mirrored organizations survive several) and the media defects.
+        self.marks: list = []
+        self.failed_disks: list[int] = []
+        self.latent: dict[int, list[int]] = {}
+        self.conservative = False
+        self.event_log: list[dict] = []
+        self.invariant_results: list = []
+        self.all_reports: list = []
+        self.skipped_strikes = 0
+        self.latent_repaired = 0
+
+    def _arm(self, start: float, end: float) -> None:
+        spec, sim, array, injector = self.spec, self.sim, self.array, self.injector
+        checker = self.checker = InvariantChecker(array) if self.twin is not None else None
 
         # ---- restore carried state (this is the crash-restart path) ----
         if self.marks:
@@ -406,10 +539,10 @@ class _CampaignRun:
                 array.disks[disk_index].inject_latent_error(lba)
 
         # ---- schedule this segment's faults -----------------------------
-        if index > 0:
+        if self.index > 0:
             self.event_log.append(
                 {
-                    "t": seg_start,
+                    "t": start,
                     "kind": "restart",
                     "restored_marks": array.marks.count,
                     "degraded": self.failed_disks[0] if self.failed_disks else None,
@@ -420,10 +553,10 @@ class _CampaignRun:
             array.recovery_scan()
             for failed_disk in self.failed_disks:
                 # The technician's clock restarts with the box.
-                self._schedule_repair(seg_start + spec.repair_delay_s, failed_disk)
+                self._arm_repair(failed_disk, start + spec.repair_delay_s - sim.now)
 
         for event in self.events:
-            if not seg_start <= event.time_s < seg_end:
+            if not start <= event.time_s < end:
                 continue
             if event.kind == "disk_failure":
                 injector.fail_disk_at(event.disk, event.time_s)
@@ -437,42 +570,8 @@ class _CampaignRun:
                 check = functools.partial(self._probe_latent, event.disk, lba)
             sim.timeout(event.time_s - sim.now, name="campaign.check").callbacks.append(check)
 
-        self.replay = (sim, array, [], [])
-        return [record for record in self.trace if seg_start <= record.time_s < seg_end]
-
-    def end(self) -> None:
-        """Close the fed segment: a crash, or the horizon and recovery."""
-        from repro.harness.replay import close_replay
-
-        spec = self.spec
-        sim, array, checker = self.sim, self.array, self.checker
-        final = self.index == self.nsegments - 1
-        if final:
-            close_replay(self.replay, spec.duration_s, spec.settle_s, finalize=False)
-            # The recovery invariant is checked against a settled array.
-            finish_recovery(sim, array)
-        else:
-            seg_end = self.boundaries[self.index + 1]
-            sim.run(until=seg_end)
-            self.event_log.append({"t": seg_end, "kind": "crash"})
-            # The crash discards the rebuilds in flight: their spares go
-            # back to the pool, for the restarted repairs to take again.
-            self.spares_left += len(self.rebuilding)
-            self.rebuilding.clear()
-
-        requests = self.requests
-        completions = self.replay[3]
-        requests["submitted"] += len(completions)
-        for completion in completions:
-            if not completion.triggered:
-                requests["in_flight_at_crash"] += 1
-            elif completion.ok:
-                requests["completed"] += 1
-            else:
-                requests["failed"] += 1
-                name = type(completion.exception).__name__
-                self.failure_kinds[name] = self.failure_kinds.get(name, 0) + 1
-
+    def _close(self, final: bool) -> None:
+        array, checker = self.array, self.checker
         if final:
             self._refresh_conservative()
             if checker is not None:
@@ -480,8 +579,8 @@ class _CampaignRun:
                 if array.degraded_disk is None:
                     checker.check_recovery_complete()
                     checker.check_parity_audit()
-            array.finalize()
         else:
+            self.event_log.append({"t": self.boundaries[self.index + 1], "kind": "crash"})
             # ---- snapshot state the crash must not destroy ------------
             self.marks = array.marks.snapshot() if not array.marks.failed else []
             self.failed_disks = list(array.failed_disks)
@@ -490,7 +589,6 @@ class _CampaignRun:
                 for disk_index, disk in enumerate(array.disks)
                 if disk.latent_error_lbas and not disk.failed
             }
-
         self.latent_repaired += array.latent_sectors_repaired
         if checker is not None:
             self.invariant_results.extend(checker.results)
@@ -502,29 +600,11 @@ class _CampaignRun:
         if self.conservative and not array.marks.failed and array.marks.count == 0:
             self.conservative = False
 
-    def _schedule_repair(self, at_time: float, disk: int) -> None:
-        sim = self.sim
-        sim.timeout(max(0.0, at_time - sim.now), name="campaign.repair").callbacks.append(
-            functools.partial(self._repair, disk)
-        )
+    def _no_spare(self, disk: int, cause) -> None:
+        self.event_log.append({"t": self.sim.now, "kind": "repair_no_spare", "disk": disk})
 
-    def _repair(self, disk: int, _event) -> None:
-        array, sim = self.array, self.sim
-        if disk not in array.failed_disks:
-            return
-        if self.spares_left <= 0:
-            self.event_log.append({"t": sim.now, "kind": "repair_no_spare", "disk": disk})
-            return
-        # A spare leaves the pool when its rebuild starts.
-        self.spares_left -= 1
-        self.rebuilding.add(disk)
-        spare = self.campaign._make_disk(sim, f"campaign.spare{disk}")
-        manager = RebuildManager(sim, array, yield_to_foreground=False)
-        manager.rebuild_onto(disk, spare).callbacks.append(functools.partial(self._rebuilt, disk))
-
-    def _rebuilt(self, disk: int, rebuilt) -> None:
+    def _repaired(self, disk: int, cause, spare: str, stats) -> None:
         array = self.array
-        self.rebuilding.discard(disk)
         if disk in self.failed_disks:
             self.failed_disks.remove(disk)
         if array.marks.count:
@@ -536,7 +616,7 @@ class _CampaignRun:
                 "t": self.sim.now,
                 "kind": "rebuild_complete",
                 "disk": disk,
-                "stripes": rebuilt.value.stripes_rebuilt,
+                "stripes": stats.stripes_rebuilt,
                 "marks_left": array.marks.count,
             }
         )
@@ -545,10 +625,9 @@ class _CampaignRun:
 
     def _disk_failure_checked(self, _event) -> None:
         self._refresh_conservative()
-        injector, checker = self.injector, self.checker
-        while self.seen_reports < len(injector.reports):
-            report = injector.reports[self.seen_reports]
-            self.seen_reports += 1
+        checker = self.checker
+        reports, skips = self.injector.take_strikes()
+        for report in reports:
             self.all_reports.append(report)
             if checker is not None:
                 checker.check_disk_failure(report, conservative=self.conservative)
@@ -565,10 +644,11 @@ class _CampaignRun:
                     "conservative": self.conservative,
                 }
             )
-            self._schedule_repair(report.at_time + self.spec.repair_delay_s, report.disk)
-        while self.seen_skips < len(injector.skipped):
-            skip = injector.skipped[self.seen_skips]
-            self.seen_skips += 1
+            # The technician arrives repair_delay_s after the strike.
+            self._arm_repair(
+                report.disk, report.at_time + self.spec.repair_delay_s - self.sim.now
+            )
+        for skip in skips:
             self.skipped_strikes += 1
             self.event_log.append(
                 {
@@ -652,22 +732,20 @@ class _CampaignRun:
             "request_classes": {
                 name: hist.count for name, hist in sorted(self.hists.hists.items()) if hist.count
             },
-            "data_lost_requests": self.failure_kinds.get("DataLostError", 0),
+            "data_lost_requests": self.requests["failure_kinds"].get("DataLostError", 0),
         }
         payload = {
-            "campaign": {"seed": self.campaign.seed, "spec": spec.to_dict()},
+            "campaign": {"seed": self.seed, "spec": spec.to_dict()},
             "schedule": [dataclasses.asdict(event) for event in self.events],
             "crash_points": [t for t in self.boundaries[1:-1]],
             "events": self.event_log,
-            "requests": dict(
-                self.requests, failure_kinds=dict(sorted(self.failure_kinds.items()))
-            ),
+            "requests": self.requests,
             "invariants": [result.as_payload() for result in self.invariant_results],
             "summary": summary,
         }
-        return CampaignReport(seed=self.campaign.seed, payload=payload)
+        return CampaignReport(seed=self.seed, payload=payload)
 
 
 def run_campaign(spec: CampaignSpec, seed: int) -> CampaignReport:
     """Run one seeded campaign and return its report."""
-    return FaultCampaign(spec, seed).run()
+    return CampaignRun(spec, seed).run()

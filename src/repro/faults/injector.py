@@ -64,6 +64,7 @@ class FaultInjector:
         self.array = array
         self.reports: list[DiskFailureReport] = []
         self.skipped: list[SkippedStrike] = []
+        self._taken = (0, 0)  # reports, skips already taken
 
     def fail_disk_at(self, disk: int, at_time: float) -> None:
         """Kill member ``disk`` at simulated time ``at_time``.
@@ -113,6 +114,12 @@ class FaultInjector:
                 predicted_loss_bytes=predicted,
             )
         )
+
+    def take_strikes(self) -> tuple[list[DiskFailureReport], list[SkippedStrike]]:
+        """The disk-failure reports and skipped strikes since the last call."""
+        reports, skips = self._taken
+        self._taken = (len(self.reports), len(self.skipped))
+        return self.reports[reports:], self.skipped[skips:]
 
     def fail_mark_memory_at(self, at_time: float, auto_recover: bool = True) -> None:
         """Lose the NVRAM marks at ``at_time``.

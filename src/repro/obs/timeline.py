@@ -177,8 +177,28 @@ class Timeline:
         )
 
     def open_fault_events(self) -> list[TimelineEvent]:
-        """Currently-open fault.inject events, outermost first."""
+        """Currently-open fault.inject events, in injection order."""
         return list(self._open_faults)
+
+    def fault_counts(self) -> dict[str, int]:
+        """Injected faults by kind, over the whole log."""
+        counts: dict[str, int] = {}
+        for event in self.events_of("fault.inject"):
+            fault = event.attrs.get("fault")
+            counts[fault] = counts.get(fault, 0) + 1
+        return counts
+
+    def open_fault_rows(self, now: float) -> list[list[str]]:
+        """(id, kind, disk, open-for) rows of the open faults, for tables."""
+        return [
+            [
+                event.id,
+                event.attrs.get("fault"),
+                str(event.attrs.get("disk", "-")),
+                f"{now - event.time_s:.3f}",
+            ]
+            for event in self._open_faults
+        ]
 
     def innermost_open_fault(self) -> TimelineEvent | None:
         return self._open_faults[-1] if self._open_faults else self._last_fault

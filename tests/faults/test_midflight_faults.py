@@ -1,12 +1,12 @@
 """A fault run paused between any two events pickles and resumes exactly.
 
-The injector's strikes, the campaign's and the nemesis's repair, check
-and probe handlers, the spare rebuild and the nemesis clock are bound
-methods and callback states: no generator frame, closure or lock holds
-fault state.  Each run below is paused at the first event past its pause
-time with the named work in flight, round-tripped through pickle and
-resumed; its result must equal the uninterrupted run's.  The campaign
-and nemesis cells are ``golden_faults.json`` cells.
+The injector's strikes, the fault run's repair, check and probe
+handlers, the spare rebuild and the nemesis clock are bound methods and
+callback states: no generator frame, closure or lock holds fault state.
+Each run below takes the fault run's own steps, is paused at the first
+event past its pause time with the named work in flight, round-tripped
+through pickle and resumed; its result must equal the uninterrupted
+run's.  The campaign and nemesis cells are ``golden_faults.json`` cells.
 """
 
 from __future__ import annotations
@@ -16,20 +16,15 @@ import pickle
 import threading
 
 from repro.array.batchplan import warm_extent_cache
-from repro.array.factory import build_array
-from repro.disk import toy_disk
 from repro.ext.rebuild import RebuildManager
-from repro.faults import CampaignSpec, FaultInjector, NemesisLoop, NemesisSpec, run_campaign
-from repro.faults.campaign import _DISK_FACTORIES, FaultCampaign, finish_recovery
+from repro.faults import CampaignSpec, NemesisLoop, NemesisSpec, run_campaign
+from repro.faults.campaign import CampaignRun
+from repro.faults.injector import LatentProbe
 from repro.harness import run_nemesis, write_nemesis_report
 from repro.harness.checkpoint import PICKLE_PROTOCOL
-from repro.harness.nemesis import NemesisOutcome
-from repro.harness.replay import _Feeder, close_replay, feed_trace
-from repro.obs import ExposureMonitor, HistogramSet, MetricsRegistry, SloEngine
-from repro.obs.timeline import LatencyWindows, Timeline
-from repro.policy import POLICIES, BaselineAfraidPolicy
+from repro.harness.replay import _Feeder, feed_trace
+from repro.obs.timeline import Timeline
 from repro.sim import Simulator
-from repro.traces import make_trace
 
 #: ``raid5/afraid/mixed/1``: member 0 fails at 1.03 s, the box crashes at
 #: 1.43 s, and the restarted segment rebuilds the member from 1.93 s to
@@ -53,31 +48,30 @@ def _live(cls, sim: Simulator, via: str = "") -> list:
     ]
 
 
-def _feed_paused(root, state, records, pause_s: float, in_flight):
-    """Feed ``records`` into ``state``, pausing at the first event past
-    ``pause_s`` where ``in_flight(root)`` holds; ``root`` (which holds
-    ``state``) is round-tripped through pickle there, and the copy is fed
-    to the end and returned."""
-    sim, array = state[0], state[1]
+def _feed_paused(run, records, pause_s: float, in_flight):
+    """Feed ``records`` into the run's segment, pausing at the first event
+    past ``pause_s`` where ``in_flight(run)`` holds; the run is
+    round-tripped through pickle there, and the copy is fed to the end
+    and returned."""
+    sim, array, requests, completions = run.replay
     warm_extent_cache(array.layout, records)
-    fed = _Feeder(sim, array, records, state[2], state[3]).start()
-    while not (sim.now > pause_s and in_flight(root)):
+    fed = _Feeder(sim, array, records, requests, completions).start()
+    while not (sim.now > pause_s and in_flight(run)):
         sim.step()
     assert not fed.triggered  # paused mid-feed
-    root, fed = pickle.loads(pickle.dumps((root, fed), protocol=PICKLE_PROTOCOL))
+    run, fed = pickle.loads(pickle.dumps((run, fed), protocol=PICKLE_PROTOCOL))
     fed.sim.run_until_triggered(fed)
-    return root
+    return run
 
 
 def test_a_pending_disk_failure_pickles():
-    sim = Simulator()
-    array = build_array(sim, BaselineAfraidPolicy(), ndisks=5, disk_factory=toy_disk)
-    injector = FaultInjector(sim, array)
-    injector.fail_disk_at(2, 1.0)
-    sim, injector = pickle.loads(pickle.dumps((sim, injector), protocol=PICKLE_PROTOCOL))
-    sim.run()
-    assert [report.disk for report in injector.reports] == [2]
-    assert injector.array.failed_disks == (2,)
+    run = CampaignRun(CampaignSpec(organization="raid5", ndisks=5), 0)
+    run.begin(0)  # arms the strike; no trace is fed
+    (failure,) = run.events
+    run = pickle.loads(pickle.dumps(run, protocol=PICKLE_PROTOCOL))
+    run.sim.run(until=failure.time_s)
+    assert [report.disk for report in run.injector.reports] == [failure.disk]
+    assert run.array.failed_disks == (failure.disk,)
 
 
 def test_a_timeline_pickles_and_keeps_its_lock():
@@ -91,10 +85,7 @@ def test_a_timeline_pickles_and_keeps_its_lock():
 
 
 def test_a_paused_campaign_segment_resumes_to_the_same_report():
-    from repro.faults.campaign import _CampaignRun
-    from repro.faults.injector import LatentProbe
-
-    run = _CampaignRun(FaultCampaign(CAMPAIGN, CAMPAIGN_SEED))
+    run = CampaignRun(CAMPAIGN, CAMPAIGN_SEED)
     assert run.nsegments == 2
     (latent_at,) = [event.time_s for event in run.events if event.kind == "latent_error"]
     for index in range(run.nsegments):
@@ -114,66 +105,12 @@ def test_a_paused_campaign_segment_resumes_to_the_same_report():
     assert run.report().to_json() == run_campaign(CAMPAIGN, CAMPAIGN_SEED).to_json()
 
 
-def _nemesis_outcome(pause: bool) -> NemesisOutcome:
-    """:func:`~repro.harness.run_nemesis`, built here so it can pause."""
-    spec, seed = NEMESIS, NEMESIS_SEED
-    sim = Simulator()
-    registry = MetricsRegistry()
-    monitor = ExposureMonitor(window_s=2.0)
-    engine = SloEngine([])
-    timeline = Timeline()
-    hists = HistogramSet()
-    array = build_array(
-        sim, POLICIES[spec.policy](), ndisks=spec.ndisks,
-        stripe_unit_sectors=spec.stripe_unit_sectors,
-        disk_factory=_DISK_FACTORIES[spec.disk_model], organization=spec.organization,
-        with_functional=True, idle_threshold_s=spec.idle_threshold_s,
-        bits_per_stripe=spec.bits_per_stripe, name="nemesis",
-    )
-    array.attach_observability(histograms=hists, registry=registry, exposure=monitor)
-    loop = NemesisLoop(
-        sim, array, spec, seed, timeline=timeline, monitor=monitor, engine=engine,
-        registry=registry, latency_windows=LatencyWindows(hists),
-    )
-    trace = make_trace(
-        spec.workload, duration_s=spec.duration_s,
-        address_space_sectors=array.layout.total_data_sectors, seed=seed, allow_generic=True,
-    )
-    loop.start()
-    replay = (sim, array, [], [])
-    if pause:
-        root = _feed_paused(
-            (replay, loop, hists), replay, list(trace), NEMESIS_PAUSE_S,
-            lambda root: bool(root[1]._rebuilding),
-        )
-        replay, loop, hists = root
-        sim, array = replay[0], replay[1]
-    else:
-        feed_trace(replay, list(trace))
-    close_replay(replay, spec.duration_s, spec.settle_s, finalize=False)
-    finish_recovery(sim, array, poll=loop.poll)
-    loop.finish_engine(sim.now)
-    loop.monitor.finish(sim.now)
-    array.finalize()
-    completions = replay[3]
-    requests = {"submitted": len(completions), "completed": 0, "failed": 0}
-    failure_kinds: dict[str, int] = {}
-    for completion in completions:
-        if completion.ok:
-            requests["completed"] += 1
-        else:
-            requests["failed"] += 1
-            name = type(completion.exception).__name__
-            failure_kinds[name] = failure_kinds.get(name, 0) + 1
-    requests["failure_kinds"] = dict(sorted(failure_kinds.items()))
-    return NemesisOutcome(
-        spec=spec, seed=seed, timeline=loop.timeline, loop=loop, engine=loop.engine,
-        registry=loop.registry, hists=hists, requests=requests, horizon_s=sim.now,
-    )
-
-
 def test_a_paused_nemesis_run_writes_the_same_artefacts(tmp_path):
-    paused = write_nemesis_report(_nemesis_outcome(pause=True), tmp_path / "paused")
+    run = NemesisLoop(NEMESIS, NEMESIS_SEED)
+    records = run.begin(0)
+    run = _feed_paused(run, records, NEMESIS_PAUSE_S, lambda run: bool(run.rebuilding))
+    run.end()
+    paused = write_nemesis_report(run.report(), tmp_path / "paused")
     whole = write_nemesis_report(run_nemesis(NEMESIS, NEMESIS_SEED), tmp_path / "whole")
     assert sorted(paused) == sorted(whole) and len(whole) == 5
     for name, path in whole.items():

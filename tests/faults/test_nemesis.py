@@ -5,14 +5,13 @@ import random
 import pytest
 
 from repro.faults import (
-    ActiveFault,
-    ActiveFaultsTracker,
     CampaignSpec,
-    FaultCampaign,
+    NemesisLoop,
     NemesisSpec,
     draw_fault_schedule,
     run_campaign,
 )
+from repro.faults.campaign import CampaignRun
 from repro.harness import run_nemesis, write_nemesis_report
 
 
@@ -33,8 +32,7 @@ class TestDrawFaultSchedule:
             duration_s=20.0, disk_failures=2.0, nvram_losses=1.5,
             latent_errors=2.0, crashes=1.0, crash_points=(3.0,),
         )
-        campaign = FaultCampaign(spec, seed=42)
-        from_campaign = campaign._draw_schedule(random.Random(42))
+        run = CampaignRun(spec, seed=42)
         standalone = draw_fault_schedule(
             random.Random(42),
             duration_s=spec.duration_s, ndisks=spec.ndisks,
@@ -42,7 +40,19 @@ class TestDrawFaultSchedule:
             latent_errors=spec.latent_errors, crashes=spec.crashes,
             crash_points=spec.crash_points, max_faults=spec.max_faults,
         )
-        assert standalone == from_campaign
+        assert standalone == (run.events, run.boundaries[1:-1])
+
+    def test_nemesis_draws_the_same_schedule_without_crashes(self):
+        spec = NemesisSpec(duration_s=20.0, disk_failures=2.0, nvram_losses=1.5)
+        standalone, crashes = draw_fault_schedule(
+            random.Random(42),
+            duration_s=spec.duration_s, ndisks=spec.ndisks,
+            disk_failures=spec.disk_failures, nvram_losses=spec.nvram_losses,
+            latent_errors=spec.latent_errors, max_faults=spec.max_faults,
+        )
+        run = NemesisLoop(spec, seed=42)
+        assert run.events == run.pending == standalone
+        assert crashes == [] and run.nsegments == 1
 
     def test_deterministic_and_bounded(self):
         events, crashes = draw_fault_schedule(
@@ -83,35 +93,6 @@ class TestNemesisSpec:
             NemesisSpec(**kwargs)
 
 
-class TestActiveFaultsTracker:
-    def test_lifecycle_and_counts(self):
-        from repro.obs import Timeline
-
-        timeline = Timeline()
-        inject_a = timeline.fault_injected(1.0, "disk_failure", disk=2)
-        inject_b = timeline.fault_injected(2.0, "nvram_loss")
-        tracker = ActiveFaultsTracker()
-        first = ActiveFault(kind="disk_failure", injected_at=1.0, event=inject_a, disk=2)
-        second = ActiveFault(kind="nvram_loss", injected_at=2.0, event=inject_b)
-        tracker.injected(first)
-        tracker.injected(second)
-        assert tracker.counts() == {"disk_failure": 1, "nvram_loss": 1}
-        assert [fault.event for fault in tracker.open_faults()] == [
-            inject_a, inject_b,
-        ]
-        assert first.open_for(3.0) == pytest.approx(2.0)
-
-        cleared = tracker.cleared(inject_a.id, 4.0, "rebuilt")
-        assert cleared is first
-        assert not first.open
-        assert first.resolution == "rebuilt"
-        assert first.open_for(9.0) == pytest.approx(3.0)
-        assert tracker.open_faults() == [second]
-        assert tracker.cleared("evt-bogus", 4.0, "?") is None
-        rows = tracker.inventory_rows(5.0)
-        assert len(rows) == 1  # only still-open faults inventoried
-
-
 class TestRunNemesis:
     """One small seeded run, reused across assertions (runs take ~0.1s)."""
 
@@ -126,7 +107,7 @@ class TestRunNemesis:
     def test_faults_were_injected(self, outcome):
         injected = outcome.timeline.events_of("fault.inject")
         assert injected
-        assert outcome.loop.tracker.counts()
+        assert outcome.timeline.fault_counts()
 
     def test_gate_holds_injection_during_breach(self, outcome):
         """Between each hold and its resume, nothing is injected."""

@@ -66,6 +66,23 @@ class TestCorrelation:
         assert clear.attrs["fault"] == "nvram_loss"
         assert timeline.open_fault_events() == []
 
+    def test_open_fault_inventory(self):
+        """The open ``fault.inject`` events are a fault run's open faults."""
+        timeline = Timeline()
+        disk = timeline.fault_injected(1.0, "disk_failure", disk=2)
+        nvram = timeline.fault_injected(2.0, "nvram_loss")
+        assert timeline.fault_counts() == {"disk_failure": 1, "nvram_loss": 1}
+        assert timeline.open_fault_events() == [disk, nvram]  # injection order
+        assert timeline.open_fault_rows(3.0) == [
+            [disk.id, "disk_failure", "2", "2.000"],
+            [nvram.id, "nvram_loss", "-", "1.000"],
+        ]
+        timeline.fault_cleared(4.0, disk, resolution="rebuilt")
+        assert timeline.open_fault_events() == [nvram]
+        assert timeline.open_fault_rows(5.0) == [[nvram.id, "nvram_loss", "-", "3.000"]]
+        # The counts cover every fault injected, cleared or not.
+        assert timeline.fault_counts() == {"disk_failure": 1, "nvram_loss": 1}
+
     def test_breach_cause_is_innermost_open_fault(self):
         timeline = Timeline()
         inject = _fault_breach_recover_clear(timeline)
